@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test race bench benchsmoke profile figures solverbench incrementalbench clockedbench parallelbench serverbench serversmoke storebench store-smoke fleetbench fleet-smoke fuzz fuzz-smoke clocked-smoke parallel-smoke shard-smoke gofrontbench gofront-smoke
+.PHONY: verify build vet test race bench benchsmoke profile figures solverbench incrementalbench clockedbench parallelbench serverbench serversmoke fleetbench fleet-smoke fuzz fuzz-smoke clocked-smoke parallel-smoke shard-smoke gofrontbench gofront-smoke benchcheck
 
 verify: build vet race
 
@@ -69,28 +69,14 @@ serverbench:
 serversmoke:
 	./scripts/server_smoke.sh
 
-# storebench regenerates the committed persistent-summary-store
-# figure: per-workload cold starts with no/empty/warm store, plus
-# cached-query throughput with and without the store.
-storebench:
-	$(GO) run ./cmd/mhpbench -figure store -benchjson BENCH_store.json
-
-# store-smoke is the CI gate for the persistent summary store: the
-# in-process restart scenario plus a real fx10d (built -race) killed
-# with SIGTERM and restarted on the same store directory, asserting
-# byte-identical reports and warm summary hits in /metrics.
-store-smoke:
-	./scripts/store_smoke.sh
-
 fleetbench:
 	$(GO) run ./cmd/mhpbench -figure fleet -benchjson BENCH_fleet.json
 
 # fleet-smoke is the CI gate for the fleet: the in-process fleet
 # scenario (3 replicas + router + mid-load kill, -race), then the same
-# topology as real daemons on one shared store behind `fx10d route`,
-# with a replica SIGTERMed mid-burst — asserting zero failures, zero
-# cross-backend divergences, reroutes counted and warm shared-store
-# hits.
+# topology as real daemons behind `fx10d route`, with a replica
+# SIGTERMed mid-burst — asserting zero failures, zero cross-backend
+# divergences and reroutes counted.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
@@ -98,6 +84,12 @@ fleet-smoke:
 # sequential topo across shard/worker configurations under -race.
 shard-smoke:
 	$(GO) test -race -run 'TestShardEqualsTopo' -count=1 ./internal/shard
+
+# benchcheck vets and tests the bench/ module, which has its own
+# go.mod and so is not reached by `go test ./...` at the root: an
+# engine or server API change that breaks the benchmark fails here.
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 figures:
 	$(GO) run ./cmd/mhpbench -figure all

@@ -12,19 +12,18 @@ import (
 	"time"
 
 	"fx10/internal/fleet"
+	"fx10/internal/server"
 	"fx10/internal/syntax"
 	"fx10/internal/workloads"
 )
 
 // runFleetScenario exercises the fleet end to end, in-process:
 //
-//  1. start three replicas sharing one summary-store directory
-//     (multi-process mode) and a consistent-hash router in front;
+//  1. start three replicas and a consistent-hash router in front;
 //  2. analyze the full workload corpus through the router and record
 //     every report;
 //  3. assert every replica, asked directly, returns byte-identical
-//     reports (the fleet's core invariant), and that the shared store
-//     warm-starts the replicas that did not solve first;
+//     reports (the fleet's core invariant);
 //  4. kill the replica owning the corpus' hottest key mid-load and
 //     keep driving traffic through the router: every request must
 //     still succeed with the recorded bytes — failover is invisible.
@@ -35,27 +34,14 @@ func runFleetScenario(cfg lgConfig) error {
 	if cfg.addr != "" || cfg.backends != "" {
 		return fmt.Errorf("scenario fleet drives in-process servers; drop -addr/-backends")
 	}
-	dir := cfg.store
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "fx10d-fleet-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
 	client := &http.Client{Timeout: 30 * time.Second}
 	corpus := workloads.All()
 
-	// Three replicas on one shared store.
 	const replicas = 3
-	repCfg := cfg
-	repCfg.store = dir
-	repCfg.storeShared = true
 	bases := make([]string, replicas)
 	shutdowns := make([]func(), replicas)
 	for i := range bases {
-		base, shutdown, err := selfserve(repCfg)
+		base, shutdown, err := selfserve(cfg)
 		if err != nil {
 			return err
 		}
@@ -108,34 +94,6 @@ func runFleetScenario(cfg lgConfig) error {
 		}
 	}
 
-	// The shared store must have warmed the replicas that solved
-	// second: at least one replica served summaries from disk.
-	warmHits := uint64(0)
-	for _, base := range bases {
-		var m struct {
-			SummaryStore struct {
-				Enabled bool   `json:"enabled"`
-				Hits    uint64 `json:"hits"`
-			} `json:"summaryStore"`
-		}
-		resp, err := client.Get(base + "/metrics")
-		if err != nil {
-			return err
-		}
-		err = json.NewDecoder(resp.Body).Decode(&m)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("decode replica /metrics: %w", err)
-		}
-		if !m.SummaryStore.Enabled {
-			return fmt.Errorf("replica reports no summary store")
-		}
-		warmHits += m.SummaryStore.Hits
-	}
-	if warmHits == 0 {
-		return fmt.Errorf("no replica recorded shared-store hits: store not shared, fleet runs cold")
-	}
-
 	// Phase 3: kill the owner of the first workload's key mid-load.
 	victimKey := "p|" + hashOf(want, corpus[0].Name) + "|" + cfg.mode
 	victim := rt.Ring().Lookup(victimKey)
@@ -185,9 +143,23 @@ func runFleetScenario(cfg lgConfig) error {
 		return fmt.Errorf("fleet kill: %d responses diverged after failover", n)
 	}
 	fmt.Fprintf(os.Stdout,
-		"fleet scenario: %d workloads byte-identical across %d replicas; shared-store hits=%d; %d requests served through the kill of replica %d with zero failures\n",
-		len(corpus), replicas, warmHits, completed.Load(), victimIdx)
+		"fleet scenario: %d workloads byte-identical across %d replicas; %d requests served through the kill of replica %d with zero failures\n",
+		len(corpus), replicas, completed.Load(), victimIdx)
 	return nil
+}
+
+// analyzeReport posts one analyze and returns the report's canonical
+// JSON bytes (mhp.Report marshals deterministically).
+func analyzeReport(client *http.Client, base, source, mode string) ([]byte, error) {
+	var resp server.AnalyzeResponse
+	status, err := post(client, base+"/v1/analyze", server.AnalyzeRequest{Source: source, Mode: mode}, &resp)
+	if err != nil {
+		return nil, err
+	}
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("status %d", status)
+	}
+	return json.Marshal(resp.Report)
 }
 
 // hashOf recovers the program hash embedded in a recorded report.

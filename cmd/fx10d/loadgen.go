@@ -29,10 +29,8 @@ import (
 // loadgen drives a server (or, with -addr "", an in-process one) with
 // a seeded mix of query/analyze/delta/batch traffic over the
 // 13-workload corpus and reports client-side latency percentiles.
-// With -scenario restart it instead exercises the persistent summary
-// store end to end: warm a server, shut it down cleanly, restart on
-// the same store directory, and check that the restarted server
-// warm-starts (nonzero store hits) with byte-identical reports.
+// With -scenario fleet it instead exercises replicas behind the router
+// (fleetscenario.go).
 
 type lgConfig struct {
 	addr        string
@@ -43,8 +41,6 @@ type lgConfig struct {
 	mix         string
 	mode        string
 	scenario    string
-	store       string // selfserve: summary store directory
-	storeShared bool   // selfserve: open the store multi-process
 	jsonOut     bool
 	strict      bool
 	workers     int // selfserve only
@@ -61,8 +57,7 @@ func runLoadgen(args []string) error {
 	fs.Int64Var(&cfg.seed, "seed", 1, "rng seed (traffic is deterministic per seed)")
 	fs.StringVar(&cfg.mix, "mix", "query=8,analyze=3,delta=1,goanalyze=1", "weighted op mix (ops: query, analyze, goanalyze, delta, batch)")
 	fs.StringVar(&cfg.mode, "mode", "cs", "analysis mode (cs or ci)")
-	fs.StringVar(&cfg.scenario, "scenario", "", `named scenario instead of mixed traffic ("restart" or "fleet")`)
-	fs.StringVar(&cfg.store, "store", "", "selfserve: persistent summary store directory")
+	fs.StringVar(&cfg.scenario, "scenario", "", `named scenario instead of mixed traffic ("fleet")`)
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit the report as JSON on stdout")
 	fs.BoolVar(&cfg.strict, "strict", false, "exit non-zero on transport errors, any status outside 2xx/429, or cross-backend report divergence (CI smoke)")
 	fs.IntVar(&cfg.workers, "workers", 0, "selfserve: solve workers")
@@ -75,15 +70,12 @@ func runLoadgen(args []string) error {
 		return err
 	}
 
-	if cfg.scenario != "" {
-		switch cfg.scenario {
-		case "restart":
-			return runRestartScenario(cfg)
-		case "fleet":
-			return runFleetScenario(cfg)
-		default:
-			return fmt.Errorf("unknown scenario %q (want restart or fleet)", cfg.scenario)
-		}
+	switch cfg.scenario {
+	case "":
+	case "fleet":
+		return runFleetScenario(cfg)
+	default:
+		return fmt.Errorf("unknown scenario %q (want fleet)", cfg.scenario)
 	}
 
 	// Fleet mode: a -backends list replaces the single target. Ops
@@ -320,10 +312,8 @@ func renderGoSources(seed int64, n int) ([]string, error) {
 // selfserve starts an in-process server on a loopback port.
 func selfserve(cfg lgConfig) (addr string, shutdown func(), err error) {
 	srv, err := server.New(server.Config{
-		Workers:            cfg.workers,
-		QueueDepth:         cfg.queue,
-		SummaryStorePath:   cfg.store,
-		SummaryStoreShared: cfg.storeShared,
+		Workers:    cfg.workers,
+		QueueDepth: cfg.queue,
 	})
 	if err != nil {
 		return "", nil, err

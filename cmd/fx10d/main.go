@@ -9,7 +9,7 @@
 //	fx10d route [flags]             fleet front door: route to replicas
 //	fx10d loadgen [flags]           drive a server and report latency
 //
-// See DESIGN.md §8 for the API and §13 for fleet routing.
+// See DESIGN.md §8 for the API and §12 for fleet routing.
 package main
 
 import (
@@ -58,8 +58,6 @@ func runServe(args []string) error {
 		strategy   = fs.String("strategy", "", "solver strategy (empty = default)")
 		solverW    = fs.Int("solver-workers", 0, "pool width inside parallel strategies like ptopo (0 = strategy default)")
 		cache      = fs.Int("cache", 0, "program cache entries (0 = default)")
-		sumStore   = fs.String("summary-store", "", "directory for the persistent method-summary store (empty = disabled)")
-		sumShared  = fs.Bool("summary-store-shared", false, "open the summary store in multi-process mode (fleet replicas sharing one directory)")
 		solveTO    = fs.Duration("solve-timeout", 30*time.Second, "per-solve ceiling")
 		reqTO      = fs.Duration("request-timeout", 10*time.Second, "per-request deadline")
 		drainGrace = fs.Duration("drain-grace", 15*time.Second, "max time to finish in-flight requests on shutdown")
@@ -69,15 +67,13 @@ func runServe(args []string) error {
 	}
 
 	srv, err := server.New(server.Config{
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		Strategy:           *strategy,
-		SolverWorkers:      *solverW,
-		CacheSize:          *cache,
-		SummaryStorePath:   *sumStore,
-		SummaryStoreShared: *sumShared,
-		SolveTimeout:       *solveTO,
-		RequestTimeout:     *reqTO,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		Strategy:       *strategy,
+		SolverWorkers:  *solverW,
+		CacheSize:      *cache,
+		SolveTimeout:   *solveTO,
+		RequestTimeout: *reqTO,
 	})
 	if err != nil {
 		return err

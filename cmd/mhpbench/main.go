@@ -26,9 +26,7 @@
 // relation. -benchjson additionally writes the selected sweep
 // machine-readably (the committed BENCH_solver.json /
 // BENCH_incremental.json / BENCH_clocked.json / BENCH_parallel.json /
-// BENCH_store.json / BENCH_gofront.json; the store figure measures
-// cold starts against the persistent summary store in its
-// no/empty/warm configurations).
+// BENCH_gofront.json).
 package main
 
 import (
@@ -50,7 +48,7 @@ import (
 var figures = []string{
 	"examples", "5", "6", "7", "8", "9",
 	"precision", "scaling", "corpus",
-	"solver", "incremental", "clocked", "parallel", "store", "gofront", "fleet",
+	"solver", "incremental", "clocked", "parallel", "gofront", "fleet",
 }
 
 // allFigures is what -figure all selects: the paper regeneration
@@ -225,20 +223,6 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 		fmt.Print(experiments.FormatClockedBench(bench))
 		if benchjson != "" {
 			if err := experiments.WriteClockedBenchJSON(bench, benchjson); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", benchjson)
-		}
-	}
-	if want["store"] {
-		section("Persistent summary store: cold starts with no/empty/warm store")
-		bench, err := experiments.RunStoreBench(3)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatStoreBench(bench))
-		if benchjson != "" {
-			if err := experiments.WriteStoreBenchJSON(bench, benchjson); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", benchjson)

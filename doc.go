@@ -17,12 +17,8 @@
 // pool, and shard, a place-sharded solver that partitions the
 // constraint system by method shard and solves shards concurrently
 // with a deterministic merge loop — both bit-identical to their
-// sequential counterparts), a two-tier
-// content-hash cache (whole-program results and cross-program method
-// summaries, the latter optionally backed by a crash-safe persistent
-// store (internal/sumstore) so summaries survive restarts and are
-// shared across processes) and method-granular incremental
-// re-analysis (engine.AnalyzeDelta), all differentially fuzzed
+// sequential counterparts), a content-hash cache of whole-program
+// results and method-granular incremental re-analysis (engine.AnalyzeDelta), all differentially fuzzed
 // against exact and observed parallelism and scale-tested on
 // generated programs past 100k labels (internal/progen's huge tier,
 // BENCH_parallel.json). The engine also serves as a long-lived
@@ -30,11 +26,10 @@
 // singleflight coalescing, batch corpus submission under one
 // admission slot (/v1/batch), editor delta sessions, per-request
 // language selection through the front-end registry, and live
-// metrics including the summary store's warm-start hit rate; fx10d
-// route turns N daemons into one fleet — consistent-hash routing on
-// program content (internal/fleet), health-checked failover that is
-// byte-invisible because replicas agree bit-for-bit, and a summary
-// store shareable across processes (sumstore.OpenShared). Front
+// metrics; fx10d route turns N daemons into one fleet —
+// consistent-hash routing on program content (internal/fleet) and
+// health-checked failover that is byte-invisible because replicas
+// agree bit-for-bit. Front
 // ends are held to the analysis's soundness bar by a cross-front-end
 // oracle (X10 and Go renderings of the same program must analyze
 // bit-identically under every strategy, and runtime-observed pairs

@@ -115,7 +115,7 @@ func (e *Engine) AnalyzeDeltaCtx(ctx context.Context, base *Result, edited *synt
 	stats.AllocBytes = sol.AllocBytes
 	stats.FootprintBytes = sol.FootprintBytes
 
-	delta := &DeltaStats{
+	stats.Delta = &DeltaStats{
 		MethodsTotal:           len(edited.Methods),
 		MethodsReused:          dinfo.MethodsReused,
 		MethodsResolved:        dinfo.MethodsResolved,
@@ -123,27 +123,11 @@ func (e *Engine) AnalyzeDeltaCtx(ctx context.Context, base *Result, edited *synt
 		ConstraintsReevaluated: dinfo.ConstraintsReevaluated,
 		Full:                   dinfo.Full,
 	}
-	// Probe the summary tier (memory or disk) for the re-solved
-	// methods before storing this run's summaries: a hit means some
-	// already-analyzed program — in this process or, via the
-	// persistent store, a previous one — had a content-identical
-	// method (cross-program sharing).
-	if e.summaries != nil && mode == constraints.ContextSensitive && !edited.UsesClocks() {
-		for _, mi := range dinfo.Closure {
-			if e.summaryKnown(edited.MethodHash(mi)) {
-				delta.SummaryHits++
-			} else {
-				delta.SummaryMisses++
-			}
-		}
-	}
-	stats.Delta = delta
 
 	core := pipelineCore{program: edited, info: info, sys: sys, sol: sol}
 	// The delta result is bitwise-identical to a from-scratch solve,
 	// so it can serve future cache lookups for the edited program.
 	e.cachePut(key, cached{core: core, stats: stats})
-	e.storeSummaries(edited, sol, mode)
 
 	t0 = time.Now()
 	res := &Result{

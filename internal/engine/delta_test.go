@@ -186,52 +186,3 @@ func TestAnalyzeDeltaErrors(t *testing.T) {
 		t.Error("nil edited program accepted")
 	}
 }
-
-// TestSummaryCacheCrossProgram: a method shared verbatim between two
-// different programs is summarized once — the second program's
-// analysis finds it in the summary tier, translated into its own label
-// space and equal to what solving computes.
-func TestSummaryCacheCrossProgram(t *testing.T) {
-	shared := func(b *syntax.Builder) {
-		b.MustAddMethod("shared", b.Stmts(
-			b.Finish("", b.Stmts(b.Async("", b.Stmts(b.Skip(""), b.Skip(""))))),
-			b.Async("", b.Stmts(b.Skip(""))),
-		))
-	}
-	b1 := syntax.NewBuilder(4)
-	shared(b1)
-	b1.MustAddMethod("main", b1.Stmts(b1.Call("", "shared")))
-	p1 := b1.MustProgram()
-
-	b2 := syntax.NewBuilder(4)
-	shared(b2)
-	b2.MustAddMethod("main", b2.Stmts(
-		b2.Skip(""),
-		b2.Async("", b2.Stmts(b2.Call("", "shared"))),
-	))
-	p2 := b2.MustProgram()
-
-	e := MustNew(Config{CacheSize: 8})
-	if _, err := e.Analyze(Job{Program: p1, Mode: constraints.ContextSensitive}); err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := p2.MethodIndex("shared")
-	if p1Idx, _ := p1.MethodIndex("shared"); p1.MethodHash(p1Idx) != p2.MethodHash(s2) {
-		t.Fatal("shared methods do not share a content hash")
-	}
-	got, ok := e.CachedSummary(p2, s2)
-	if !ok {
-		t.Fatal("summary tier miss for a content-identical method")
-	}
-	res2, err := e.Analyze(Job{Program: p2, Mode: constraints.ContextSensitive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := res2.Sol.MethodSummary(s2)
-	if !got.O.Equal(want.O) || !got.M.Equal(want.M) {
-		t.Fatalf("cross-program summary differs from solved summary:\ngot  O=%v\nwant O=%v", got.O, want.O)
-	}
-	if stats := e.CacheStats(); stats.SummaryHits == 0 {
-		t.Error("no summary-tier hits recorded")
-	}
-}

@@ -10,12 +10,8 @@
 //     replacing the mutually-exclusive bools of constraints.Options;
 //   - corpus-level analysis on a bounded worker pool with per-program
 //     panic isolation, so one bad program cannot kill a sweep;
-//   - a two-tier cache: a program tier (content-hash-keyed LRU over
-//     whole solved pipelines, serving repeated analyses of identical
-//     programs) and a method-summary tier (keyed by per-method
-//     content hash, sharing inferred summaries between
-//     content-identical methods of different programs in a corpus —
-//     see summaries.go);
+//   - a program cache: a content-hash-keyed LRU over whole solved
+//     pipelines, serving repeated analyses of identical programs;
 //   - method-granular incremental analysis: AnalyzeDelta diffs an
 //     edited program against a base result by method content hash
 //     and re-solves only the dirty methods' call-graph closure
@@ -40,7 +36,6 @@ import (
 	"fx10/internal/intset"
 	"fx10/internal/labels"
 	"fx10/internal/parser"
-	"fx10/internal/sumstore"
 	"fx10/internal/syntax"
 	"fx10/internal/types"
 )
@@ -59,55 +54,23 @@ type Config struct {
 	// default (GOMAXPROCS), and it is ignored by the sequential
 	// strategies. Worker count never affects results.
 	SolverWorkers int
-	// CacheSize bounds the program-tier result cache in entries. 0
-	// selects the default (128); negative disables caching entirely
-	// — both tiers — (every request re-solves — what
-	// timing-sensitive callers like the figure tables and benchmarks
-	// want).
+	// CacheSize bounds the program cache in entries. 0 selects the
+	// default (128); negative disables caching (every request
+	// re-solves — what timing-sensitive callers like the figure tables
+	// and benchmarks want).
 	CacheSize int
-	// SummaryCacheSize bounds the method-summary tier in entries. 0
-	// selects the default (512); negative disables just this tier.
-	// The tier is also disabled whenever CacheSize is negative.
-	SummaryCacheSize int
-	// SummaryStorePath names a directory for the persistent
-	// content-addressed summary store (internal/sumstore) — the disk
-	// tier below the method-summary cache, which then acts as its
-	// write-through memory tier. Summaries survive restarts and can be
-	// shared between engines: a content-hash hit in any engine's store
-	// is the same summary everywhere. Empty disables the disk tier;
-	// it is also disabled when the summary tier itself is. Engines
-	// with a store should be Closed to flush it.
-	SummaryStorePath string
-	// SummaryStoreShared opens the summary store in multi-process
-	// mode (sumstore.OpenShared): appends serialize under an advisory
-	// file lock and read misses re-scan the log tail, so a fleet of
-	// daemons can share one store directory and any replica can seed
-	// any delta. Ignored when SummaryStorePath is empty.
-	SummaryStoreShared bool
 }
 
-const (
-	defaultCacheSize        = 128
-	defaultSummaryCacheSize = 512
-)
+const defaultCacheSize = 128
 
 // Engine runs analyses. It is safe for concurrent use; one Engine is
-// meant to be shared and reused so its caches pay off.
+// meant to be shared and reused so its cache pays off.
 type Engine struct {
-	strategy  Strategy
-	workers   int
-	cache     *resultCache    // program tier; nil when caching is disabled
-	summaries *summaryCache   // method-summary tier; nil when disabled
-	store     *sumstore.Store // disk tier below summaries; nil when disabled
+	strategy Strategy
+	workers  int
+	cache    *resultCache // nil when caching is disabled
 
-	hits, misses       atomic.Uint64
-	sumHits, sumMisses atomic.Uint64
-	// sumSkipped counts summary-tier probes for clocked programs,
-	// which both tiers exclude by design (the phase analysis makes a
-	// method's summary depend on whole-program context the content
-	// hash ignores). Counting them separately keeps the hit rate
-	// honest over mixed clocked/unclocked corpora.
-	sumSkipped atomic.Uint64
+	hits, misses atomic.Uint64
 }
 
 // New builds an Engine, resolving the configured strategy name.
@@ -132,34 +95,7 @@ func New(cfg Config) (*Engine, error) {
 	case cfg.CacheSize > 0:
 		e.cache = newResultCache(cfg.CacheSize)
 	}
-	if e.cache != nil && cfg.SummaryCacheSize >= 0 {
-		size := cfg.SummaryCacheSize
-		if size == 0 {
-			size = defaultSummaryCacheSize
-		}
-		e.summaries = newSummaryCache(size)
-		if cfg.SummaryStorePath != "" {
-			open := sumstore.Open
-			if cfg.SummaryStoreShared {
-				open = sumstore.OpenShared
-			}
-			store, err := open(cfg.SummaryStorePath)
-			if err != nil {
-				return nil, err
-			}
-			e.store = store
-		}
-	}
 	return e, nil
-}
-
-// Close flushes and closes the persistent summary store, if any. An
-// engine without a store needs no Close; calling it anyway is a no-op.
-func (e *Engine) Close() error {
-	if e.store == nil {
-		return nil
-	}
-	return e.store.Close()
 }
 
 // MustNew is New, panicking on error — for wiring with known-good
@@ -178,25 +114,10 @@ func (e *Engine) Strategy() Strategy { return e.strategy }
 // Workers returns the engine's corpus concurrency bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// CacheStats returns the engine's cumulative cache traffic across
-// both tiers (zero when caching is disabled).
+// CacheStats returns the engine's cumulative cache traffic (zero when
+// caching is disabled).
 func (e *Engine) CacheStats() CacheStats {
-	return CacheStats{
-		Hits:           e.hits.Load(),
-		Misses:         e.misses.Load(),
-		SummaryHits:    e.sumHits.Load(),
-		SummaryMisses:  e.sumMisses.Load(),
-		SummarySkipped: e.sumSkipped.Load(),
-	}
-}
-
-// SummaryStoreStats returns the persistent summary store's counters;
-// ok is false when the engine has no disk tier.
-func (e *Engine) SummaryStoreStats() (sumstore.Stats, bool) {
-	if e.store == nil {
-		return sumstore.Stats{}, false
-	}
-	return e.store.Stats(), true
+	return CacheStats{Hits: e.hits.Load(), Misses: e.misses.Load()}
 }
 
 // Job is one analysis request.
@@ -252,9 +173,9 @@ func (e *Engine) Analyze(job Job) (*Result, error) {
 // AnalyzeCtx is Analyze with cooperative cancellation: ctx is checked
 // between pipeline stages and, with the built-in strategies, every
 // constraints.CancelStride evaluations inside the solver loops. On
-// cancellation it returns ctx's error, caches nothing, and leaves
-// both cache tiers exactly as they were — an abandoned request can
-// never poison a future one.
+// cancellation it returns ctx's error, caches nothing, and leaves the
+// cache exactly as it was — an abandoned request can never poison a
+// future one.
 func (e *Engine) AnalyzeCtx(ctx context.Context, job Job) (*Result, error) {
 	start := time.Now()
 
@@ -336,8 +257,6 @@ func (e *Engine) runPipeline(ctx context.Context, p *syntax.Program, mode constr
 	stats.AllocBytes = sol.AllocBytes
 	stats.FootprintBytes = sol.FootprintBytes
 	stats.Shard = sol.Shard
-
-	e.storeSummaries(p, sol, mode)
 	return pipelineCore{program: p, info: info, sys: sys, sol: sol}, stats, nil
 }
 

@@ -64,11 +64,6 @@ type DeltaStats struct {
 	ConstraintsReevaluated int64
 	// Full is true when the delta path fell back to a full re-solve.
 	Full bool
-	// SummaryHits and SummaryMisses count re-solved methods whose
-	// final summary was (respectively was not) already present in the
-	// engine's method-summary cache tier — cross-program sharing at
-	// work. Zero when the tier is disabled.
-	SummaryHits, SummaryMisses int
 }
 
 // PipelineDuration is the analysis-only time (labels + generation +
@@ -78,13 +73,12 @@ func (s Stats) PipelineDuration() time.Duration {
 	return s.Labels + s.Generate + s.Solve
 }
 
-// CacheStats aggregates an engine's cache traffic: the program tier
-// (Hits/Misses) and the method-summary tier (SummaryHits/
-// SummaryMisses). SummarySkipped counts summary probes for clocked
-// programs, which the tier excludes by design — neither hits nor
-// misses, so a mixed corpus does not overstate the hit rate.
+// CacheStats aggregates an engine's program-cache traffic.
 type CacheStats struct {
-	Hits, Misses               uint64
+	Hits, Misses uint64
+	// SummaryHits and SummaryMisses are always zero: the engine has no
+	// method-summary cache. They remain only because the benchmark's
+	// engine.summary_hit_ratio metric still reads them; drop them
+	// together with that metric.
 	SummaryHits, SummaryMisses uint64
-	SummarySkipped             uint64
 }

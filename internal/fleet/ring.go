@@ -3,11 +3,10 @@
 // (Program.Hash, mode, language) to a replica, health checks evict
 // dead replicas, and failover retries the next ring position. Because
 // every replica computes bit-identical reports (the solvers' unique
-// least fixpoint) and the content-addressed summary store can be
-// shared between processes (sumstore.OpenShared), routing is purely a
-// cache-locality optimization: ANY replica can serve ANY request
-// correctly, so failover never changes a response byte. See DESIGN.md
-// §13 for the routing invariants.
+// least fixpoint), routing is purely a cache-locality optimization:
+// ANY replica can serve ANY request correctly, so failover never
+// changes a response byte. See DESIGN.md §12 for the routing
+// invariants.
 package fleet
 
 import (

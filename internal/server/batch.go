@@ -142,15 +142,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // the caller already holds an admission slot.
 func (s *Server) solveOne(ctx context.Context, key flightKey, p *syntax.Program, mode constraints.Mode, what string) (*engine.Result, bool, *handlerError) {
 	res, err, joined := s.flights.do(ctx, key, func(fctx context.Context) (*engine.Result, error) {
-		s.metrics.solves.Add(1)
 		t0 := time.Now()
 		r, err := s.eng.AnalyzeSafe(fctx, engine.Job{Name: what, Program: p, Mode: mode})
-		if err == nil {
-			d := time.Since(t0)
-			s.metrics.solveLatency.Observe(d)
-			s.observeSolve(d)
-			s.metrics.observeShard(r.Stats.Shard)
-		}
+		s.recordSolve(r, err, time.Since(t0))
 		return r, err
 	})
 	if joined {

@@ -11,7 +11,6 @@ import (
 
 	"fx10/internal/constraints"
 	"fx10/internal/engine"
-	"fx10/internal/sumstore"
 )
 
 // Metrics is the server's expvar-backed registry. Every variable is
@@ -35,7 +34,7 @@ type Metrics struct {
 	sessions   *expvar.Int // live delta sessions
 
 	coalesced *expvar.Int // requests served by joining another's solve
-	solves    *expvar.Int // engine solves actually started
+	solves    *expvar.Int // engine calls that ran the pipeline (cache hits excluded)
 	overload  *expvar.Int // requests rejected 429 at admission
 	canceled  *expvar.Int // requests abandoned by client or deadline
 
@@ -43,7 +42,7 @@ type Metrics struct {
 	batchPrograms *expvar.Int // programs carried by those batches
 
 	queueWait    *Histogram // time from admission to worker slot
-	solveLatency *Histogram // engine time per non-coalesced solve
+	solveLatency *Histogram // engine time per successful solve
 	reqLatency   *Histogram // end-to-end handler time, all endpoints
 
 	// Sharded-solve section ("shard"), fed only by solves the shard
@@ -56,9 +55,8 @@ type Metrics struct {
 }
 
 // newMetrics builds the registry. cacheStats feeds the "cache"
-// section; storeStats feeds "summaryStore" (reporting enabled=false
-// when no persistent store is configured).
-func newMetrics(cacheStats func() engine.CacheStats, storeStats func() (sumstore.Stats, bool)) *Metrics {
+// section.
+func newMetrics(cacheStats func() engine.CacheStats) *Metrics {
 	m := &Metrics{
 		vars:          new(expvar.Map).Init(),
 		requests:      new(expvar.Map).Init(),
@@ -108,12 +106,6 @@ func newMetrics(cacheStats func() engine.CacheStats, storeStats func() (sumstore
 			"programHits":    cs.Hits,
 			"programMisses":  cs.Misses,
 			"programHitRate": rate(cs.Hits, cs.Misses),
-			"summaryHits":    cs.SummaryHits,
-			"summaryMisses":  cs.SummaryMisses,
-			"summaryHitRate": rate(cs.SummaryHits, cs.SummaryMisses),
-			// Clocked-program probes: excluded from the tier by design,
-			// counted separately so they do not depress the hit rate.
-			"summarySkipped": cs.SummarySkipped,
 		}
 	}))
 	shardMap := new(expvar.Map).Init()
@@ -123,30 +115,6 @@ func newMetrics(cacheStats func() engine.CacheStats, storeStats func() (sumstore
 	shardMap.Set("lastShards", m.shardLast)
 	shardMap.Set("perShardSolveMs", m.shardSolveLat)
 	m.vars.Set("shard", shardMap)
-	m.vars.Set("summaryStore", expvar.Func(func() any {
-		ss, enabled := storeStats()
-		if !enabled {
-			return map[string]any{"enabled": false}
-		}
-		return map[string]any{
-			"enabled":          true,
-			"records":          ss.Records,
-			"logBytes":         ss.LogBytes,
-			"hits":             ss.Hits,
-			"misses":           ss.Misses,
-			"hitRate":          rate(ss.Hits, ss.Misses),
-			"puts":             ss.Puts,
-			"dupPuts":          ss.DupPuts,
-			"bytesWritten":     ss.BytesWritten,
-			"bytesRead":        ss.BytesRead,
-			"indexLoaded":      ss.IndexLoaded,
-			"recoveredRecords": ss.RecoveredRecords,
-			"truncatedBytes":   ss.TruncatedBytes,
-			"invalidations":    ss.Invalidations,
-			"writeErrors":      ss.WriteErrors,
-			"readErrors":       ss.ReadErrors,
-		}
-	}))
 	return m
 }
 

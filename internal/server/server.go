@@ -17,18 +17,13 @@
 //	    disconnects and deadlines cancel mid-fixpoint via the solver's
 //	    cancellation checkpoints, and panics on malformed programs are
 //	    contained per request.
-//	  - cache: the engine's two-tier cache makes repeat analyses hits;
+//	  - cache: the engine's program cache makes repeat analyses hits;
 //	    the server-side query index additionally serves /v1/query
 //	    without touching the engine at all.
 //
 // Endpoints: POST /v1/analyze, POST /v1/batch, POST /v1/query,
 // POST /v1/delta, GET /healthz, GET /metrics. See api.go for wire
 // types and DESIGN.md §8 for the architecture discussion.
-//
-// With Config.SummaryStorePath set, the engine additionally persists
-// method summaries to a crash-safe on-disk store (internal/sumstore):
-// a restarted server warm-starts its summary tier from disk, visible
-// as summaryStore hits in /metrics.
 package server
 
 import (
@@ -67,10 +62,9 @@ type Config struct {
 	// parallel (e.g. ptopo); ≤ 0 keeps the strategy default. Distinct
 	// from Workers, which bounds concurrent solves across requests.
 	SolverWorkers int
-	// CacheSize / SummaryCacheSize size the engine's cache tiers
-	// (0 = engine defaults).
-	CacheSize        int
-	SummaryCacheSize int
+	// CacheSize sizes the engine's program cache (0 = engine
+	// default).
+	CacheSize int
 	// SolveTimeout caps one engine solve regardless of waiters
 	// (default 30s).
 	SolveTimeout time.Duration
@@ -87,15 +81,6 @@ type Config struct {
 	// MaxBatchPrograms bounds the programs accepted per /v1/batch
 	// request (default 64).
 	MaxBatchPrograms int
-	// SummaryStorePath, when non-empty, enables the engine's
-	// persistent summary store in that directory: method summaries
-	// survive restarts and are shared across processes pointed at the
-	// same path.
-	SummaryStorePath string
-	// SummaryStoreShared opens the store in multi-process mode so a
-	// fleet of daemons can share one store directory (see
-	// engine.Config.SummaryStoreShared).
-	SummaryStoreShared bool
 }
 
 func (c Config) withDefaults() Config {
@@ -151,13 +136,10 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	eng, err := engine.New(engine.Config{
-		Strategy:           cfg.Strategy,
-		Workers:            cfg.Workers,
-		SolverWorkers:      cfg.SolverWorkers,
-		CacheSize:          cfg.CacheSize,
-		SummaryCacheSize:   cfg.SummaryCacheSize,
-		SummaryStorePath:   cfg.SummaryStorePath,
-		SummaryStoreShared: cfg.SummaryStoreShared,
+		Strategy:      cfg.Strategy,
+		Workers:       cfg.Workers,
+		SolverWorkers: cfg.SolverWorkers,
+		CacheSize:     cfg.CacheSize,
 	})
 	if err != nil {
 		return nil, err
@@ -173,7 +155,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:    base,
 		baseCancel: cancel,
 	}
-	s.metrics = newMetrics(eng.CacheStats, eng.SummaryStoreStats)
+	s.metrics = newMetrics(eng.CacheStats)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.instrument("analyze", s.handleAnalyze))
 	mux.HandleFunc("/v1/batch", s.instrument("batch", s.handleBatch))
@@ -201,14 +183,9 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 // to completion. Use before shutting the HTTP listener down.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Close cancels every in-flight solve and closes the engine (which
-// syncs and snapshots the persistent summary store when one is
-// configured). Call after the HTTP server has stopped accepting
-// connections.
-func (s *Server) Close() {
-	s.baseCancel()
-	_ = s.eng.Close()
-}
+// Close cancels every in-flight solve. Call after the HTTP server has
+// stopped accepting connections.
+func (s *Server) Close() { s.baseCancel() }
 
 // instrument wraps a handler with request/response counting and
 // end-to-end latency observation.
@@ -371,6 +348,24 @@ func ctxError(err error) *handlerError {
 // that went away; there is no exact standard status.
 const statusClientClosedRequest = 499
 
+// recordSolve accounts one engine call that took d. A program-cache
+// hit is not a solve: it neither counts in solves nor feeds the
+// latency histogram and the Retry-After EWMA, which would otherwise be
+// diluted by microsecond "solves". A failed call did run the pipeline,
+// so it counts but has no latency worth observing.
+func (s *Server) recordSolve(res *engine.Result, err error, d time.Duration) {
+	if err == nil && res.Stats.CacheHit {
+		return
+	}
+	s.metrics.solves.Add(1)
+	if err != nil {
+		return
+	}
+	s.metrics.solveLatency.Observe(d)
+	s.observeSolve(d)
+	s.metrics.observeShard(res.Stats.Shard)
+}
+
 // observeSolve feeds the Retry-After EWMA (α = 1/8).
 func (s *Server) observeSolve(d time.Duration) {
 	for {
@@ -494,7 +489,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			s.writeHandlerError(w, herr)
 			return
 		}
-		sess.base = res
+		sess.base = deltaBase(res)
 		writeJSON(w, http.StatusOK, DeltaResponse{AnalyzeResponse: s.analyzeResponse(res, coalesced)})
 		return
 	}
@@ -524,19 +519,15 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		s.adm.release()
 	}()
 
-	s.metrics.solves.Add(1)
 	t0 := time.Now()
 	res, err := s.eng.AnalyzeDeltaSafe(ctx, sess.base, p)
+	s.recordSolve(res, err, time.Since(t0))
 	if err != nil {
 		s.writeHandlerError(w, s.solveError(err))
 		return
 	}
-	d := time.Since(t0)
-	s.metrics.solveLatency.Observe(d)
-	s.observeSolve(d)
-	s.metrics.observeShard(res.Stats.Shard)
 
-	sess.base = res
+	sess.base = deltaBase(res)
 	key := flightKey{hash: p.Hash(), mode: mode}
 	s.index.put(key, &indexed{program: res.Program, m: res.M})
 	writeJSON(w, http.StatusOK, DeltaResponse{

@@ -637,6 +637,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCacheHitIsNotASolve: a repeated analysis served from the
+// program cache must not count as a solve or feed the solve latency
+// (and with it the Retry-After estimate).
+func TestCacheHitIsNotASolve(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	src := syntax.Print(mustWorkload(t, "series").Program())
+	for i := 0; i < 2; i++ {
+		if status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/analyze", AnalyzeRequest{Source: src}); status != http.StatusOK {
+			t.Fatalf("analyze %d: status %d: %s", i, status, data)
+		}
+	}
+	if got := s.metrics.solves.Value(); got != 1 {
+		t.Errorf("solves = %d after two identical sequential analyses, want 1", got)
+	}
+	if got := s.metrics.solveLatency.count.Load(); got != 1 {
+		t.Errorf("solve latency observations = %d, want 1", got)
+	}
+}
+
 // TestMetricsShardSection: under the shard strategy the "shard"
 // section counts solves and merge rounds, and — because the sharded
 // solver's plan and merge schedule are deterministic — two servers

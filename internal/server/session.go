@@ -27,6 +27,16 @@ type session struct {
 	base *engine.Result // nil until the first analyze completes
 }
 
+// deltaBase is the copy of res a session keeps as its delta base:
+// everything AnalyzeDelta reads (Program, Sys, Sol), without the
+// per-request Env and M — one dense pair set per method, never read
+// from a base. res itself is left alone: flight joiners share it.
+func deltaBase(res *engine.Result) *engine.Result {
+	b := *res
+	b.Env, b.M = nil, nil
+	return &b
+}
+
 type sessionStore struct {
 	mu    sync.Mutex
 	cap   int

@@ -7,8 +7,9 @@ import (
 	"testing"
 
 	"fx10/internal/constraints"
+	"fx10/internal/engine"
+	"fx10/internal/progen"
 	"fx10/internal/syntax"
-	"fx10/internal/workloads"
 )
 
 // TestDeltaSessionModeMismatch: a session is (id, mode); reusing the
@@ -106,103 +107,50 @@ func TestQueryIndexCapClamped(t *testing.T) {
 	}
 }
 
-// TestServerRestartWarmStore is the restart scenario end to end at
-// the package level: server 1 populates the summary store, a second
-// server on the same directory warm-starts — its first analyzes
-// record store hits — and its reports are byte-identical.
-func TestServerRestartWarmStore(t *testing.T) {
-	dir := t.TempDir()
-	names := []string{"series", "stream", "crypt", "mapreduce"}
-
-	want := make(map[string][]byte)
-	s1, ts1 := newTestServer(t, Config{SummaryStorePath: dir})
-	for _, n := range names {
-		b, err := workloads.Get(n)
-		if err != nil {
-			t.Fatal(err)
+// TestDeltaSessionBaseDropsEnv: a session keeps only what a later
+// delta reads — no per-request Env or M — and the next delta still
+// matches a from-scratch analysis.
+func TestDeltaSessionBaseDropsEnv(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	p := mustWorkload(t, "stream").Program()
+	status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/delta", DeltaRequest{Session: "lean", Source: syntax.Print(p)})
+	if status != http.StatusOK {
+		t.Fatalf("first delta: status %d: %s", status, data)
+	}
+	for i := 0; i < 2; i++ {
+		sess, _, _, ok := s.sessions.get("lean", constraints.ContextSensitive, "fx10")
+		if !ok {
+			t.Fatalf("step %d: session lost", i)
 		}
-		status, data, _ := postJSON(t, ts1.Client(), ts1.URL+"/v1/analyze",
-			AnalyzeRequest{Source: syntax.Print(b.Program())})
+		// The handler writes base under the session lock.
+		sess.mu.Lock()
+		base := sess.base
+		sess.mu.Unlock()
+		if base == nil {
+			t.Fatalf("step %d: session has no base", i)
+		}
+		if base.Env != nil || base.M != nil {
+			t.Fatalf("step %d: session base keeps Env/M", i)
+		}
+		if base.Program == nil || base.Sys == nil || base.Sol == nil {
+			t.Fatalf("step %d: session base lost what AnalyzeDelta reads", i)
+		}
+
+		p = progen.MutateMethod(p, i%len(p.Methods), int64(7+i))
+		status, data, _ = postJSON(t, ts.Client(), ts.URL+"/v1/delta", DeltaRequest{Session: "lean", Source: syntax.Print(p)})
 		if status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", n, status, data)
+			t.Fatalf("delta %d: status %d: %s", i, status, data)
 		}
-		resp := decodeAnalyze(t, data)
-		rep, err := json.Marshal(resp.Report)
-		if err != nil {
+		var dr DeltaResponse
+		if err := json.Unmarshal(data, &dr); err != nil {
 			t.Fatal(err)
 		}
-		want[n] = rep
-	}
-	// Simulate the shutdown path fx10d takes: Drain then Close (which
-	// syncs and snapshots the store via the engine).
-	s1.Drain()
-	ts1.Close()
-	s1.Close()
-
-	s2, ts2 := newTestServer(t, Config{SummaryStorePath: dir})
-	for _, n := range names {
-		b, _ := workloads.Get(n)
-		status, data, _ := postJSON(t, ts2.Client(), ts2.URL+"/v1/analyze",
-			AnalyzeRequest{Source: syntax.Print(b.Program())})
-		if status != http.StatusOK {
-			t.Fatalf("restarted %s: status %d: %s", n, status, data)
+		if dr.Delta == nil {
+			t.Fatalf("delta %d: not served incrementally", i)
 		}
-		resp := decodeAnalyze(t, data)
-		rep, err := json.Marshal(resp.Report)
-		if err != nil {
-			t.Fatal(err)
+		want := directMaskedReport(t, engine.MustNew(engine.Config{CacheSize: -1}), p, constraints.ContextSensitive)
+		if !bytes.Equal(maskedReportJSON(t, dr.Report), want) {
+			t.Fatalf("delta %d: report differs from a from-scratch analysis", i)
 		}
-		if !bytes.Equal(rep, want[n]) {
-			t.Fatalf("%s: post-restart report differs", n)
-		}
-	}
-	stats, enabled := s2.Engine().SummaryStoreStats()
-	if !enabled {
-		t.Fatal("restarted server has no summary store")
-	}
-	if stats.Hits == 0 {
-		t.Fatalf("restarted server recorded no warm store hits: %+v", stats)
-	}
-
-	// And /metrics reports the store section.
-	resp, err := ts2.Client().Get(ts2.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m struct {
-		SummaryStore struct {
-			Enabled bool   `json:"enabled"`
-			Hits    uint64 `json:"hits"`
-			Records int    `json:"records"`
-		} `json:"summaryStore"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if !m.SummaryStore.Enabled || m.SummaryStore.Hits == 0 || m.SummaryStore.Records == 0 {
-		t.Fatalf("metrics summaryStore = %+v", m.SummaryStore)
-	}
-}
-
-// TestServerStoreDisabledMetrics: without a store path the metrics
-// section reports enabled=false (and nothing crashes).
-func TestServerStoreDisabledMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m struct {
-		SummaryStore struct {
-			Enabled bool `json:"enabled"`
-		} `json:"summaryStore"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.SummaryStore.Enabled {
-		t.Fatal("store reported enabled without a path")
 	}
 }

@@ -11,7 +11,7 @@
 // constraint-derived from the bottom valuation, and the solve only
 // stops when a whole round changes nothing — at which point the
 // published snapshots equal the live values and every constraint is
-// satisfied. See DESIGN.md §13 for the full soundness argument.
+// satisfied. See DESIGN.md §12 for the full soundness argument.
 package shard
 
 import (

@@ -28,9 +28,8 @@ import (
 // Two methods with equal hashes therefore have structurally
 // isomorphic subtrees, and the context-sensitive analysis — whose
 // per-method results depend only on the method's subtree — assigns
-// them identical values up to the label renumbering given by
-// MethodSubtreeLabels. That is the invariant both cache tiers and the
-// delta solver rest on.
+// them identical values up to renumbering the subtree's labels in
+// traversal order. That is the invariant the delta solver rests on.
 
 // ProgramHash is a content hash (sha256).
 type ProgramHash = [sha256.Size]byte
@@ -45,7 +44,6 @@ type hashMemo struct {
 
 	methodOnce sync.Once
 	methods    []ProgramHash
-	canon      []*CanonicalMethod
 }
 
 // Hash returns the program's content hash: sha256 of the canonical
@@ -74,87 +72,32 @@ func (p *Program) MethodHashes() []ProgramHash {
 	return p.hashes.methods
 }
 
-// CanonicalMethod is the interned canonical form of a method subtree:
-// programs with content-identical methods share one CanonicalMethod
-// value (pointer equality ⇔ content equality). NumLabels is the
-// number of instructions in the subtree — the size of the canonical
-// label universe MethodSubtreeLabels enumerates.
-type CanonicalMethod struct {
-	Hash      ProgramHash
-	Encoding  []byte // canonical subtree encoding the hash is over
-	NumLabels int    // instructions (= labels) in the subtree
-	Methods   int    // methods in the subtree, including the root
-}
-
-// internTable maps method content hashes to their shared canonical
-// form, across all programs in the process.
-var internTable sync.Map // ProgramHash → *CanonicalMethod
-
-// MethodCanon returns the interned canonical form of method mi.
-// Identical methods — within one program or across programs — return
-// the same pointer.
-func (p *Program) MethodCanon(mi int) *CanonicalMethod {
-	p.computeMethodHashes()
-	return p.hashes.canon[mi]
-}
-
 func (p *Program) computeMethodHashes() {
 	p.hashes.methodOnce.Do(func() {
 		hs := make([]ProgramHash, len(p.Methods))
-		cs := make([]*CanonicalMethod, len(p.Methods))
 		for mi := range p.Methods {
-			enc, nLabels, nMethods := p.encodeSubtree(mi, nil)
-			cm := &CanonicalMethod{
-				Hash:      sha256.Sum256(enc),
-				Encoding:  enc,
-				NumLabels: nLabels,
-				Methods:   nMethods,
-			}
-			if shared, loaded := internTable.LoadOrStore(cm.Hash, cm); loaded {
-				cm = shared.(*CanonicalMethod)
-			}
-			hs[mi] = cm.Hash
-			cs[mi] = cm
+			hs[mi] = sha256.Sum256(p.encodeSubtree(mi))
 		}
 		p.hashes.methods = hs
-		p.hashes.canon = cs
 	})
 }
 
-// MethodSubtreeLabels enumerates the labels of method mi's call-graph
-// subtree in canonical order: methods breadth-first from mi in order
-// of first reference, each body in pre-order. Position k in the
-// result is canonical label k of the subtree — the numbering the
-// canonical encoding (and hence the hash) is written in, which is how
-// engine-level summary caching translates between content-identical
-// methods of different programs.
-func (p *Program) MethodSubtreeLabels(mi int) []Label {
-	var out []Label
-	p.encodeSubtree(mi, &out)
-	return out
-}
-
 // encodeSubtree produces the canonical encoding of method mi's
-// subtree and, when labels is non-nil, appends the subtree's labels
-// in canonical order.
-func (p *Program) encodeSubtree(mi int, labels *[]Label) (enc []byte, nLabels, nMethods int) {
+// subtree.
+func (p *Program) encodeSubtree(mi int) []byte {
 	ord := map[int]int{mi: 0}
 	queue := []int{mi}
 	var buf []byte
 	for qi := 0; qi < len(queue); qi++ {
 		m := p.Methods[queue[qi]]
-		buf = encodeStmt(buf, m.Body, ord, &queue, labels, &nLabels)
+		buf = encodeStmt(buf, m.Body, ord, &queue)
 		buf = append(buf, '|')
 	}
-	return buf, nLabels, len(queue)
+	return buf
 }
 
-func encodeStmt(buf []byte, s *Stmt, ord map[int]int, queue *[]int, labels *[]Label, nLabels *int) []byte {
+func encodeStmt(buf []byte, s *Stmt, ord map[int]int, queue *[]int) []byte {
 	for cur := s; cur != nil; cur = cur.Next {
-		if labels != nil {
-			*labels = append(*labels, cur.Instr.Label())
-		}
-		*nLabels++
 		switch i := cur.Instr.(type) {
 		case *Skip:
 			buf = append(buf, 'K')
@@ -175,7 +118,7 @@ func encodeStmt(buf []byte, s *Stmt, ord map[int]int, queue *[]int, labels *[]La
 			buf = append(buf, 'W')
 			buf = binary.AppendUvarint(buf, uint64(i.D))
 			buf = append(buf, '(')
-			buf = encodeStmt(buf, i.Body, ord, queue, labels, nLabels)
+			buf = encodeStmt(buf, i.Body, ord, queue)
 			buf = append(buf, ')')
 		case *Async:
 			buf = append(buf, 'Y')
@@ -184,12 +127,12 @@ func encodeStmt(buf []byte, s *Stmt, ord map[int]int, queue *[]int, labels *[]La
 				buf = append(buf, 'c')
 			}
 			buf = append(buf, '(')
-			buf = encodeStmt(buf, i.Body, ord, queue, labels, nLabels)
+			buf = encodeStmt(buf, i.Body, ord, queue)
 			buf = append(buf, ')')
 		case *Finish:
 			buf = append(buf, 'F')
 			buf = append(buf, '(')
-			buf = encodeStmt(buf, i.Body, ord, queue, labels, nLabels)
+			buf = encodeStmt(buf, i.Body, ord, queue)
 			buf = append(buf, ')')
 		case *Call:
 			o, ok := ord[i.Method]

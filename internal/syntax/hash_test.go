@@ -103,23 +103,31 @@ func TestMethodHashIndexAndNameInvariance(t *testing.T) {
 }
 
 // TestMethodInterning: content-identical methods of different programs
-// resolve to the same canonical form pointer (the process-global
-// intern table), and different contents to different pointers.
+// share one content hash and different contents do not, and each
+// program computes its method-hash table once: MethodHashes returns
+// the same memoized table on every call, agreeing with MethodHash.
 func TestMethodInterning(t *testing.T) {
 	p0 := twoMethodProgram(t, 0)
 	p1 := twoMethodProgram(t, 1)
 	f0, _ := p0.MethodIndex("f")
 	f1, _ := p1.MethodIndex("f")
-	if p0.MethodCanon(f0) != p1.MethodCanon(f1) {
-		t.Error("identical methods interned to different canonical forms")
+	if p0.MethodHash(f0) != p1.MethodHash(f1) {
+		t.Error("identical methods of different programs hash differently")
 	}
-	if p0.MethodCanon(p0.MainIndex) == p1.MethodCanon(p1.MainIndex) {
-		t.Error("different methods interned to the same canonical form")
+	if p0.MethodHash(p0.MainIndex) == p1.MethodHash(p1.MainIndex) {
+		t.Error("different methods share a hash")
 	}
-	canon := p0.MethodCanon(f0)
-	if canon.NumLabels != len(p0.MethodSubtreeLabels(f0)) {
-		t.Errorf("canonical NumLabels %d != subtree label count %d",
-			canon.NumLabels, len(p0.MethodSubtreeLabels(f0)))
+	hs := p0.MethodHashes()
+	if len(hs) != len(p0.Methods) {
+		t.Fatalf("MethodHashes has %d entries, program has %d methods", len(hs), len(p0.Methods))
+	}
+	if again := p0.MethodHashes(); &again[0] != &hs[0] {
+		t.Error("MethodHashes recomputed its table instead of returning the memoized one")
+	}
+	for mi := range p0.Methods {
+		if hs[mi] != p0.MethodHash(mi) {
+			t.Errorf("MethodHashes[%d] disagrees with MethodHash", mi)
+		}
 	}
 }
 
@@ -167,8 +175,7 @@ void main() { A: clocked async { N: advance; W: a[0] = 1; } D: a[1] = 1; }`),
 // TestMethodHashClockedRenumberingInvariance: clocked constructs keep
 // the hash invariants the clock-free calculus has — rebuilding with
 // fresh label indices and reprinting/reparsing preserve every method
-// hash, and content-identical clocked methods intern to one canonical
-// form.
+// hash.
 func TestMethodHashClockedRenumberingInvariance(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		p := progen.Generate(seed, progen.ClockedFinite())
@@ -184,9 +191,6 @@ func TestMethodHashClockedRenumberingInvariance(t *testing.T) {
 			}
 			if p.MethodHash(mi) != clone.MethodHash(ci) {
 				t.Errorf("seed %d: clocked method %q hash differs after clone", seed, m.Name)
-			}
-			if p.MethodCanon(mi) != clone.MethodCanon(ci) {
-				t.Errorf("seed %d: clocked method %q canonical form not shared with clone", seed, m.Name)
 			}
 			ri, ok := reparsed.MethodIndex(m.Name)
 			if !ok {

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Fleet smoke test: three real fx10d replicas sharing one summary
-# store behind the consistent-hash router, all built with -race.
-# Drive mixed load through the router, kill one replica mid-load, and
-# assert (a) zero failed requests and zero cross-backend report
-# divergences, (b) the router's /metrics shows the dead replica down
-# and reroutes counted, and (c) the shared store produced warm hits on
-# replicas that did not solve first. Used by CI and `make fleet-smoke`.
+# Fleet smoke test: three real fx10d replicas behind the
+# consistent-hash router, all built with -race. Drive mixed load
+# through the router, kill one replica mid-load, and assert (a) zero
+# failed requests and zero cross-backend report divergences and (b)
+# the router's /metrics shows the dead replica down and reroutes
+# counted. Used by CI and `make fleet-smoke`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,7 +13,6 @@ P1="$((BASE_PORT))"; P2="$((BASE_PORT + 1))"; P3="$((BASE_PORT + 2))"
 RPORT="$((BASE_PORT + 3))"
 TMP="$(mktemp -d)"
 BIN="${TMP}/fx10d"
-STORE="${TMP}/sumstore"
 PIDS=()
 cleanup() {
   for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
@@ -27,8 +25,7 @@ go build -race -o "$BIN" ./cmd/fx10d
 
 # The in-process fleet scenario first: 3 replicas + router + mid-load
 # kill, byte-identity asserted end to end — all under -race.
-"$BIN" loadgen -scenario fleet -store "$STORE"
-rm -rf "$STORE"
+"$BIN" loadgen -scenario fleet
 
 wait_healthy() {
   for _ in $(seq 1 50); do
@@ -40,10 +37,10 @@ wait_healthy() {
   curl -sf "http://127.0.0.1:$1/healthz" >/dev/null
 }
 
-# The same topology as real processes over TCP: three daemons on one
-# shared store directory, the router in front.
+# The same topology as real processes over TCP: three daemons, the
+# router in front.
 for port in "$P1" "$P2" "$P3"; do
-  "$BIN" -addr "127.0.0.1:${port}" -summary-store "$STORE" -summary-store-shared &
+  "$BIN" -addr "127.0.0.1:${port}" &
   PIDS+=($!)
 done
 for port in "$P1" "$P2" "$P3"; do wait_healthy "$port"; done
@@ -87,17 +84,4 @@ if [ -z "$REROUTES" ] || [ "$REROUTES" -eq 0 ]; then
   exit 1
 fi
 
-# Shared-store warmth: a surviving replica must show summaryStore hits
-# (the corpus was first solved elsewhere in the fleet).
-HITS_TOTAL=0
-for port in "$P1" "$P3"; do
-  METRICS="$(curl -sf "http://127.0.0.1:${port}/metrics")"
-  HITS="$(echo "$METRICS" | grep -o '"hits":[0-9]*' | head -1 | cut -d: -f2)"
-  HITS_TOTAL=$((HITS_TOTAL + ${HITS:-0}))
-done
-if [ "$HITS_TOTAL" -eq 0 ]; then
-  echo "no surviving replica shows warm shared-store hits" >&2
-  exit 1
-fi
-
-echo "fleet smoke OK (reroutes after kill: $REROUTES, shared-store hits: $HITS_TOTAL)"
+echo "fleet smoke OK (reroutes after kill: $REROUTES)"
