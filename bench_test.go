@@ -314,28 +314,34 @@ func BenchmarkEngineCorpus(b *testing.B) {
 }
 
 // BenchmarkEngineCacheHit measures the cache-served path: the cost of
-// re-requesting an already-solved program (content hash + LRU lookup
-// + summary extraction).
+// re-requesting an already-solved program (content hash + LRU lookup;
+// the hit shares the solved core and its E(main).M, densifying
+// nothing). plasma is the largest paper program, where per-request
+// summary densification would show most.
 func BenchmarkEngineCacheHit(b *testing.B) {
-	wl, err := workloads.Get("mg")
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := engine.MustNew(engine.Config{CacheSize: 16})
-	job := engine.Job{Name: wl.Name, Program: wl.Program()}
-	if _, err := eng.Analyze(job); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := eng.Analyze(job)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Stats.CacheHit {
-			b.Fatal("cache miss")
-		}
+	for _, name := range []string{"mg", "plasma"} {
+		b.Run(name, func(b *testing.B) {
+			wl, err := workloads.Get(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng := engine.MustNew(engine.Config{CacheSize: 16})
+			job := engine.Job{Name: wl.Name, Program: wl.Program()}
+			if _, err := eng.Analyze(job); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := eng.Analyze(job)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Stats.CacheHit {
+					b.Fatal("cache miss")
+				}
+			}
+		})
 	}
 }
 

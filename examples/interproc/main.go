@@ -48,7 +48,7 @@ func main() {
 	// once, under R = ∅, and each call site splices in (M_f, O_f).
 	fi, _ := p.MethodIndex("f")
 	fmt.Printf("summary of f: M has %d pairs, O = %v (S5 may outlive the call)\n",
-		cs.Env[fi].M.Len(), cs.Env[fi].O)
+		cs.Sol.PairLen(cs.Sys.MethodM[fi]), cs.Sol.SetValue(cs.Sys.MethodO[fi]))
 
 	// Ground truth by exhaustive exploration confirms the
 	// context-sensitive result is exact here.

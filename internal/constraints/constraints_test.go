@@ -10,6 +10,7 @@ import (
 	"fx10/internal/parser"
 	"fx10/internal/syntax"
 	"fx10/internal/types"
+	"fx10/internal/workloads"
 )
 
 func gen(t *testing.T, src string, mode Mode) (*syntax.Program, *System) {
@@ -333,5 +334,25 @@ func TestWorklistEqualsPhased(t *testing.T) {
 				t.Fatalf("worklist should not report pass counts")
 			}
 		}
+	}
+}
+
+// TestSolveAllocBytes: AllocBytes, read through runtime/metrics
+// instead of a stop-the-world ReadMemStats, still measures the heap a
+// solve allocates — positive on mg, from scratch and by delta.
+func TestSolveAllocBytes(t *testing.T) {
+	wl, err := workloads.Get("mg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := Generate(labels.Compute(wl.Program()), ContextSensitive)
+	for _, opts := range []Options{{}, {Topo: true}} {
+		if sol := sys.Solve(opts); sol.AllocBytes == 0 {
+			t.Errorf("%+v solve of mg: AllocBytes = 0", opts)
+		}
+	}
+	delta, _ := sys.SolveDelta(sys.Solve(Options{}), []MethodID{0})
+	if delta.AllocBytes == 0 {
+		t.Error("delta solve of mg: AllocBytes = 0")
 	}
 }

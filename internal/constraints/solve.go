@@ -2,7 +2,7 @@ package constraints
 
 import (
 	"context"
-	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"fx10/internal/intset"
@@ -106,9 +106,9 @@ type Solution struct {
 	// see internal/experiments for end-to-end pipeline timing).
 	Duration time.Duration
 
-	// AllocBytes is the heap allocated during Solve (runtime
-	// TotalAlloc delta): a machine-independent proxy for the space
-	// column of Figure 8.
+	// AllocBytes is the heap allocated during Solve (the
+	// HeapAllocBytes delta, i.e. runtime TotalAlloc): a
+	// machine-independent proxy for the space column of Figure 8.
 	AllocBytes uint64
 
 	// FootprintBytes estimates the memory retained by the solved
@@ -119,6 +119,17 @@ type Solution struct {
 	// NewSolution), describes how the solve was partitioned and
 	// merged; nil for the built-in strategies.
 	Shard *ShardStats
+}
+
+// HeapAllocBytes returns the cumulative bytes the process has
+// allocated on the heap (runtime.MemStats.TotalAlloc). It reads
+// /gc/heap/allocs:bytes through runtime/metrics, which, unlike
+// runtime.ReadMemStats, does not stop the world; solvers bracket a
+// solve with it to fill AllocBytes.
+func HeapAllocBytes() uint64 {
+	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
 }
 
 // Solve computes the least solution of the system (Theorem 5: the
@@ -133,8 +144,7 @@ func (s *System) Solve(opts Options) *Solution {
 // canceledPanic when ctx is cancelled mid-solve (see cancel.go).
 func (s *System) solve(ctx context.Context, opts Options) *Solution {
 	opts = opts.Normalize()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
+	alloc0 := HeapAllocBytes()
 	start := time.Now()
 
 	n := s.P.NumLabels()
@@ -176,8 +186,7 @@ func (s *System) solve(ctx context.Context, opts Options) *Solution {
 	sol.scratch = solverScratch{}
 
 	sol.Duration = time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	sol.AllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
+	sol.AllocBytes = HeapAllocBytes() - alloc0
 	// Dense sets: words × 8 bytes each (plus header); sparse bags:
 	// estimated per entry.
 	sol.FootprintBytes += len(sol.setVals) * ((n+63)/64*8 + 24)

@@ -2,7 +2,6 @@ package constraints
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"fx10/internal/intset"
@@ -189,8 +188,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 		}
 	}
 
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
+	alloc0 := HeapAllocBytes()
 	start := time.Now()
 
 	sol := &Solution{
@@ -268,8 +266,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 	sol.scratch = solverScratch{}
 
 	sol.Duration = time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	sol.AllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
+	sol.AllocBytes = HeapAllocBytes() - alloc0
 	sol.FootprintBytes += len(sol.setVals) * ((n+63)/64*8 + 24)
 	for _, b := range sol.pairVals {
 		sol.FootprintBytes += b.footprintBytes()

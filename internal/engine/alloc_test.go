@@ -38,3 +38,30 @@ func TestCacheAddsNoPerSolveWork(t *testing.T) {
 		t.Fatalf("cached solve allocated %d bytes, more than 1.1× the uncached %d", cached, uncached)
 	}
 }
+
+// TestCacheHitAllocatesNoSummaries pins the cache-hit contract: a hit
+// densifies nothing — E(main).M was built once when the program was
+// solved and the report reads method summaries from the sparse
+// solution — so re-requesting a 3000-label program allocates under
+// 1 MB, where densifying every method's summary would cost about
+// 100 MB.
+func TestCacheHitAllocatesNoSummaries(t *testing.T) {
+	p := progen.GenerateHuge(1, progen.Huge(3000))
+	e := MustNew(Config{CacheSize: 1})
+	if _, err := e.Analyze(Job{Program: p}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := e.Analyze(Job{Program: p})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.CacheHit {
+		t.Fatal("second analysis missed the cache")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("cache hit allocated %.1f MB, want < 1 MB", float64(alloc)/1e6)
+	}
+}

@@ -38,9 +38,9 @@ func (k cacheKey) String() string {
 	return fmt.Sprintf("%x/%v/%s", k.program[:6], k.mode, k.strategy)
 }
 
-// cached is the expensive, immutable core of one analysis. The
-// cheap derived views (Env, MainM) are re-extracted per request so
-// every Result owns its mutable parts.
+// cached is the immutable core of one analysis, E(main).M included.
+// A hit shares it with every other Result served from the entry;
+// nothing is re-extracted per request.
 type cached struct {
 	core  pipelineCore
 	stats Stats // stage durations and counters of the populating run

@@ -49,23 +49,13 @@ func (e *Engine) AnalyzeDeltaCtx(ctx context.Context, base *Result, edited *synt
 	if c, ok := e.cacheGet(key); ok {
 		stats := c.stats
 		stats.CacheHit = true
+		stats.Report = 0
 		stats.Delta = &DeltaStats{
 			MethodsTotal:  len(edited.Methods),
 			MethodsReused: len(edited.Methods),
 		}
-		t0 := time.Now()
-		res := &Result{
-			Program: c.core.program,
-			Info:    c.core.info,
-			Sys:     c.core.sys,
-			Sol:     c.core.sol,
-			Env:     c.core.sol.Env(),
-			M:       c.core.sol.MainM(),
-		}
-		stats.Report = time.Since(t0)
 		stats.Total = time.Since(start)
-		res.Stats = stats
-		return res, nil
+		return c.core.result(stats), nil
 	}
 
 	// Diff method content hashes against the base, by name. The hash
@@ -125,23 +115,12 @@ func (e *Engine) AnalyzeDeltaCtx(ctx context.Context, base *Result, edited *synt
 	}
 
 	core := pipelineCore{program: edited, info: info, sys: sys, sol: sol}
+	core.seal(&stats)
 	// The delta result is bitwise-identical to a from-scratch solve,
 	// so it can serve future cache lookups for the edited program.
 	e.cachePut(key, cached{core: core, stats: stats})
-
-	t0 = time.Now()
-	res := &Result{
-		Program: core.program,
-		Info:    core.info,
-		Sys:     core.sys,
-		Sol:     core.sol,
-		Env:     core.sol.Env(),
-		M:       core.sol.MainM(),
-	}
-	stats.Report = time.Since(t0)
 	stats.Total = time.Since(start)
-	res.Stats = stats
-	return res, nil
+	return core.result(stats), nil
 }
 
 // AnalyzeDeltaSafe is AnalyzeDeltaCtx behind a recover barrier,

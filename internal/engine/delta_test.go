@@ -51,7 +51,7 @@ func TestAnalyzeDeltaEquivalenceCorpus(t *testing.T) {
 				if !delta.M.Equal(scratch.M) {
 					t.Fatalf("seed %d edit %d (%s): delta M differs from scratch", seed, k, strat)
 				}
-				if !delta.Env.Equal(scratch.Env) {
+				if !delta.Sol.Env().Equal(scratch.Sol.Env()) {
 					t.Fatalf("seed %d edit %d (%s): delta Env differs from scratch", seed, k, strat)
 				}
 				ds := delta.Stats.Delta

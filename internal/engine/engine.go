@@ -134,38 +134,56 @@ type Job struct {
 }
 
 // pipelineCore is the output of the expensive stages (labels,
-// generation, solving). It is immutable once built and is what the
-// cache stores; Program is the program the maps of Sys are keyed by,
-// which on a cache hit may be a different (content-identical) value
-// than the one the caller supplied.
+// generation, solving) plus E(main).M, densified once from the
+// solution. It is immutable once built and is what the cache stores;
+// Program is the program the maps of Sys are keyed by, which on a
+// cache hit may be a different (content-identical) value than the one
+// the caller supplied.
 type pipelineCore struct {
 	program *syntax.Program
 	info    *labels.Info
 	sys     *constraints.System
 	sol     *constraints.Solution
+	m       *intset.PairSet
 }
 
-// Result is one completed analysis.
+// seal densifies E(main).M for a freshly solved core, timing it as the
+// report stage. It runs once per solved program; every Result served
+// from the core shares the pair set.
+func (c *pipelineCore) seal(stats *Stats) {
+	t0 := time.Now()
+	c.m = c.sol.MainM()
+	stats.Report = time.Since(t0)
+}
+
+// result serves one request from a solved core.
+func (c pipelineCore) result(stats Stats) *Result {
+	return &Result{Program: c.program, Info: c.info, Sys: c.sys, Sol: c.sol, M: c.m, Stats: stats}
+}
+
+// Result is one completed analysis. Everything but Stats is shared
+// with every other Result served from the same solved program (cache
+// hits, coalesced requests) — treat it as read-only.
 type Result struct {
 	// Program, Info, Sys and Sol are the pipeline's intermediate
-	// products. On a cache hit they are shared with every other
-	// Result served from the same entry — treat them as read-only.
+	// products. Per-method summaries are read from Sol without
+	// densifying (Sol.PairLen, Sol.SetValue); Sol.Env() builds the
+	// whole type environment E with ⊢ p : E when a caller needs it.
 	Program *syntax.Program
 	Info    *labels.Info
 	Sys     *constraints.System
 	Sol     *constraints.Solution
-	// Env is the inferred type environment E with ⊢ p : E. It is
-	// freshly extracted per request (the caller owns it).
+	// Env is always nil: the engine does not extract E. The field
+	// remains for callers that attach an environment of their own.
 	Env types.Env
-	// M is E(main).M: by Theorem 3, MHP(p) ⊆ M. Freshly extracted
-	// per request (the caller owns it).
+	// M is E(main).M: by Theorem 3, MHP(p) ⊆ M.
 	M *intset.PairSet
-	// Stats is where the time went.
+	// Stats is where the time went; it is the only per-request part.
 	Stats Stats
 }
 
-// Analyze runs the pipeline for one job: cache lookup, then the
-// missing stages, then report extraction.
+// Analyze runs the pipeline for one job: cache lookup, then, on a
+// miss, the solving stages and the one densification of E(main).M.
 func (e *Engine) Analyze(job Job) (*Result, error) {
 	return e.AnalyzeCtx(context.Background(), job)
 }
@@ -202,29 +220,19 @@ func (e *Engine) AnalyzeCtx(ctx context.Context, job Job) (*Result, error) {
 	if c, ok := e.cacheGet(key); ok {
 		core, stats = c.core, c.stats
 		stats.CacheHit = true
+		stats.Report = 0
 	} else {
 		var err error
 		core, stats, err = e.runPipeline(ctx, p, job.Mode)
 		if err != nil {
 			return nil, err
 		}
+		core.seal(&stats)
 		e.cachePut(key, cached{core: core, stats: stats})
 	}
-
-	t0 := time.Now()
-	res := &Result{
-		Program: core.program,
-		Info:    core.info,
-		Sys:     core.sys,
-		Sol:     core.sol,
-		Env:     core.sol.Env(),
-		M:       core.sol.MainM(),
-	}
 	stats.Parse = parseDur
-	stats.Report = time.Since(t0)
 	stats.Total = time.Since(start)
-	res.Stats = stats
-	return res, nil
+	return core.result(stats), nil
 }
 
 // runPipeline executes the expensive stages on a cache miss.

@@ -24,7 +24,7 @@ type Stats struct {
 	Labels   time.Duration // Slabels fixpoint
 	Generate time.Duration // constraint generation
 	Solve    time.Duration // least-solution computation
-	Report   time.Duration // summary extraction (Env, MainM)
+	Report   time.Duration // densifying E(main).M once per solve (zero on a cache hit)
 	// Total is the end-to-end wall time of this request, including
 	// cache lookups.
 	Total time.Duration

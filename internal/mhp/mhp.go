@@ -16,7 +16,6 @@ import (
 	"fx10/internal/intset"
 	"fx10/internal/labels"
 	"fx10/internal/syntax"
-	"fx10/internal/types"
 )
 
 // Result is a completed analysis of one program.
@@ -25,9 +24,8 @@ type Result struct {
 	Info    *labels.Info
 	Sys     *constraints.System
 	Sol     *constraints.Solution
-	// Env is the inferred type environment E with ⊢ p : E.
-	Env types.Env
-	// M is E(main).M: by Theorem 3, MHP(p) ⊆ M.
+	// M is E(main).M: by Theorem 3, MHP(p) ⊆ M. The rest of the type
+	// environment E is read from Sol (Sol.Env() densifies all of it).
 	M *intset.PairSet
 }
 
@@ -71,7 +69,6 @@ func AnalyzeDelta(base *Result, edited *syntax.Program) (*Result, engine.DeltaSt
 		Info:    base.Info,
 		Sys:     base.Sys,
 		Sol:     base.Sol,
-		Env:     base.Env,
 		M:       base.M,
 	}
 	res, err := analyzeEngine.AnalyzeDelta(eres, edited)
@@ -92,7 +89,6 @@ func FromEngine(res *engine.Result) *Result {
 		Info:    res.Info,
 		Sys:     res.Sys,
 		Sol:     res.Sol,
-		Env:     res.Env,
 		M:       res.M,
 	}
 }

@@ -163,13 +163,11 @@ func (r *Result) Report() Report {
 		rep.Clocks = cl
 	}
 
-	env := r.Env
-	if env == nil { // Result built without the cached environment
-		env = r.Sol.Env()
-	}
+	// Summaries read the sparse solution directly: a method's pair bag
+	// has exactly the dense M's Len, so no summary is densified.
 	for mi, m := range p.Methods {
-		s := SummaryJ{Method: m.Name, MPairs: env[mi].M.Len()}
-		env[mi].O.Each(func(e int) {
+		s := SummaryJ{Method: m.Name, MPairs: r.Sol.PairLen(r.Sys.MethodM[mi])}
+		r.Sol.SetValue(r.Sys.MethodO[mi]).Each(func(e int) {
 			s.Outlives = append(s.Outlives, name(syntax.Label(e)))
 		})
 		rep.Summaries = append(rep.Summaries, s)

@@ -10,6 +10,9 @@ import (
 	"fx10/internal/constraints"
 	"fx10/internal/engine"
 	"fx10/internal/parser"
+	"fx10/internal/progen"
+	"fx10/internal/syntax"
+	"fx10/internal/workloads"
 )
 
 // The JSON report must be byte-stable: identical across repeated runs
@@ -137,6 +140,51 @@ func TestReportClocksSection(t *testing.T) {
 		constraints.ContextSensitive).Report()
 	if clean.Clocks != nil {
 		t.Error("clock-free program report has a clocks section")
+	}
+}
+
+// TestReportSummariesMatchDenseEnv: Report reads each method summary
+// from the sparse solution (the pair bag's length, the O set) instead
+// of densifying the type environment. On the 13 paper programs, in
+// both modes, under every registered strategy and after one
+// incremental edit per program, those summaries must equal the ones
+// built from the dense Sol.Env().
+func TestReportSummariesMatchDenseEnv(t *testing.T) {
+	for _, wl := range workloads.All() {
+		p := wl.Program()
+		for _, mode := range []constraints.Mode{constraints.ContextSensitive, constraints.ContextInsensitive} {
+			for _, strategy := range engine.Strategies() {
+				e := engine.MustNew(engine.Config{Strategy: strategy, CacheSize: -1})
+				res, err := e.Analyze(engine.Job{Name: wl.Name, Program: p, Mode: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkDenseSummaries(t, wl.Name+"/"+mode.String()+"/"+strategy, FromEngine(res))
+			}
+		}
+		base := MustAnalyze(p, constraints.ContextSensitive)
+		delta, _, err := AnalyzeDelta(base, progen.MutateMethod(p, 0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDenseSummaries(t, wl.Name+"/delta", delta)
+	}
+}
+
+func checkDenseSummaries(t *testing.T, what string, r *Result) {
+	t.Helper()
+	env := r.Sol.Env()
+	var want []SummaryJ
+	for mi, m := range r.Program.Methods {
+		s := SummaryJ{Method: m.Name, MPairs: env[mi].M.Len()}
+		env[mi].O.Each(func(e int) {
+			s.Outlives = append(s.Outlives, r.Program.LabelName(syntax.Label(e)))
+		})
+		want = append(want, s)
+	}
+	got := jsonMarshal(t, Report{Summaries: r.Report().Summaries})
+	if wantJ := jsonMarshal(t, Report{Summaries: want}); !bytes.Equal(got, wantJ) {
+		t.Errorf("%s: sparse summaries differ from dense Sol.Env():\n got: %s\nwant: %s", what, got, wantJ)
 	}
 }
 

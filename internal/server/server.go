@@ -489,7 +489,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			s.writeHandlerError(w, herr)
 			return
 		}
-		sess.base = deltaBase(res)
+		sess.base = res
 		writeJSON(w, http.StatusOK, DeltaResponse{AnalyzeResponse: s.analyzeResponse(res, coalesced)})
 		return
 	}
@@ -527,7 +527,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sess.base = deltaBase(res)
+	sess.base = res
 	key := flightKey{hash: p.Hash(), mode: mode}
 	s.index.put(key, &indexed{program: res.Program, m: res.M})
 	writeJSON(w, http.StatusOK, DeltaResponse{

@@ -23,18 +23,11 @@ import (
 type session struct {
 	mu   sync.Mutex
 	mode constraints.Mode
-	lang string         // canonical front-end name ("fx10", "x10", "go")
-	base *engine.Result // nil until the first analyze completes
-}
-
-// deltaBase is the copy of res a session keeps as its delta base:
-// everything AnalyzeDelta reads (Program, Sys, Sol), without the
-// per-request Env and M — one dense pair set per method, never read
-// from a base. res itself is left alone: flight joiners share it.
-func deltaBase(res *engine.Result) *engine.Result {
-	b := *res
-	b.Env, b.M = nil, nil
-	return &b
+	lang string // canonical front-end name ("fx10", "x10", "go")
+	// base is the last served result, nil until the first analyze
+	// completes. It is shared read-only with flight joiners, the
+	// program cache and the query index, so keeping it costs no copy.
+	base *engine.Result
 }
 
 type sessionStore struct {

@@ -107,9 +107,10 @@ func TestQueryIndexCapClamped(t *testing.T) {
 	}
 }
 
-// TestDeltaSessionBaseDropsEnv: a session keeps only what a later
-// delta reads — no per-request Env or M — and the next delta still
-// matches a from-scratch analysis.
+// TestDeltaSessionBaseDropsEnv: a session base holds no Env, and its
+// M is the very pair set the query index holds for that program — one
+// shared E(main).M, not a copy — and the next delta still matches a
+// from-scratch analysis.
 func TestDeltaSessionBaseDropsEnv(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	p := mustWorkload(t, "stream").Program()
@@ -129,8 +130,15 @@ func TestDeltaSessionBaseDropsEnv(t *testing.T) {
 		if base == nil {
 			t.Fatalf("step %d: session has no base", i)
 		}
-		if base.Env != nil || base.M != nil {
-			t.Fatalf("step %d: session base keeps Env/M", i)
+		if base.Env != nil {
+			t.Fatalf("step %d: session base keeps an Env", i)
+		}
+		entry, ok := s.index.get(flightKey{hash: p.Hash(), mode: constraints.ContextSensitive})
+		if !ok {
+			t.Fatalf("step %d: program not in the query index", i)
+		}
+		if base.M == nil || base.M != entry.m {
+			t.Fatalf("step %d: session base M is not the indexed pair set", i)
 		}
 		if base.Program == nil || base.Sys == nil || base.Sol == nil {
 			t.Fatalf("step %d: session base lost what AnalyzeDelta reads", i)

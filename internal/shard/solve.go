@@ -44,8 +44,7 @@ func SolveCtx(ctx context.Context, sys *constraints.System, cfg Config) (*constr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
+	alloc0 := constraints.HeapAllocBytes()
 	start := time.Now()
 
 	k := cfg.Shards
@@ -73,13 +72,12 @@ func SolveCtx(ctx context.Context, sys *constraints.System, cfg Config) (*constr
 		MergeRoundsL2: sv.roundsL2,
 		ShardSolveNs:  solveNs,
 	}
-	runtime.ReadMemStats(&ms1)
 	return constraints.NewSolution(sys, sv.setVals, sv.pairVals, constraints.SolveMetrics{
 		Evaluations: evals,
 		IterL1:      sv.roundsL1,
 		IterL2:      sv.roundsL2,
 		Duration:    time.Since(start),
-		AllocBytes:  ms1.TotalAlloc - ms0.TotalAlloc,
+		AllocBytes:  constraints.HeapAllocBytes() - alloc0,
 		Shard:       stats,
 	}), nil
 }
