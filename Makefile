@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test race bench benchsmoke profile figures solverbench incrementalbench clockedbench parallelbench serverbench serversmoke fleetbench fleet-smoke fuzz fuzz-smoke clocked-smoke parallel-smoke shard-smoke gofrontbench gofront-smoke benchcheck
+.PHONY: verify build vet test race bench benchsmoke profile figures solverbench incrementalbench clockedbench serverbench serversmoke fleetbench fleet-smoke fuzz fuzz-smoke clocked-smoke gofrontbench gofront-smoke benchcheck
 
 verify: build vet race
 
@@ -49,12 +49,6 @@ incrementalbench:
 clockedbench:
 	$(GO) run ./cmd/mhpbench -figure clocked -benchjson BENCH_clocked.json
 
-# parallelbench regenerates the committed huge-tier scaling figure
-# (worklist vs topo vs ptopo across pool widths, 5k–100k labels).
-# Takes minutes; the crossover it reports is hardware-dependent.
-parallelbench:
-	$(GO) run ./cmd/mhpbench -figure parallel -benchjson BENCH_parallel.json
-
 # serverbench regenerates the committed analysis-service load report:
 # a mixed query/analyze/delta run plus a cached-/v1/query-only run,
 # both in-process (no TCP listener flakiness), seeded.
@@ -79,11 +73,6 @@ fleetbench:
 # divergences and reroutes counted.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
-
-# shard-smoke is the CI gate for the sharded solver: bit-equality with
-# sequential topo across shard/worker configurations under -race.
-shard-smoke:
-	$(GO) test -race -run 'TestShardEqualsTopo' -count=1 ./internal/shard
 
 # benchcheck vets and tests the bench/ module, which has its own
 # go.mod and so is not reached by `go test ./...` at the root: an
@@ -125,9 +114,3 @@ gofrontbench:
 gofront-smoke:
 	$(GO) test -race -run 'TestGoPrograms' -count=1 ./internal/gofront
 	$(GO) run ./cmd/fx10 fuzz -frontends -seeds 1 -n 200
-
-# parallel-smoke is the CI gate for the concurrent solver: a small
-# huge-tier program solved by ptopo at several pool widths under the
-# race detector, asserting bit-equality with sequential topo.
-parallel-smoke:
-	$(GO) test -race -run TestParallelSmokeHugeTier -count=1 ./internal/constraints

@@ -143,19 +143,14 @@ func BenchmarkContextInsensitiveFig9(b *testing.B) {
 // ---------------------------------------------------------------
 // Ablations called out in DESIGN.md.
 
-// BenchmarkSolverPhased vs BenchmarkSolverMonolithic: the Section 5.3
-// three-phase optimization against solving everything jointly.
+// BenchmarkSolverPhased is the reference strategy: the Section 5.3
+// three-phase algorithm, iterating whole passes to each level's
+// fixpoint.
 func BenchmarkSolverPhased(b *testing.B) {
-	benchSolver(b, constraints.Options{})
+	benchSolver(b, constraints.Phased)
 }
 
-// BenchmarkSolverMonolithic is the ablation baseline for
-// BenchmarkSolverPhased.
-func BenchmarkSolverMonolithic(b *testing.B) {
-	benchSolver(b, constraints.Options{Monolithic: true})
-}
-
-func benchSolver(b *testing.B, opts constraints.Options) {
+func benchSolver(b *testing.B, alg constraints.Algorithm) {
 	wl, err := workloads.Get("mg")
 	if err != nil {
 		b.Fatal(err)
@@ -164,7 +159,7 @@ func benchSolver(b *testing.B, opts constraints.Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Solve(opts)
+		sys.Solve(alg)
 	}
 }
 
@@ -268,18 +263,18 @@ func BenchmarkPairSetCrossSym(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverWorklist is the third solving strategy: phased with
+// BenchmarkSolverWorklist is the second solving strategy: phased with
 // change-driven re-evaluation instead of whole passes.
 func BenchmarkSolverWorklist(b *testing.B) {
-	benchSolver(b, constraints.Options{Worklist: true})
+	benchSolver(b, constraints.Worklist)
 }
 
-// BenchmarkSolverTopo is the fourth strategy: SCC-condensed
+// BenchmarkSolverTopo is the served default: SCC-condensed
 // topological propagation with copy elision — each constraint
 // evaluated at most once, whole alias chains solved as one value.
 // Compare allocs/op against BenchmarkSolverWorklist.
 func BenchmarkSolverTopo(b *testing.B) {
-	benchSolver(b, constraints.Options{Topo: true})
+	benchSolver(b, constraints.Topo)
 }
 
 // BenchmarkEngineCorpus measures analyzing the whole 13-benchmark
@@ -397,7 +392,7 @@ func BenchmarkScaling(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				in := labels.Compute(p)
-				constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Options{})
+				constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Phased)
 			}
 		})
 	}

@@ -51,29 +51,9 @@ func TestMHPUnknownStrategyExitCode(t *testing.T) {
 	if got := exitCode(err); got != 2 {
 		t.Errorf("unknown strategy maps to exit %d, want 2 (err: %v)", got, err)
 	}
-	for _, name := range []string{"no-such-solver", "monolithic", "phased", "ptopo", "topo", "worklist"} {
+	for _, name := range []string{"no-such-solver", "phased", "topo", "worklist"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not mention %q: %v", name, err)
-		}
-	}
-}
-
-// TestMHPWorkersFlag checks -workers parses and reaches the engine
-// without changing the report: ptopo at any width prints the same
-// pairs as sequential topo.
-func TestMHPWorkersFlag(t *testing.T) {
-	src := filepath.Join(t.TempDir(), "ok.fx10")
-	prog := "array 4;\nvoid main() { finish { async { A: a[1] = 1; } B: a[2] = 2; } C: a[3] = 3; }\n"
-	if err := os.WriteFile(src, []byte(prog), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{
-		{"mhp", "-strategy", "ptopo", "-workers", "4", src},
-		{"mhp", "-strategy", "ptopo", src},
-		{"mhp", "-strategy", "topo", "-workers", "4", src}, // ignored by sequential strategies
-	} {
-		if err := run(args); err != nil {
-			t.Errorf("%v: %v", args, err)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 //
 //	fx10 run        [-lang L] [-sched S] [-seed N] [-steps N] [-a CSV] [-trace] FILE
 //	fx10 exec       [-lang L] [-procs N] [-a CSV] FILE
-//	fx10 mhp        [-lang L] [-mode M] [-strategy NAME] [-workers N] [-pairs] [-races] [-places] FILE
+//	fx10 mhp        [-lang L] [-mode M] [-strategy NAME] [-pairs] [-races] [-places] FILE
 //	fx10 constraints [-lang L] [-mode M] FILE
 //	fx10 explore    [-lang L] [-max N] [-a CSV] FILE
 //	fx10 fuzz       [-seeds CSV] [-n N] [-budget N] [-parallel N] [-minimize] [-incremental] [-clocked] [-frontends]
@@ -306,7 +306,6 @@ func cmdMHP(args []string) error {
 	langFlag(fs)
 	mode := fs.String("mode", "cs", "analysis mode: cs (context-sensitive) or ci")
 	strategy := fs.String("strategy", "", "solver strategy (default: "+engine.DefaultStrategy+"); unknown names list the registered ones")
-	workers := fs.Int("workers", 0, "solver pool width for parallel strategies like ptopo (0 = strategy default); results never depend on it")
 	showPairs := fs.Bool("pairs", true, "print the MHP label pairs")
 	showRaces := fs.Bool("races", false, "print race candidates")
 	withPlaces := fs.Bool("places", false, "apply the same-place refinement (Section 8 extension)")
@@ -325,7 +324,7 @@ func cmdMHP(args []string) error {
 	}
 	// Resolve the strategy first: a bad name errors out listing the
 	// registered ones.
-	e, err := engine.New(engine.Config{Strategy: *strategy, CacheSize: -1, SolverWorkers: *workers})
+	e, err := engine.New(engine.Config{Strategy: *strategy, CacheSize: -1})
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,7 @@
 //	fx10d route [flags]             fleet front door: route to replicas
 //	fx10d loadgen [flags]           drive a server and report latency
 //
-// See DESIGN.md §8 for the API and §12 for fleet routing.
+// See DESIGN.md §8 for the API and §11 for fleet routing.
 package main
 
 import (
@@ -55,8 +55,6 @@ func runServe(args []string) error {
 		addr       = fs.String("addr", ":8710", "listen address")
 		workers    = fs.Int("workers", 0, "concurrent solves (0 = GOMAXPROCS)")
 		queue      = fs.Int("queue", 0, "admission queue depth (0 = 4×workers)")
-		strategy   = fs.String("strategy", "", "solver strategy (empty = default)")
-		solverW    = fs.Int("solver-workers", 0, "pool width inside parallel strategies like ptopo (0 = strategy default)")
 		cache      = fs.Int("cache", 0, "program cache entries (0 = default)")
 		solveTO    = fs.Duration("solve-timeout", 30*time.Second, "per-solve ceiling")
 		reqTO      = fs.Duration("request-timeout", 10*time.Second, "per-request deadline")
@@ -69,8 +67,6 @@ func runServe(args []string) error {
 	srv, err := server.New(server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		Strategy:       *strategy,
-		SolverWorkers:  *solverW,
 		CacheSize:      *cache,
 		SolveTimeout:   *solveTO,
 		RequestTimeout: *reqTO,

@@ -13,20 +13,19 @@
 // one authoritative list is the figures slice below, which also
 // generates the flag's help text and the unknown-figure error, so
 // this comment does not enumerate it. Highlights: the solver figure
-// races every registered solving strategy on the 13-benchmark corpus;
+// races the three solving strategies on the 13-benchmark corpus;
 // the incremental figure sweeps single-method edits and compares
 // incremental re-analysis (engine.AnalyzeDelta) against solving from
 // scratch; the clocked figure compares clock-blind and clock-aware
 // pair counts over a generated clocked corpus (-n programs); the
-// parallel figure races worklist/topo/ptopo on the progen huge tier
-// across pool widths and locates the topo→ptopo crossover; the
 // gofront figure sweeps the committed Go corpus (-gocorpus) through
 // the real-Go front end and reports lowering coverage and pair
 // counts, failing if any runtime-observed pair escapes the static
-// relation. -benchjson additionally writes the selected sweep
+// relation; the fleet figure measures routed throughput at 1/2/4
+// replicas. -benchjson additionally writes the selected sweep
 // machine-readably (the committed BENCH_solver.json /
-// BENCH_incremental.json / BENCH_clocked.json / BENCH_parallel.json /
-// BENCH_gofront.json).
+// BENCH_incremental.json / BENCH_clocked.json / BENCH_gofront.json /
+// BENCH_fleet.json).
 package main
 
 import (
@@ -48,7 +47,7 @@ import (
 var figures = []string{
 	"examples", "5", "6", "7", "8", "9",
 	"precision", "scaling", "corpus",
-	"solver", "incremental", "clocked", "parallel", "gofront", "fleet",
+	"solver", "incremental", "clocked", "gofront", "fleet",
 }
 
 // allFigures is what -figure all selects: the paper regeneration
@@ -187,7 +186,7 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 		fmt.Print(experiments.FormatScaling(rows))
 	}
 	if want["solver"] {
-		section("Solver strategies: 13 benchmarks × 4 strategies")
+		section("Solver strategies: 13 benchmarks × 3 strategies")
 		bench, err := experiments.RunSolverBench(3)
 		if err != nil {
 			return err
@@ -229,28 +228,14 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 		}
 	}
 	if want["fleet"] {
-		section("Fleet: routed throughput at 1/2/4 replicas + shard vs topo solve cost")
-		bench, err := experiments.RunFleetBench(3)
+		section("Fleet: routed throughput at 1/2/4 replicas")
+		bench, err := experiments.RunFleetBench()
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.FormatFleetBench(bench))
 		if benchjson != "" {
 			if err := experiments.WriteFleetBenchJSON(bench, benchjson); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", benchjson)
-		}
-	}
-	if want["parallel"] {
-		section("Parallel solving: huge-tier scaling, worklist vs topo vs ptopo")
-		bench, err := experiments.RunParallelBench(1)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatParallelBench(bench))
-		if benchjson != "" {
-			if err := experiments.WriteParallelBenchJSON(bench, benchjson); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", benchjson)

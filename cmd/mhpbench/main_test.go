@@ -4,8 +4,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"fx10/internal/experiments"
 )
 
 func captureRun(t *testing.T, figure string) (string, error) {
@@ -135,36 +133,6 @@ func TestFigureListsAgree(t *testing.T) {
 	}
 }
 
-func TestParallelSection(t *testing.T) {
-	oldSizes, oldWorkers := experiments.ParallelBenchSizes, experiments.ParallelBenchWorkers
-	experiments.ParallelBenchSizes, experiments.ParallelBenchWorkers = []int{600}, []int{2}
-	defer func() {
-		experiments.ParallelBenchSizes, experiments.ParallelBenchWorkers = oldSizes, oldWorkers
-	}()
-
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-
-	path := t.TempDir() + "/bench.json"
-	if err := run("parallel", 1, "", path, 5, ""); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("benchjson not written: %v", err)
-	}
-	for _, frag := range []string{`"strategy": "ptopo"`, `"strategy": "topo"`, `"strategy": "worklist"`, `"ns_per_op"`, `"num_cpu"`, `"gomaxprocs"`} {
-		if !strings.Contains(string(data), frag) {
-			t.Fatalf("benchjson missing %q:\n%s", frag, data)
-		}
-	}
-}
-
 func TestSolverSection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full strategy sweep")
@@ -185,7 +153,7 @@ func TestSolverSection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("benchjson not written: %v", err)
 	}
-	for _, frag := range []string{`"strategy": "topo"`, `"benchmark": "mg"`, `"ns_per_op"`, `"evaluations"`, `"allocs_per_op"`} {
+	for _, frag := range []string{`"strategy": "topo"`, `"benchmark": "mg"`, `"ns_per_op"`, `"evaluations"`, `"allocs_per_op"`, `"num_cpu"`, `"gomaxprocs"`} {
 		if !strings.Contains(string(data), frag) {
 			t.Fatalf("benchjson missing %q:\n%s", frag, data)
 		}

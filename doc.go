@@ -11,22 +11,20 @@
 // conservatively with diagnostics, so `fx10 mhp main.go` analyzes
 // ordinary Go), synthetic reconstructions of the paper's 13
 // benchmarks, and harnesses regenerating Figures 5–9. The analysis
-// runs through a unified engine with six pluggable solver strategies
-// (including ptopo, a parallel topological solver that schedules SCC
-// components of the condensed constraint graph onto a bounded worker
-// pool, and shard, a place-sharded solver that partitions the
-// constraint system by method shard and solves shards concurrently
-// with a deterministic merge loop — both bit-identical to their
-// sequential counterparts), a content-hash cache of whole-program
-// results and method-granular incremental re-analysis (engine.AnalyzeDelta), all differentially fuzzed
-// against exact and observed parallelism and scale-tested on
-// generated programs past 100k labels (internal/progen's huge tier,
-// BENCH_parallel.json). The engine also serves as a long-lived
-// HTTP/JSON daemon (cmd/fx10d): admission-controlled solves,
-// singleflight coalescing, batch corpus submission under one
-// admission slot (/v1/batch), editor delta sessions, per-request
-// language selection through the front-end registry, and live
-// metrics; fx10d route turns N daemons into one fleet —
+// runs through a unified engine with three pluggable solver strategies
+// — SCC-condensed topological solving (topo, the default), the
+// paper's three-phase algorithm (phased, the reference) and a
+// change-driven worklist (the base of incremental re-solving) — a
+// content-hash cache of whole-program results and method-granular
+// incremental re-analysis (engine.AnalyzeDelta), all differentially
+// fuzzed against exact and observed parallelism and scale-tested on
+// internal/progen's huge tier of generated programs. The engine also
+// serves as a long-lived HTTP/JSON daemon (cmd/fx10d):
+// admission-controlled solves, singleflight coalescing, batch corpus
+// submission under one admission slot (/v1/batch), editor delta
+// sessions, per-request language selection through the front-end
+// registry, and live metrics; fx10d route turns N daemons into one
+// fleet —
 // consistent-hash routing on program content (internal/fleet) and
 // health-checked failover that is byte-invisible because replicas
 // agree bit-for-bit. Front

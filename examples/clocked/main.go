@@ -69,7 +69,7 @@ func main() {
 	r := mhp.MustAnalyze(p, constraints.ContextSensitive)
 	blindSys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
 	blindSys.Phases, blindSys.PhaseCode = nil, nil
-	blind := blindSys.Solve(constraints.Options{}).MainM()
+	blind := blindSys.Solve(constraints.Phased).MainM()
 
 	show := func(name string, set *intset.PairSet) {
 		var pairs []string

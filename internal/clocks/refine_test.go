@@ -41,7 +41,7 @@ func TestPhaseRefinementDropsCrossPhasePairs(t *testing.T) {
 	sys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
 	sys.Phases = nil
 	sys.PhaseCode = nil
-	m := sys.Solve(constraints.Options{}).MainM()
+	m := sys.Solve(constraints.Phased).MainM()
 	pi := clocks.ComputePhases(p)
 	refined := pi.Refine(m)
 
@@ -92,7 +92,7 @@ void main() {
 		sys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
 		sys.Phases = nil
 		sys.PhaseCode = nil
-		m := sys.Solve(constraints.Options{}).MainM()
+		m := sys.Solve(constraints.Phased).MainM()
 		pi := clocks.ComputePhases(p)
 		refined := pi.Refine(m)
 		for seed := int64(0); seed < 60; seed++ {
@@ -127,12 +127,12 @@ void main() {
 func TestSolverPruningEqualsPostHocRefine(t *testing.T) {
 	p := parser.MustParse(phasedSrc)
 	for _, mode := range []constraints.Mode{constraints.ContextSensitive, constraints.ContextInsensitive} {
-		aware := constraints.Generate(labels.Compute(p), mode).Solve(constraints.Options{}).MainM()
+		aware := constraints.Generate(labels.Compute(p), mode).Solve(constraints.Phased).MainM()
 
 		blind := constraints.Generate(labels.Compute(p), mode)
 		blind.Phases = nil
 		blind.PhaseCode = nil
-		refined := clocks.ComputePhases(p).Refine(blind.Solve(constraints.Options{}).MainM())
+		refined := clocks.ComputePhases(p).Refine(blind.Solve(constraints.Phased).MainM())
 
 		if !aware.Equal(refined) {
 			t.Errorf("mode %v: built-in pruning ≠ post-hoc refinement:\n aware: %v\nrefined: %v",

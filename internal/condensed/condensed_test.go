@@ -115,7 +115,7 @@ func TestLowerShape(t *testing.T) {
 func TestLoweredProgramAnalyzes(t *testing.T) {
 	p := MustLower(testUnit())
 	in := labels.Compute(p)
-	sol := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Options{})
+	sol := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Phased)
 	// The loop async's body in f pairs with itself (the async
 	// instruction spawns a body each iteration).
 	var selfFound bool

@@ -13,8 +13,7 @@ import (
 // benefit; a stride keeps the overhead to a countdown decrement) and
 // bail out by panicking with a private sentinel that the entry points
 // recover into a plain error. The context-free Solve/SolveDelta
-// wrappers keep their exact old signatures and never pay more than a
-// nil check per stride.
+// wrappers never pay more than a nil check per stride.
 
 // CancelStride is the number of constraint evaluations between
 // context polls. At typical sub-microsecond evaluation cost this
@@ -58,20 +57,8 @@ func (cs *cancelState) check() {
 	}
 }
 
-// fork returns an independent cancellation state sharing cs's context
-// but with a fresh countdown. The parallel solver gives each worker
-// its own fork: the countdown is plain mutable state and must not be
-// shared across goroutines.
-func (cs *cancelState) fork() cancelState {
-	f := cancelState{ctx: cs.ctx}
-	if f.ctx != nil {
-		f.countdown = CancelStride
-	}
-	return f
-}
-
 // checkCancel is called once per constraint evaluation by every
-// sequential solver loop.
+// solver loop.
 func (sol *Solution) checkCancel() { sol.cancel.check() }
 
 // recoverCanceled converts the cancellation sentinel into err,
@@ -88,17 +75,16 @@ func recoverCanceled(err *error) {
 
 // SolveCtx is Solve with cooperative cancellation: it returns
 // (nil, ctx.Err()) if ctx is cancelled mid-solve, and the least
-// solution otherwise. Cancellation is checked every CancelStride
-// constraint evaluations in all five solver strategies (each parallel
-// worker polls its own fork of the state), so a cancel
-// is honoured promptly even deep inside a large fixpoint. A partial
-// solve is never returned.
-func (s *System) SolveCtx(ctx context.Context, opts Options) (sol *Solution, err error) {
+// solution otherwise. Every algorithm checks for cancellation every
+// CancelStride constraint evaluations, so a cancel is honoured
+// promptly even deep inside a large fixpoint. A partial solve is
+// never returned.
+func (s *System) SolveCtx(ctx context.Context, alg Algorithm) (sol *Solution, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	defer recoverCanceled(&err)
-	return s.solve(ctx, opts), nil
+	return s.solve(ctx, alg), nil
 }
 
 // SolveDeltaCtx is SolveDelta with cooperative cancellation; the

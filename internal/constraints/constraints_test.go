@@ -83,7 +83,7 @@ func TestFigure5Constraints(t *testing.T) {
 // evaluation of Figure 5.
 func TestExample21Level1Solution(t *testing.T) {
 	p, sys := gen(t, fixtures.Example21Source, ContextSensitive)
-	sol := sys.Solve(Options{})
+	sol := sys.Solve(Phased)
 	check := func(varName string, want ...string) {
 		t.Helper()
 		var v SetVar = -1
@@ -130,7 +130,7 @@ func TestSolvedMHPMatchesPaper(t *testing.T) {
 	}
 	for i, tc := range cases {
 		p, sys := gen(t, tc.src, ContextSensitive)
-		sol := sys.Solve(Options{})
+		sol := sys.Solve(Phased)
 		want := namedPairs(t, p, tc.pairs)
 		if !sol.MainM().Equal(want) {
 			t.Fatalf("case %d: solved M = %v, want %v", i, sol.MainM(), want)
@@ -152,7 +152,7 @@ func TestEquivalenceTheorem4(t *testing.T) {
 		p := parser.MustParse(src)
 		in := labels.Compute(p)
 		sys := Generate(in, ContextSensitive)
-		sol := sys.Solve(Options{})
+		sol := sys.Solve(Phased)
 		env := sol.Env()
 
 		c := types.NewChecker(in)
@@ -166,18 +166,18 @@ func TestEquivalenceTheorem4(t *testing.T) {
 	}
 }
 
-// The monolithic solver must produce the identical least solution.
-func TestMonolithicEqualsPhased(t *testing.T) {
-	for _, src := range []string{fixtures.Example21Source, fixtures.Example22Source} {
-		p, sys := gen(t, src, ContextSensitive)
-		a := sys.Solve(Options{})
-		b := sys.Solve(Options{Monolithic: true})
-		for mi := range p.Methods {
-			sa, sb := a.MethodSummary(mi), b.MethodSummary(mi)
-			if !sa.Equal(sb) {
-				t.Fatalf("%s: method %d differs between phased and monolithic", src[:20], mi)
-			}
-		}
+// TestValuationEqualDetectsDifference guards the comparator itself:
+// solutions of different programs must not compare equal.
+func TestValuationEqualDetectsDifference(t *testing.T) {
+	_, sys1 := gen(t, fixtures.Example21Source, ContextSensitive)
+	_, sys2 := gen(t, fixtures.Example22Source, ContextSensitive)
+	a := sys1.Solve(Phased)
+	b := sys2.Solve(Phased)
+	if a.ValuationEqual(b) {
+		t.Fatal("valuations of different programs compare equal")
+	}
+	if !a.ValuationEqual(sys1.Solve(Worklist)) {
+		t.Fatal("same system solved twice compares unequal")
 	}
 }
 
@@ -187,9 +187,9 @@ func TestMonolithicEqualsPhased(t *testing.T) {
 // comparison.
 func TestContextInsensitiveFalsePositive(t *testing.T) {
 	p, csSys := gen(t, fixtures.Example22Source, ContextSensitive)
-	cs := csSys.Solve(Options{})
+	cs := csSys.Solve(Phased)
 	_, ciSys := gen(t, fixtures.Example22Source, ContextInsensitive)
-	ci := ciSys.Solve(Options{})
+	ci := ciSys.Solve(Phased)
 
 	s3, _ := p.LabelByName("S3")
 	s4, _ := p.LabelByName("S4")
@@ -210,9 +210,9 @@ func TestContextInsensitiveFalsePositive(t *testing.T) {
 // observed on the 11 smaller benchmarks).
 func TestModesAgreeWithoutCalls(t *testing.T) {
 	p, csSys := gen(t, fixtures.Example21Source, ContextSensitive)
-	cs := csSys.Solve(Options{})
+	cs := csSys.Solve(Phased)
 	_, ciSys := gen(t, fixtures.Example21Source, ContextInsensitive)
-	ci := ciSys.Solve(Options{})
+	ci := ciSys.Solve(Phased)
 	if !cs.MainM().Equal(ci.MainM()) {
 		t.Fatalf("modes disagree on a call-free program")
 	}
@@ -251,7 +251,7 @@ func TestCounts(t *testing.T) {
 
 func TestIterationCountsSane(t *testing.T) {
 	_, sys := gen(t, fixtures.Example22Source, ContextSensitive)
-	sol := sys.Solve(Options{})
+	sol := sys.Solve(Phased)
 	if sol.IterSlabels < 2 || sol.IterL1 < 2 || sol.IterL2 < 2 {
 		t.Fatalf("iteration counts too small: %d/%d/%d", sol.IterSlabels, sol.IterL1, sol.IterL2)
 	}
@@ -275,9 +275,9 @@ void c3() { c4(); }
 void c4() { B: async { Y: skip; } }
 `
 	_, csSys := gen(t, src, ContextSensitive)
-	cs := csSys.Solve(Options{})
+	cs := csSys.Solve(Phased)
 	_, ciSys := gen(t, src, ContextInsensitive)
-	ci := ciSys.Solve(Options{})
+	ci := ciSys.Solve(Phased)
 	if ci.IterL1 <= cs.IterL1 {
 		t.Fatalf("expected CI to need more level-1 passes: CI %d vs CS %d", ci.IterL1, cs.IterL1)
 	}
@@ -285,7 +285,7 @@ void c4() { B: async { Y: skip; } }
 
 func TestStmtAccessors(t *testing.T) {
 	p, sys := gen(t, fixtures.Example21Source, ContextSensitive)
-	sol := sys.Solve(Options{})
+	sol := sys.Solve(Phased)
 	body := p.Main().Body
 	if !sol.StmtR(body).Empty() {
 		t.Fatalf("r of main body not empty")
@@ -320,8 +320,8 @@ func TestWorklistEqualsPhased(t *testing.T) {
 	for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
 		for i, src := range srcs {
 			p, sys := gen(t, src, mode)
-			a := sys.Solve(Options{})
-			b := sys.Solve(Options{Worklist: true})
+			a := sys.Solve(Phased)
+			b := sys.Solve(Worklist)
 			for mi := range p.Methods {
 				if !a.MethodSummary(mi).Equal(b.MethodSummary(mi)) {
 					t.Fatalf("mode %v case %d: worklist differs on method %d", mode, i, mi)
@@ -346,12 +346,12 @@ func TestSolveAllocBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := Generate(labels.Compute(wl.Program()), ContextSensitive)
-	for _, opts := range []Options{{}, {Topo: true}} {
-		if sol := sys.Solve(opts); sol.AllocBytes == 0 {
-			t.Errorf("%+v solve of mg: AllocBytes = 0", opts)
+	for _, alg := range []Algorithm{Phased, Topo} {
+		if sol := sys.Solve(alg); sol.AllocBytes == 0 {
+			t.Errorf("%v solve of mg: AllocBytes = 0", alg)
 		}
 	}
-	delta, _ := sys.SolveDelta(sys.Solve(Options{}), []MethodID{0})
+	delta, _ := sys.SolveDelta(sys.Solve(Phased), []MethodID{0})
 	if delta.AllocBytes == 0 {
 		t.Error("delta solve of mg: AllocBytes = 0")
 	}

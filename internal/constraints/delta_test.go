@@ -99,12 +99,12 @@ func TestSolveDeltaEquivalence(t *testing.T) {
 	for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
 		for seed := int64(0); seed < 20; seed++ {
 			p := progen.Generate(seed, progen.Default())
-			prevSol := deltaSys(p, mode).Solve(Options{Worklist: true})
+			prevSol := deltaSys(p, mode).Solve(Worklist)
 			for mi := range p.Methods {
 				edited := progen.MutateMethod(p, mi, seed*31+int64(mi))
 				sys := deltaSys(edited, mode)
 				got, info := sys.SolveDelta(prevSol, dirtyByHash(p, edited))
-				want := sys.Solve(Options{Worklist: true})
+				want := sys.Solve(Worklist)
 				if !got.ValuationEqual(want) {
 					t.Fatalf("%v seed %d method %d: delta valuation differs (full=%v, closure=%v)\n%s",
 						mode, seed, mi, info.Full, info.Closure, syntax.Print(edited))
@@ -136,7 +136,7 @@ func TestSolveDeltaStrictSubset(t *testing.T) {
 		return b.MustProgram()
 	}
 	base, edited := build(false), build(true)
-	prevSol := deltaSys(base, ContextSensitive).Solve(Options{Worklist: true})
+	prevSol := deltaSys(base, ContextSensitive).Solve(Worklist)
 	sys := deltaSys(edited, ContextSensitive)
 	got, info := sys.SolveDelta(prevSol, dirtyByHash(base, edited))
 	if info.Full {
@@ -151,7 +151,7 @@ func TestSolveDeltaStrictSubset(t *testing.T) {
 	if info.MethodsReused == 0 {
 		t.Fatal("no methods reused")
 	}
-	if !got.ValuationEqual(sys.Solve(Options{Worklist: true})) {
+	if !got.ValuationEqual(sys.Solve(Worklist)) {
 		t.Fatal("delta valuation differs from scratch")
 	}
 }
@@ -192,13 +192,13 @@ void main() {
 	// At a single phase-0 call site WB (phase 1) and WD (phase 0) are
 	// serialized by the barrier; with the entry phase joined to ⊤ the
 	// pair must come back.
-	baseM := deltaSys(base, ContextSensitive).Solve(Options{}).MainM()
+	baseM := deltaSys(base, ContextSensitive).Solve(Phased).MainM()
 	wb, _ := base.LabelByName("WB")
 	wd, _ := base.LabelByName("WD")
 	if baseM.Has(int(wb), int(wd)) {
 		t.Fatal("base solve did not prune the cross-phase pair (WB, WD)")
 	}
-	editM := deltaSys(edited, ContextSensitive).Solve(Options{}).MainM()
+	editM := deltaSys(edited, ContextSensitive).Solve(Phased).MainM()
 	wb2, _ := edited.LabelByName("WB")
 	wd2, _ := edited.LabelByName("WD")
 	if !editM.Has(int(wb2), int(wd2)) {
@@ -206,10 +206,10 @@ void main() {
 	}
 
 	for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
-		prevSol := deltaSys(base, mode).Solve(Options{Worklist: true})
+		prevSol := deltaSys(base, mode).Solve(Worklist)
 		sys := deltaSys(edited, mode)
 		got, info := sys.SolveDelta(prevSol, dirtyByHash(base, edited))
-		want := sys.Solve(Options{Worklist: true})
+		want := sys.Solve(Worklist)
 		if !got.ValuationEqual(want) {
 			t.Fatalf("%v: delta valuation differs after phase-shifting edit (full=%v, closure=%v)",
 				mode, info.Full, info.Closure)
@@ -236,12 +236,12 @@ func TestSolveDeltaFallbacks(t *testing.T) {
 	if !info.Full {
 		t.Error("nil previous solution should force a full solve")
 	}
-	if !sol.ValuationEqual(sys.Solve(Options{Worklist: true})) {
+	if !sol.ValuationEqual(sys.Solve(Worklist)) {
 		t.Error("fallback solution differs from scratch")
 	}
 
 	// Mode mismatch: a CI solution cannot seed a CS delta.
-	ciSol := deltaSys(p, ContextInsensitive).Solve(Options{Worklist: true})
+	ciSol := deltaSys(p, ContextInsensitive).Solve(Worklist)
 	_, info = sys.SolveDelta(ciSol, nil)
 	if !info.Full {
 		t.Error("mode mismatch should force a full solve")

@@ -56,13 +56,13 @@ void main() {
 	for name, src := range srcs {
 		p := parser.MustParse(src)
 		for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
-			aware := deltaSys(p, mode).Solve(Options{})
+			aware := deltaSys(p, mode).Solve(Phased)
 			pruned := aware.ClockPrunedMainPairs()
 
 			blindSys := deltaSys(p, mode)
 			blindSys.Phases = nil
 			blindSys.PhaseCode = nil
-			blind := blindSys.Solve(Options{}).MainM()
+			blind := blindSys.Solve(Phased).MainM()
 
 			m := aware.MainM()
 			if name == "clock-free" {

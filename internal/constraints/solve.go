@@ -2,6 +2,7 @@ package constraints
 
 import (
 	"context"
+	"fmt"
 	"runtime/metrics"
 	"time"
 
@@ -10,66 +11,43 @@ import (
 	"fx10/internal/types"
 )
 
-// Options configures constraint solving.
-//
-// Monolithic, Worklist and Topo are mutually exclusive; Solve
-// normalizes the combination (Topo wins over Worklist wins over
-// Monolithic) via Normalize, so the flags never select an undefined
-// hybrid. Engine callers should prefer the named strategies of
-// internal/engine, whose registry makes the invalid combinations
-// unrepresentable.
-type Options struct {
-	// Monolithic disables the paper's three-phase optimization
-	// (Section 5.3) and instead iterates level-1 and level-2
-	// constraints together until a joint fixpoint, re-evaluating
-	// cross terms every pass. Kept as an ablation baseline; results
-	// are identical, time is worse.
-	Monolithic bool
-	// Worklist replaces the pass-based iteration with a worklist
-	// that re-evaluates only constraints whose inputs changed
-	// (still phased). Results are identical; Evaluations is
-	// reported instead of pass counts. Mutually exclusive with
-	// Monolithic (Worklist wins).
-	Worklist bool
+// Algorithm selects how Solve reaches the least solution. By
+// Theorems 5–6 the least solution is unique, so the algorithms differ
+// only in cost and in the work counters they fill in.
+type Algorithm int
+
+const (
+	// Phased is the paper's three-phase algorithm (Section 5.3):
+	// Slabels, then level-1 passes to a fixpoint, then the level-2
+	// cross terms folded in once and pure m-variable unions iterated.
+	// It fills IterL1/IterL2 and is the reference the other
+	// algorithms are tested against.
+	Phased Algorithm = iota
+	// Worklist is still phased but re-evaluates only constraints whose
+	// inputs changed; it counts Evaluations instead of passes.
+	// SolveDelta's restricted re-solve is built on it.
+	Worklist
 	// Topo eliminates iteration instead of just pruning it: each
 	// level's constraint graph is condensed into strongly connected
 	// components (Tarjan), every variable in a cycle provably shares
-	// the SCC's least value and is aliased to one representative, and
-	// components are solved exactly once in topological order (see
-	// topo.go). Results are identical; Evaluations counts the
-	// near-minimal constraint evaluations. Wins over both other
-	// flags.
-	Topo bool
-	// Parallel runs the topo solve concurrently: components of the
-	// condensed constraint DAG are scheduled onto a bounded worker
-	// pool as soon as all their predecessors are solved (see
-	// ptopo.go). Results are bit-identical to Topo, including the
-	// Evaluations count. Wins over every other flag.
-	Parallel bool
-	// Workers bounds the parallel solver's pool; ≤ 0 means
-	// runtime.GOMAXPROCS(0). Ignored (normalized to 0) unless
-	// Parallel is set. Worker count never affects results, only wall
-	// clock.
-	Workers int
-}
+	// the SCC's least value, and components are solved exactly once in
+	// topological order (see topo.go). Evaluations counts the
+	// near-minimal constraint evaluations.
+	Topo
+)
 
-// Normalize resolves the strategy flags' mutual exclusion: Parallel
-// wins over Topo, which wins over Worklist, which wins over
-// Monolithic; Workers is zeroed unless Parallel survives. Solve calls
-// this, so it is the single place the invariant is enforced.
-func (o Options) Normalize() Options {
-	if o.Parallel {
-		o.Topo, o.Worklist, o.Monolithic = false, false, false
-	} else {
-		o.Workers = 0
+// String returns the algorithm's strategy name: "phased", "worklist"
+// or "topo".
+func (a Algorithm) String() string {
+	switch a {
+	case Phased:
+		return "phased"
+	case Worklist:
+		return "worklist"
+	case Topo:
+		return "topo"
 	}
-	if o.Topo {
-		o.Worklist, o.Monolithic = false, false
-	}
-	if o.Worklist {
-		o.Monolithic = false
-	}
-	return o
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
 // Solution is a least solution of a System, with solver metrics.
@@ -80,10 +58,10 @@ type Solution struct {
 	pairVals []pairBag
 
 	// IterSlabels, IterL1 and IterL2 are the fixpoint pass counts of
-	// the three phases (each includes the final, no-change pass). In
-	// monolithic mode IterL1 == IterL2 == joint pass count; in
-	// worklist mode they stay zero and Evaluations counts constraint
-	// re-evaluations instead.
+	// the three phases (each includes the final, no-change pass).
+	// Only Phased runs level-1 and level-2 passes; under Worklist and
+	// Topo IterL1 and IterL2 stay zero and Evaluations counts
+	// constraint evaluations instead.
 	IterSlabels int
 	IterL1      int
 	IterL2      int
@@ -114,11 +92,6 @@ type Solution struct {
 	// FootprintBytes estimates the memory retained by the solved
 	// valuation itself.
 	FootprintBytes int
-
-	// Shard, set only by the sharded solver (internal/shard via
-	// NewSolution), describes how the solve was partitioned and
-	// merged; nil for the built-in strategies.
-	Shard *ShardStats
 }
 
 // HeapAllocBytes returns the cumulative bytes the process has
@@ -136,14 +109,13 @@ func HeapAllocBytes() uint64 {
 // constraints define a monotone function on a finite lattice, so a
 // least fixpoint exists; we reach it by accumulating iteration from
 // the bottom valuation).
-func (s *System) Solve(opts Options) *Solution {
-	return s.solve(context.Background(), opts)
+func (s *System) Solve(alg Algorithm) *Solution {
+	return s.solve(context.Background(), alg)
 }
 
 // solve is the shared core of Solve and SolveCtx. It unwinds with a
 // canceledPanic when ctx is cancelled mid-solve (see cancel.go).
-func (s *System) solve(ctx context.Context, opts Options) *Solution {
-	opts = opts.Normalize()
+func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 	alloc0 := HeapAllocBytes()
 	start := time.Now()
 
@@ -155,10 +127,10 @@ func (s *System) solve(ctx context.Context, opts Options) *Solution {
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)
-	// The topo solvers allocate their own valuation (one slab for all
+	// The topo solver allocates its own valuation (one slab for all
 	// set variables, aliased pair bags); the iterative solvers start
 	// from an explicit bottom valuation.
-	if !opts.Topo && !opts.Parallel {
+	if alg != Topo {
 		for i := range sol.setVals {
 			sol.setVals[i] = intset.New(n)
 		}
@@ -167,21 +139,18 @@ func (s *System) solve(ctx context.Context, opts Options) *Solution {
 		}
 	}
 
-	switch {
-	case opts.Parallel:
-		sol.solveParallelL1(opts.Workers)
-		sol.solveParallelL2(opts.Workers)
-	case opts.Topo:
-		sol.solveTopoL1()
-		sol.solveTopoL2()
-	case opts.Worklist:
-		sol.solveL1Worklist()
-		sol.solveL2Worklist()
-	case opts.Monolithic:
-		sol.solveMonolithic()
-	default:
+	switch alg {
+	case Phased:
 		sol.solveL1()
 		sol.solveL2()
+	case Worklist:
+		sol.solveL1Worklist()
+		sol.solveL2Worklist()
+	case Topo:
+		sol.solveTopoL1()
+		sol.solveTopoL2()
+	default:
+		panic(fmt.Sprintf("constraints: unknown %v", alg))
 	}
 	sol.scratch = solverScratch{}
 
@@ -232,22 +201,15 @@ func (sol *Solution) solveL1() {
 	}
 }
 
-// l2Pass applies every level-2 constraint once against the current
-// valuation. evalCrosses selects whether cross terms are re-evaluated
-// (monolithic mode) or assumed already folded into the pair values.
-func (sol *Solution) l2Pass(evalCrosses bool) bool {
+// l2Pass applies every level-2 constraint's pair-variable unions once
+// against the current valuation; the cross terms are already folded
+// into the pair values.
+func (sol *Solution) l2Pass() bool {
 	s := sol.sys
 	changed := false
 	for _, c := range s.L2s {
 		sol.checkCancel()
 		lhs := sol.pairVals[c.LHS]
-		if evalCrosses {
-			for _, ct := range c.Crosses {
-				if lhs.crossSym(ct.Const, sol.setVals[ct.Var], s.PhaseCode) {
-					changed = true
-				}
-			}
-		}
 		for _, v := range c.Pairs {
 			if lhs.unionWith(sol.pairVals[v]) {
 				changed = true
@@ -270,19 +232,7 @@ func (sol *Solution) solveL2() {
 	}
 	for {
 		sol.IterL2++
-		if !sol.l2Pass(false) {
-			return
-		}
-	}
-}
-
-func (sol *Solution) solveMonolithic() {
-	for {
-		sol.IterL1++
-		sol.IterL2++
-		c1 := sol.l1Pass()
-		c2 := sol.l2Pass(true)
-		if !c1 && !c2 {
+		if !sol.l2Pass() {
 			return
 		}
 	}

@@ -286,7 +286,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 
 // fullFallback solves from scratch and reports it.
 func (s *System) fullFallback(ctx context.Context) (*Solution, DeltaInfo) {
-	sol := s.solve(ctx, Options{Worklist: true})
+	sol := s.solve(ctx, Worklist)
 	info := DeltaInfo{
 		Full:                   true,
 		MethodsResolved:        len(s.P.Methods),

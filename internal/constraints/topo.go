@@ -122,12 +122,11 @@ func memberCSR(comp []int32, ncomp int32) graphCSR {
 	return graphCSR{off: off, edges: nodes}
 }
 
-// l1Graph builds the level-1 dependency machinery shared by the
-// sequential (topo) and parallel (ptopo) condensation solvers:
-// lhsL1[v] is the index of the L1 constraint defining v (every set
-// variable is the LHS of exactly one; -1 guards the invariant),
-// subSrc groups subset inflows by Sup in CSR form (the subset sources
-// of v are subSrc.edges[subSrc.off[v]:subSrc.off[v+1]]), and g is the
+// l1Graph builds the level-1 dependency machinery: lhsL1[v] is the
+// index of the L1 constraint defining v (every set variable is the
+// LHS of exactly one; -1 guards the invariant), subSrc groups subset
+// inflows by Sup in CSR form (the subset sources of v are
+// subSrc.edges[subSrc.off[v]:subSrc.off[v+1]]), and g is the
 // dependency graph with edges source → LHS.
 func (s *System) l1Graph() (lhsL1 []int32, subSrc, g graphCSR) {
 	nv := len(s.SetVarNames)
@@ -222,7 +221,7 @@ func (sol *Solution) solveTopoL1() {
 		}
 		val := slab[nextSet]
 		nextSet++
-		s.evalL1Comp(cid, ms, comp, lhsL1, subSrc, vals, val, &sol.Evaluations, &sol.cancel)
+		sol.evalL1Comp(cid, ms, comp, lhsL1, subSrc, vals, val)
 		vals[cid] = val
 		owner[cid] = ms[0]
 	}
@@ -245,16 +244,13 @@ func (sol *Solution) solveTopoL1() {
 
 // evalL1Comp evaluates every level-1 constraint of one component
 // against the (final) values of its predecessor components,
-// accumulating into val. Both condensation solvers call it — the
-// sequential one with the Solution's own counter and cancel state,
-// the parallel one with a worker's — so the per-component work, and
-// hence the result and the Evaluations count, are identical by
-// construction.
-func (s *System) evalL1Comp(cid int32, ms []int32, comp, lhsL1 []int32, subSrc graphCSR, vals []*intset.Set, val *intset.Set, evals *int64, cancel *cancelState) {
+// accumulating into val.
+func (sol *Solution) evalL1Comp(cid int32, ms []int32, comp, lhsL1 []int32, subSrc graphCSR, vals []*intset.Set, val *intset.Set) {
+	s := sol.sys
 	for _, m := range ms {
 		if ci := lhsL1[m]; ci >= 0 {
-			*evals++
-			cancel.check()
+			sol.Evaluations++
+			sol.checkCancel()
 			c := &s.L1s[ci]
 			if c.Const != nil {
 				val.UnionWith(c.Const)
@@ -266,8 +262,8 @@ func (s *System) evalL1Comp(cid int32, ms []int32, comp, lhsL1 []int32, subSrc g
 			}
 		}
 		for _, src := range subSrc.edges[subSrc.off[m]:subSrc.off[m+1]] {
-			*evals++
-			cancel.check()
+			sol.Evaluations++
+			sol.checkCancel()
 			if comp[src] != cid {
 				val.UnionWith(vals[comp[src]])
 			}
@@ -339,7 +335,7 @@ func (sol *Solution) solveTopoL2() {
 				continue
 			}
 		}
-		bags[cid] = s.evalL2Comp(cid, ms, comp, lhsL2, sol.setVals, bags, &sol.Evaluations, &sol.cancel)
+		bags[cid] = sol.evalL2Comp(cid, ms, comp, lhsL2, bags)
 	}
 
 	for v := 0; v < np; v++ {
@@ -347,11 +343,11 @@ func (sol *Solution) solveTopoL2() {
 	}
 }
 
-// l2Graph builds the level-2 dependency machinery shared by both
-// condensation solvers: lhsL2[v] is the index of the L2 constraint
-// defining v (-1 if none) and g has dependency edges source → LHS
-// over pair variables only (level-1 is final by the time level-2
-// runs, so cross terms contribute no edges).
+// l2Graph builds the level-2 dependency machinery: lhsL2[v] is the
+// index of the L2 constraint defining v (-1 if none) and g has
+// dependency edges source → LHS over pair variables only (level-1 is
+// final by the time level-2 runs, so cross terms contribute no
+// edges).
 func (s *System) l2Graph() (lhsL2 []int32, g graphCSR) {
 	np := len(s.PairVarNames)
 	lhsL2 = make([]int32, np)
@@ -384,9 +380,9 @@ func (s *System) l2Graph() (lhsL2 []int32, g graphCSR) {
 }
 
 // evalL2Comp builds one component's pair bag from its cross terms and
-// the (final) bags of its predecessor components. Shared by both
-// condensation solvers, like evalL1Comp.
-func (s *System) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, setVals []*intset.Set, bags []pairBag, evals *int64, cancel *cancelState) pairBag {
+// the (final) bags of its predecessor components.
+func (sol *Solution) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, bags []pairBag) pairBag {
+	s := sol.sys
 	// Pre-size the bag to the sum of its inflows so the map grows
 	// once instead of rehashing per union.
 	hint := 0
@@ -405,11 +401,11 @@ func (s *System) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, setVals 
 		if ci < 0 {
 			continue
 		}
-		*evals++
-		cancel.check()
+		sol.Evaluations++
+		sol.checkCancel()
 		c := &s.L2s[ci]
 		for _, ct := range c.Crosses {
-			bag.crossSym(ct.Const, setVals[ct.Var], s.PhaseCode)
+			bag.crossSym(ct.Const, sol.setVals[ct.Var], s.PhaseCode)
 		}
 		for _, v := range c.Pairs {
 			if comp[v] != cid {

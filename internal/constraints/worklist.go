@@ -4,8 +4,8 @@ package constraints
 // "iterative data flow" style, Section 5.2), re-evaluate only the
 // constraints whose inputs changed. The least solution is identical;
 // the work is proportional to the number of useful re-evaluations,
-// which the Solution records in Evaluations. Kept alongside the
-// pass-based solver as an ablation (see BenchmarkSolverWorklist).
+// which the Solution records in Evaluations. SolveDelta's restricted
+// re-solve (solvedelta.go) is built on the same worklist.
 
 // workqueue is a FIFO of constraint ids. Pops advance a head index
 // instead of reslicing (the old queue = queue[1:] retained the whole

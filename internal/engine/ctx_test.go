@@ -59,7 +59,7 @@ func TestAnalyzeCtxCancelDoesNotPoisonCache(t *testing.T) {
 	if res.Stats.CacheHit {
 		t.Fatal("cancelled request left a cache entry behind")
 	}
-	direct := constraints.Generate(res.Info, constraints.ContextSensitive).Solve(constraints.Options{})
+	direct := constraints.Generate(res.Info, constraints.ContextSensitive).Solve(constraints.Phased)
 	if !res.M.Equal(direct.MainM()) {
 		t.Fatal("post-cancellation result differs from a direct solve")
 	}

@@ -6,8 +6,8 @@
 // behind a single reusable Engine that adds what the bare
 // labels/constraints packages do not have —
 //
-//   - named, pluggable solver strategies (Strategy + registry)
-//     replacing the mutually-exclusive bools of constraints.Options;
+//   - named, pluggable solver strategies (Strategy + registry): the
+//     three constraints.Algorithm values, topo by default;
 //   - corpus-level analysis on a bounded worker pool with per-program
 //     panic isolation, so one bad program cannot kill a sweep;
 //   - a program cache: a content-hash-keyed LRU over whole solved
@@ -19,9 +19,8 @@
 //     DeltaStats;
 //   - per-stage metrics (Stats) for every result.
 //
-// internal/mhp.Analyze, internal/experiments and cmd/mhpbench all run
-// through this package; it is the seam later scaling work (sharding,
-// batching, multi-backend) builds on.
+// internal/mhp.Analyze, internal/server, internal/experiments and
+// cmd/mhpbench all run through this package.
 package engine
 
 import (
@@ -41,7 +40,7 @@ import (
 )
 
 // Config configures an Engine. The zero value is a usable default:
-// phased strategy, GOMAXPROCS workers, a 128-entry cache.
+// topo strategy, GOMAXPROCS workers, a 128-entry cache.
 type Config struct {
 	// Strategy names a registered solver strategy; empty selects
 	// DefaultStrategy.
@@ -49,11 +48,6 @@ type Config struct {
 	// Workers bounds corpus-level concurrency; ≤ 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// SolverWorkers bounds the solver-internal pool of a
-	// WorkerTunable strategy (ptopo); ≤ 0 keeps the strategy's own
-	// default (GOMAXPROCS), and it is ignored by the sequential
-	// strategies. Worker count never affects results.
-	SolverWorkers int
 	// CacheSize bounds the program cache in entries. 0 selects the
 	// default (128); negative disables caching (every request
 	// re-solves — what timing-sensitive callers like the figure tables
@@ -78,11 +72,6 @@ func New(cfg Config) (*Engine, error) {
 	strat, err := Lookup(cfg.Strategy)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.SolverWorkers > 0 {
-		if wt, ok := strat.(WorkerTunable); ok {
-			strat = wt.WithWorkers(cfg.SolverWorkers)
-		}
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -252,7 +241,7 @@ func (e *Engine) runPipeline(ctx context.Context, p *syntax.Program, mode constr
 	stats.Generate = time.Since(t0)
 
 	t0 = time.Now()
-	sol, err := solveWith(ctx, e.strategy, sys)
+	sol, err := e.strategy.Solve(ctx, sys)
 	if err != nil {
 		return pipelineCore{}, Stats{}, err
 	}
@@ -264,7 +253,6 @@ func (e *Engine) runPipeline(ctx context.Context, p *syntax.Program, mode constr
 	stats.Evaluations = sol.Evaluations
 	stats.AllocBytes = sol.AllocBytes
 	stats.FootprintBytes = sol.FootprintBytes
-	stats.Shard = sol.Shard
 	return pipelineCore{program: p, info: info, sys: sys, sol: sol}, stats, nil
 }
 

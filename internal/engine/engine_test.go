@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,28 +12,57 @@ import (
 	"fx10/internal/syntax"
 )
 
+// TestRegistryBuiltins pins the registry to the three built-in
+// strategies, with topo as the default.
 func TestRegistryBuiltins(t *testing.T) {
-	got := strings.Join(Strategies(), " ")
-	for _, name := range []string{"phased", "monolithic", "worklist", "topo", "ptopo"} {
-		if !strings.Contains(got, name) {
-			t.Errorf("registry missing %q (have %s)", name, got)
-		}
-		if _, err := Lookup(name); err != nil {
+	if DefaultStrategy != "topo" {
+		t.Errorf("DefaultStrategy = %q, want topo", DefaultStrategy)
+	}
+	if got := strings.Join(Strategies(), " "); got != "phased topo worklist" {
+		t.Errorf("Strategies() = [%s], want [phased topo worklist]", got)
+	}
+	for _, name := range Strategies() {
+		s, err := Lookup(name)
+		if err != nil {
 			t.Errorf("Lookup(%q): %v", name, err)
+		} else if s.Name() != name {
+			t.Errorf("Lookup(%q) returned strategy %q", name, s.Name())
 		}
 	}
-	if _, err := Lookup(""); err != nil {
-		t.Errorf("empty name should resolve to default: %v", err)
+	if s, err := Lookup(""); err != nil || s.Name() != DefaultStrategy {
+		t.Errorf("empty name should resolve to %s: %v, %v", DefaultStrategy, s, err)
 	}
 	if _, err := Lookup("no-such-solver"); err == nil {
 		t.Error("Lookup of unknown strategy succeeded")
 	}
-	if err := Register(FromOptions("phased", constraints.Options{})); err == nil {
+	if err := Register(fakeStrategy("phased")); err == nil {
 		t.Error("duplicate Register succeeded")
 	}
-	if err := Register(FromOptions("", constraints.Options{})); err == nil {
+	if err := Register(fakeStrategy("")); err == nil {
 		t.Error("empty-name Register succeeded")
 	}
+}
+
+// fakeStrategy is a test strategy with an arbitrary name that solves
+// with the reference algorithm.
+type fakeStrategy string
+
+func (f fakeStrategy) Name() string { return string(f) }
+
+func (fakeStrategy) Solve(ctx context.Context, sys *constraints.System) (*constraints.Solution, error) {
+	return sys.SolveCtx(ctx, constraints.Phased)
+}
+
+// registerForTest registers a test strategy for the duration of t, so
+// the registry holds only the built-ins outside such tests.
+func registerForTest(t *testing.T, s Strategy) {
+	t.Helper()
+	MustRegister(s)
+	t.Cleanup(func() {
+		registryMu.Lock()
+		delete(registry, s.Name())
+		registryMu.Unlock()
+	})
 }
 
 func TestNewRejectsUnknownStrategy(t *testing.T) {
@@ -50,14 +80,14 @@ func TestAnalyzeMatchesDirectPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := constraints.Generate(res.Info, constraints.ContextSensitive).Solve(constraints.Options{})
+	direct := constraints.Generate(res.Info, constraints.ContextSensitive).Solve(constraints.Phased)
 	if !res.M.Equal(direct.MainM()) {
 		t.Error("engine M differs from direct pipeline M")
 	}
-	if res.Stats.Strategy != "phased" || res.Stats.CacheHit {
+	if res.Stats.Strategy != "topo" || res.Stats.CacheHit {
 		t.Errorf("unexpected stats: %+v", res.Stats)
 	}
-	if res.Stats.IterL1 == 0 || res.Stats.IterL2 == 0 || res.Stats.IterSlabels == 0 {
+	if res.Stats.Evaluations == 0 || res.Stats.IterSlabels == 0 {
 		t.Errorf("missing solver counters: %+v", res.Stats)
 	}
 	if res.Stats.PipelineDuration() <= 0 {
@@ -207,13 +237,13 @@ func TestAnalyzeParsesSource(t *testing.T) {
 type panicStrategy struct{}
 
 func (panicStrategy) Name() string { return "test-panic" }
-func (panicStrategy) Solve(*constraints.System) *constraints.Solution {
+func (panicStrategy) Solve(context.Context, *constraints.System) (*constraints.Solution, error) {
 	panic("solver invariant violated")
 }
 
 // TestCorpusPanicIsolation: one bad program must not kill the sweep.
 func TestCorpusPanicIsolation(t *testing.T) {
-	MustRegister(panicStrategy{})
+	registerForTest(t, panicStrategy{})
 	eng := MustNew(Config{Strategy: "test-panic", Workers: 4})
 	jobs := []Job{
 		{Name: "p1", Program: fixtures.Example21()},

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -13,10 +14,9 @@ import (
 // TestStrategyEquivalenceProgenCorpus is the executable form of the
 // paper's Theorems 5–6: the constraint system has a unique least
 // solution, so every solving strategy — phased (the Section 5.3
-// three-phase optimization), monolithic (the unoptimized joint
-// fixpoint), worklist (change-driven re-evaluation) and topo
-// (SCC-condensed topological propagation) — must assign bit-identical
-// values to every set and pair variable. It sweeps a seeded progen
+// three-phase optimization, the reference), worklist (change-driven
+// re-evaluation) and topo (SCC-condensed topological propagation) —
+// must assign bit-identical values to every set and pair variable. It sweeps a seeded progen
 // corpus of 50 programs (25 full-calculus, 25 loop-free) in both
 // analysis modes.
 func TestStrategyEquivalenceProgenCorpus(t *testing.T) {
@@ -28,11 +28,10 @@ func TestStrategyEquivalenceProgenCorpus(t *testing.T) {
 		programs = append(programs, progen.Generate(seed, progen.Finite()))
 	}
 
-	// The five built-in strategies, resolved through the registry so
-	// the test exercises the same lookup path engine callers use.
-	// (Strategies() is not swept wholesale: other tests register
-	// throwaway strategies in the shared registry.)
-	names := []string{"phased", "monolithic", "worklist", "topo", "ptopo", "shard"}
+	// The built-in strategies, resolved through the registry so the
+	// test exercises the same lookup path engine callers use; the
+	// reference comes first.
+	names := []string{"phased", "worklist", "topo"}
 	strategies := make([]Strategy, len(names))
 	for i, name := range names {
 		s, err := Lookup(name)
@@ -48,9 +47,15 @@ func TestStrategyEquivalenceProgenCorpus(t *testing.T) {
 		in := labels.Compute(p)
 		for _, mode := range modes {
 			sys := constraints.Generate(in, mode)
-			base := strategies[0].Solve(sys)
+			base, err := strategies[0].Solve(context.Background(), sys)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, strat := range strategies[1:] {
-				sol := strat.Solve(sys)
+				sol, err := strat.Solve(context.Background(), sys)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !base.ValuationEqual(sol) {
 					t.Fatalf("program %d (%v): %s valuation differs from %s\nprogram:\n%s",
 						pi, mode, strat.Name(), names[0], syntax.Print(p))
@@ -81,7 +86,7 @@ func TestStrategyEquivalenceViaEngines(t *testing.T) {
 		})
 	}
 	base := MustNew(Config{Strategy: "phased", CacheSize: -1}).AnalyzeCorpus(jobs)
-	for _, name := range []string{"monolithic", "worklist", "topo", "ptopo", "shard"} {
+	for _, name := range []string{"worklist", "topo"} {
 		got := MustNew(Config{Strategy: name, CacheSize: -1}).AnalyzeCorpus(jobs)
 		for i := range jobs {
 			if base[i].Err != nil || got[i].Err != nil {

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"time"
-
-	"fx10/internal/constraints"
 )
 
 // Stats records per-stage metrics for one analysis: where the time
@@ -42,10 +40,6 @@ type Stats struct {
 
 	// Delta is set only on results produced by AnalyzeDelta.
 	Delta *DeltaStats
-
-	// Shard is set only on results produced by the "shard" strategy:
-	// partition shape and merge-round counts of the sharded solve.
-	Shard *constraints.ShardStats
 }
 
 // DeltaStats reports what an incremental analysis reused.

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"fx10/internal/constraints"
-	"fx10/internal/shard"
 )
 
 // Strategy is one way of computing the least solution of a generated
@@ -17,124 +16,29 @@ import (
 // must be safe for concurrent use: the engine calls Solve from many
 // worker goroutines.
 type Strategy interface {
-	// Name is the registry key ("phased", "monolithic", …).
+	// Name is the registry key ("topo", "phased", "worklist").
 	Name() string
-	// Solve computes the least solution of sys.
-	Solve(sys *constraints.System) *constraints.Solution
-}
-
-// ContextStrategy is a Strategy that supports cooperative
-// cancellation. The engine prefers SolveContext whenever the request
-// context can actually be cancelled; strategies without it still work
-// but run to completion once started. All five built-in strategies
-// implement it (the constraints solvers poll the context every
-// constraints.CancelStride evaluations).
-type ContextStrategy interface {
-	Strategy
-	// SolveContext computes the least solution of sys, aborting with
+	// Solve computes the least solution of sys, aborting with
 	// ctx.Err() if ctx is cancelled mid-solve. A partial solution is
 	// never returned.
-	SolveContext(ctx context.Context, sys *constraints.System) (*constraints.Solution, error)
-}
-
-// solveWith runs strat on sys honouring ctx where the strategy can:
-// a cancellable context routes through SolveContext; a strategy
-// without one is bracketed by upfront and after-the-fact polls.
-func solveWith(ctx context.Context, strat Strategy, sys *constraints.System) (*constraints.Solution, error) {
-	if ctx.Done() == nil {
-		return strat.Solve(sys), nil
-	}
-	if cs, ok := strat.(ContextStrategy); ok {
-		return cs.SolveContext(ctx, sys)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sol := strat.Solve(sys)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return sol, nil
+	Solve(ctx context.Context, sys *constraints.System) (*constraints.Solution, error)
 }
 
 // DefaultStrategy is the strategy an Engine uses when its Config
-// names none: the paper's three-phase solver (Section 5.3).
-const DefaultStrategy = "phased"
+// names none: SCC-condensed topological solving, the fastest of the
+// built-ins on the committed benchmarks (BENCH_solver.json). "phased",
+// the paper's three-phase solver (Section 5.3), is the reference the
+// tests and figures compare against.
+const DefaultStrategy = "topo"
 
-// WorkerTunable is a Strategy whose solve can use a bounded worker
-// pool. WithWorkers returns a strategy with the pool width pinned;
-// the name is unchanged, because worker count never affects results —
-// only wall clock — so cached results stay valid across widths.
-// Strategies without internal parallelism return themselves.
-type WorkerTunable interface {
-	Strategy
-	WithWorkers(n int) Strategy
-}
+// algorithm adapts a constraints.Algorithm to the Strategy interface;
+// the built-in strategies are its values, named by the algorithm.
+type algorithm constraints.Algorithm
 
-// optionsStrategy adapts a fixed constraints.Options to the Strategy
-// interface — all five built-in strategies are spellings of it. The
-// adapter holds a normalized Options, so the flag conflicts are
-// unrepresentable for engine callers.
-type optionsStrategy struct {
-	name string
-	opts constraints.Options
-}
+func (a algorithm) Name() string { return constraints.Algorithm(a).String() }
 
-func (s optionsStrategy) Name() string { return s.name }
-
-func (s optionsStrategy) Solve(sys *constraints.System) *constraints.Solution {
-	return sys.Solve(s.opts)
-}
-
-func (s optionsStrategy) SolveContext(ctx context.Context, sys *constraints.System) (*constraints.Solution, error) {
-	return sys.SolveCtx(ctx, s.opts)
-}
-
-// WithWorkers pins the solver pool width. Only the parallel strategy
-// has one; the sequential spellings return themselves unchanged.
-func (s optionsStrategy) WithWorkers(n int) Strategy {
-	if !s.opts.Parallel || n <= 0 {
-		return s
-	}
-	s.opts.Workers = n
-	return s
-}
-
-// FromOptions wraps a constraints.Options as a named Strategy,
-// normalizing it first. Useful for registering ad-hoc variants in
-// tests and experiments.
-func FromOptions(name string, opts constraints.Options) Strategy {
-	return optionsStrategy{name: name, opts: opts.Normalize()}
-}
-
-// shardStrategy adapts the place-sharded solver (internal/shard) to
-// the registry. It lives here rather than in internal/shard because
-// WithWorkers must return an engine.Strategy and the shard package
-// must not import the engine (the engine imports it to register this).
-type shardStrategy struct {
-	cfg shard.Config
-}
-
-func (s shardStrategy) Name() string { return "shard" }
-
-func (s shardStrategy) Solve(sys *constraints.System) *constraints.Solution {
-	return shard.Solve(sys, s.cfg)
-}
-
-func (s shardStrategy) SolveContext(ctx context.Context, sys *constraints.System) (*constraints.Solution, error) {
-	return shard.SolveCtx(ctx, sys, s.cfg)
-}
-
-// WithWorkers pins both the concurrency bound and the shard count:
-// one shard per worker keeps every worker busy without oversplitting
-// (neither affects results, see shard.Config).
-func (s shardStrategy) WithWorkers(n int) Strategy {
-	if n <= 0 {
-		return s
-	}
-	s.cfg.Workers = n
-	s.cfg.Shards = n
-	return s
+func (a algorithm) Solve(ctx context.Context, sys *constraints.System) (*constraints.Solution, error) {
+	return sys.SolveCtx(ctx, constraints.Algorithm(a))
 }
 
 var (
@@ -143,12 +47,9 @@ var (
 )
 
 func init() {
-	MustRegister(FromOptions("phased", constraints.Options{}))
-	MustRegister(FromOptions("monolithic", constraints.Options{Monolithic: true}))
-	MustRegister(FromOptions("worklist", constraints.Options{Worklist: true}))
-	MustRegister(FromOptions("topo", constraints.Options{Topo: true}))
-	MustRegister(FromOptions("ptopo", constraints.Options{Parallel: true}))
-	MustRegister(shardStrategy{})
+	for _, a := range []constraints.Algorithm{constraints.Phased, constraints.Worklist, constraints.Topo} {
+		MustRegister(algorithm(a))
+	}
 }
 
 // Register adds a strategy to the registry. It fails on an empty name

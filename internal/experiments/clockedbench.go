@@ -146,8 +146,8 @@ func measureClocked(name string, p *syntax.Program, reps int) (ClockedBenchRow, 
 	blind := constraints.Generate(in, constraints.ContextSensitive)
 	blind.Phases, blind.PhaseCode = nil, nil
 
-	awareSol := aware.Solve(constraints.Options{})
-	blindSol := blind.Solve(constraints.Options{})
+	awareSol := aware.Solve(constraints.Phased)
+	blindSol := blind.Solve(constraints.Phased)
 
 	row := ClockedBenchRow{
 		Name:       name,
@@ -178,7 +178,7 @@ func countUnordered(sol *constraints.Solution) int {
 // timeSolve is the best-of-reps solve time over an adaptively sized
 // inner loop, as in measureSolver.
 func timeSolve(sys *constraints.System, reps int) int64 {
-	warm := sys.Solve(constraints.Options{})
+	warm := sys.Solve(constraints.Phased)
 	iters := 1
 	if d := warm.Duration; d > 0 {
 		iters = int(2 * time.Millisecond / d)
@@ -193,7 +193,7 @@ func timeSolve(sys *constraints.System, reps int) int64 {
 	for rep := 0; rep < reps; rep++ {
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
-			sys.Solve(constraints.Options{})
+			sys.Solve(constraints.Phased)
 		}
 		if d := time.Since(t0); rep == 0 || d < best {
 			best = d

@@ -31,10 +31,12 @@ import (
 	"fx10/internal/workloads"
 )
 
-// figEngine runs every figure pipeline. Caching is off: each row's
-// time column must be a real measurement, not a cache lookup (the
-// corpus runner builds its own engines the same way).
-var figEngine = engine.MustNew(engine.Config{CacheSize: -1})
+// figEngine runs every figure pipeline. It is pinned to the paper's
+// phased solver, whose level-1/level-2 pass counts are what Figures 8
+// and 9 compare against. Caching is off: each row's time column must
+// be a real measurement, not a cache lookup (the corpus runner builds
+// its own engines the same way).
+var figEngine = engine.MustNew(engine.Config{Strategy: "phased", CacheSize: -1})
 
 // Figure5 renders the generated constraint system for the Section 2.1
 // example program, the reproduction of the paper's Figure 5.

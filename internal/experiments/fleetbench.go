@@ -14,27 +14,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fx10/internal/constraints"
-	"fx10/internal/engine"
 	"fx10/internal/fleet"
-	"fx10/internal/labels"
-	"fx10/internal/progen"
 	"fx10/internal/server"
-	"fx10/internal/shard"
 	"fx10/internal/syntax"
 	"fx10/internal/workloads"
 )
 
-// The fleet bench measures the two layers ISSUE 10 adds. The fleet
-// rows drive an in-process replica set (real servers behind real
-// loopback listeners, the consistent-hash router in front) with
-// query-heavy traffic at 1, 2 and 4 replicas — the scaling signal for
-// a read-mostly analysis service whose responses are replica-
-// independent. The shard rows compare the sharded solver against
-// sequential topo per workload, with the shard plan's structure
-// (shards, merge rounds) alongside the times so cost regressions are
-// attributable. Written as BENCH_fleet.json so regressions are
-// diffable across commits.
+// The fleet bench measures the fleet router: it drives an in-process
+// replica set (real servers behind real loopback listeners, the
+// consistent-hash router in front) with query-heavy traffic at 1, 2
+// and 4 replicas — the scaling signal for a read-mostly analysis
+// service whose responses are replica-independent. Written as
+// BENCH_fleet.json so regressions are diffable across commits.
 
 // FleetRow is one replica-count throughput measurement.
 type FleetRow struct {
@@ -45,37 +36,24 @@ type FleetRow struct {
 	ReqPerSec   float64 `json:"req_per_sec"`
 }
 
-// ShardCostRow is one workload's shard-vs-topo solve comparison.
-type ShardCostRow struct {
-	Benchmark     string `json:"benchmark"`
-	TopoNsPerOp   int64  `json:"topo_ns_per_op"`
-	ShardNsPerOp  int64  `json:"shard_ns_per_op"`
-	Shards        int    `json:"shards"`
-	MergeRoundsL1 int    `json:"merge_rounds_l1"`
-	MergeRoundsL2 int    `json:"merge_rounds_l2"`
-}
-
 // FleetBench is the full sweep plus environment.
 type FleetBench struct {
-	Go        string         `json:"go"`
-	GOOS      string         `json:"goos"`
-	GOARCH    string         `json:"goarch"`
-	Reps      int            `json:"reps"`
-	Fleet     []FleetRow     `json:"fleet"`
-	ShardCost []ShardCostRow `json:"shard_cost"`
+	Go         string     `json:"go"`
+	GOOS       string     `json:"goos"`
+	GOARCH     string     `json:"goarch"`
+	NumCPU     int        `json:"num_cpu"`
+	GOMAXPROCS int        `json:"gomaxprocs"`
+	Fleet      []FleetRow `json:"fleet"`
 }
 
-// RunFleetBench measures routed throughput at 1/2/4 replicas and the
-// per-workload shard-vs-topo solve cost (best of reps).
-func RunFleetBench(reps int) (FleetBench, error) {
-	if reps < 1 {
-		reps = 1
-	}
+// RunFleetBench measures routed throughput at 1/2/4 replicas.
+func RunFleetBench() (FleetBench, error) {
 	bench := FleetBench{
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		Reps:   reps,
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	for _, n := range []int{1, 2, 4} {
 		row, err := measureFleet(n)
@@ -84,11 +62,6 @@ func RunFleetBench(reps int) (FleetBench, error) {
 		}
 		bench.Fleet = append(bench.Fleet, row)
 	}
-	rows, err := measureShardCost(reps)
-	if err != nil {
-		return bench, err
-	}
-	bench.ShardCost = rows
 	return bench, nil
 }
 
@@ -200,100 +173,6 @@ func measureFleet(replicas int) (FleetRow, error) {
 	return row, nil
 }
 
-// measureShardCost times fresh-engine solves per workload under topo
-// and shard, capturing the shard plan's structure from the run. The
-// paper workloads are few-method (their plans collapse to one shard),
-// so huge-tier generated programs follow: many methods, real fan-out,
-// the shape the sharded solver exists for. Shard solutions are
-// verified bit-identical to topo before their times are recorded.
-func measureShardCost(reps int) ([]ShardCostRow, error) {
-	var rows []ShardCostRow
-	for _, wl := range workloads.All() {
-		row := ShardCostRow{Benchmark: wl.Name}
-		job := engine.Job{Name: wl.Name, Program: wl.Program(), Mode: constraints.ContextSensitive}
-		solve := func(strategy string) (int64, *constraints.ShardStats, error) {
-			best := time.Duration(0)
-			var shard *constraints.ShardStats
-			for rep := 0; rep < reps; rep++ {
-				e, err := engine.New(engine.Config{Strategy: strategy})
-				if err != nil {
-					return 0, nil, err
-				}
-				t0 := time.Now()
-				res, err := e.Analyze(job)
-				if err != nil {
-					return 0, nil, err
-				}
-				if d := time.Since(t0); best == 0 || d < best {
-					best = d
-				}
-				if res.Stats.Shard != nil {
-					shard = res.Stats.Shard
-				}
-			}
-			return best.Nanoseconds(), shard, nil
-		}
-		topoNs, _, err := solve("topo")
-		if err != nil {
-			return nil, err
-		}
-		shardNs, st, err := solve("shard")
-		if err != nil {
-			return nil, err
-		}
-		row.TopoNsPerOp = topoNs
-		row.ShardNsPerOp = shardNs
-		if st != nil {
-			row.Shards = st.Shards
-			row.MergeRoundsL1 = st.MergeRoundsL1
-			row.MergeRoundsL2 = st.MergeRoundsL2
-		}
-		rows = append(rows, row)
-	}
-
-	// Fixed shard count for the huge rows: the plan (and so the
-	// recorded merge-round structure) stays identical across machines;
-	// only the times vary with the host.
-	const hugeShards = 8
-	for _, size := range []int{10000, 40000} {
-		p := progen.GenerateHuge(1, progen.Huge(size))
-		sys := constraints.Generate(labels.Compute(p), constraints.ContextInsensitive)
-		row := ShardCostRow{Benchmark: fmt.Sprintf("huge-%d", size)}
-
-		var topoRef *constraints.Solution
-		best := time.Duration(0)
-		for rep := 0; rep < reps; rep++ {
-			t0 := time.Now()
-			sol := sys.Solve(constraints.Options{Topo: true})
-			if d := time.Since(t0); best == 0 || d < best {
-				best = d
-			}
-			topoRef = sol
-		}
-		row.TopoNsPerOp = best.Nanoseconds()
-
-		best = 0
-		for rep := 0; rep < reps; rep++ {
-			t0 := time.Now()
-			sol := shard.Solve(sys, shard.Config{Shards: hugeShards})
-			if d := time.Since(t0); best == 0 || d < best {
-				best = d
-			}
-			if !topoRef.ValuationEqual(sol) {
-				return nil, fmt.Errorf("fleet bench: shard diverges from topo on huge-%d", size)
-			}
-			if st := sol.Shard; st != nil {
-				row.Shards = st.Shards
-				row.MergeRoundsL1 = st.MergeRoundsL1
-				row.MergeRoundsL2 = st.MergeRoundsL2
-			}
-		}
-		row.ShardNsPerOp = best.Nanoseconds()
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 func postFleetJSON(client *http.Client, url string, body any, out any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -315,23 +194,12 @@ func postFleetJSON(client *http.Client, url string, body any, out any) error {
 	return nil
 }
 
-// FormatFleetBench renders both sweeps as aligned tables.
+// FormatFleetBench renders the sweep as an aligned table.
 func FormatFleetBench(bench FleetBench) string {
 	var b strings.Builder
 	tw := newTable(&b, "replicas", "clients", "requests", "req/s")
 	for _, r := range bench.Fleet {
 		tw.row(fmt.Sprint(r.Replicas), fmt.Sprint(r.Clients), fmt.Sprint(r.Requests), fmt.Sprintf("%.0f", r.ReqPerSec))
-	}
-	tw.flush()
-	b.WriteString("\n")
-	tw = newTable(&b, "benchmark", "topo ns/op", "shard ns/op", "shards", "L1 rounds", "L2 rounds")
-	for _, r := range bench.ShardCost {
-		tw.row(r.Benchmark,
-			fmt.Sprint(r.TopoNsPerOp),
-			fmt.Sprint(r.ShardNsPerOp),
-			fmt.Sprint(r.Shards),
-			fmt.Sprint(r.MergeRoundsL1),
-			fmt.Sprint(r.MergeRoundsL2))
 	}
 	tw.flush()
 	return b.String()

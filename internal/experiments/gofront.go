@@ -26,7 +26,7 @@ import (
 // yields (finish/async nodes, labels), and the MHP pair counts in
 // both modes. The observed column replays each program through the
 // instrumented runtime over several seeds and counts the pairs
-// actually seen — by the soundness argument of DESIGN.md §11 it must
+// actually seen — by the soundness argument of DESIGN.md §10 it must
 // be ≤ the static count, and the sweep fails if it is not. Written as
 // BENCH_gofront.json so front-end regressions (coverage drops, pair
 // blow-ups) are diffable across commits.

@@ -9,20 +9,19 @@ import (
 	"time"
 
 	"fx10/internal/constraints"
-	"fx10/internal/engine"
 	"fx10/internal/labels"
 	"fx10/internal/workloads"
 )
 
-// The solver bench is the head-to-head comparison of the registered
-// solving strategies on the paper's 13-benchmark corpus: same
-// generated constraint system, four ways to reach the unique least
-// solution. It backs the README's performance table and is written as
+// The solver bench is the head-to-head comparison of the solving
+// strategies on the paper's 13-benchmark corpus: same generated
+// constraint system, three ways to reach the unique least solution.
+// It backs the README's performance table and is written as
 // BENCH_solver.json so perf regressions are diffable across commits.
 
-// SolverBenchStrategies are the strategies the bench sweeps, in
-// presentation order.
-var SolverBenchStrategies = []string{"phased", "monolithic", "worklist", "topo"}
+// SolverBenchStrategies are the algorithms the bench sweeps, in
+// presentation order: the reference first, the served default last.
+var SolverBenchStrategies = []constraints.Algorithm{constraints.Phased, constraints.Worklist, constraints.Topo}
 
 // SolverBenchRow is one (benchmark, strategy) measurement.
 type SolverBenchRow struct {
@@ -45,47 +44,47 @@ type SolverBenchRow struct {
 
 // SolverBench is the full sweep plus the environment it ran in.
 type SolverBench struct {
-	Go     string           `json:"go"`
-	GOOS   string           `json:"goos"`
-	GOARCH string           `json:"goarch"`
-	Reps   int              `json:"reps"`
-	Rows   []SolverBenchRow `json:"rows"`
+	Go         string           `json:"go"`
+	GOOS       string           `json:"goos"`
+	GOARCH     string           `json:"goarch"`
+	NumCPU     int              `json:"num_cpu"`
+	GOMAXPROCS int              `json:"gomaxprocs"`
+	Reps       int              `json:"reps"`
+	Rows       []SolverBenchRow `json:"rows"`
 }
 
-// RunSolverBench measures every registered strategy on every
-// benchmark (context-sensitive, as in Figure 8). Each (benchmark,
-// strategy) cell is timed reps times over an adaptively sized
-// inner loop and the fastest rep wins, go-test style.
+// RunSolverBench measures every strategy on every benchmark
+// (context-sensitive, as in Figure 8). Each (benchmark, strategy) cell
+// is timed reps times over an adaptively sized inner loop and the
+// fastest rep wins, go-test style.
 func RunSolverBench(reps int) (SolverBench, error) {
 	if reps < 1 {
 		reps = 1
 	}
 	bench := SolverBench{
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		Reps:   reps,
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Reps:       reps,
 	}
 	for _, wl := range workloads.All() {
 		sys := constraints.Generate(labels.Compute(wl.Program()), constraints.ContextSensitive)
-		for _, name := range SolverBenchStrategies {
-			strat, err := engine.Lookup(name)
-			if err != nil {
-				return bench, err
-			}
-			bench.Rows = append(bench.Rows, measureSolver(wl.Name, strat, sys, reps))
+		for _, alg := range SolverBenchStrategies {
+			bench.Rows = append(bench.Rows, measureSolver(wl.Name, alg, sys, reps))
 		}
 	}
 	return bench, nil
 }
 
 // measureSolver times one (benchmark, strategy) cell.
-func measureSolver(benchmark string, strat engine.Strategy, sys *constraints.System, reps int) SolverBenchRow {
+func measureSolver(benchmark string, alg constraints.Algorithm, sys *constraints.System, reps int) SolverBenchRow {
 	// Warm-up solve; its (deterministic) counters fill the row.
-	warm := strat.Solve(sys)
+	warm := sys.Solve(alg)
 	row := SolverBenchRow{
 		Benchmark:   benchmark,
-		Strategy:    strat.Name(),
+		Strategy:    alg.String(),
 		Evaluations: warm.Evaluations,
 		Passes:      warm.IterL1 + warm.IterL2,
 	}
@@ -107,7 +106,7 @@ func measureSolver(benchmark string, strat engine.Strategy, sys *constraints.Sys
 	for rep := 0; rep < reps; rep++ {
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
-			strat.Solve(sys)
+			sys.Solve(alg)
 		}
 		if d := time.Since(t0); rep == 0 || d < best {
 			best = d
@@ -121,7 +120,7 @@ func measureSolver(benchmark string, strat engine.Strategy, sys *constraints.Sys
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < iters; i++ {
-		strat.Solve(sys)
+		sys.Solve(alg)
 	}
 	runtime.ReadMemStats(&ms1)
 	row.AllocsPerOp = int64(ms1.Mallocs-ms0.Mallocs) / int64(iters)
@@ -143,8 +142,8 @@ func FormatSolverBench(bench SolverBench) string {
 			fmt.Sprint(r.BytesPerOp))
 	}
 	tw.flush()
-	fmt.Fprintf(&b, "(%s %s/%s, best of %d reps; evals for worklist/topo, passes for phased/monolithic)\n",
-		bench.Go, bench.GOOS, bench.GOARCH, bench.Reps)
+	fmt.Fprintf(&b, "(%s %s/%s, %d CPUs, GOMAXPROCS %d, best of %d reps; evals for worklist/topo, passes for phased)\n",
+		bench.Go, bench.GOOS, bench.GOARCH, bench.NumCPU, bench.GOMAXPROCS, bench.Reps)
 	return b.String()
 }
 

@@ -26,7 +26,7 @@ func TestRunSolverBench(t *testing.T) {
 			t.Errorf("%s/%s: non-positive ns/op %d", r.Benchmark, r.Strategy, r.NsPerOp)
 		}
 		switch r.Strategy {
-		case "phased", "monolithic":
+		case "phased":
 			if r.Passes == 0 {
 				t.Errorf("%s/%s: pass-based strategy reports 0 passes", r.Benchmark, r.Strategy)
 			}

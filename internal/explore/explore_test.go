@@ -76,7 +76,7 @@ void main() {
 		t.Fatalf("exploration incomplete")
 	}
 	sys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
-	m := sys.Solve(constraints.Options{}).MainM()
+	m := sys.Solve(constraints.Phased).MainM()
 	if !res.MHP.SubsetOf(m) {
 		t.Fatalf("soundness violated: exact %v ⊄ inferred %v", res.MHP, m)
 	}
@@ -120,7 +120,7 @@ void main() {
 	}
 	// Soundness against the analysis on the same program.
 	sys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
-	m := sys.Solve(constraints.Options{}).MainM()
+	m := sys.Solve(constraints.Phased).MainM()
 	if !res.MHP.SubsetOf(m) {
 		t.Fatalf("soundness violated")
 	}

@@ -5,7 +5,7 @@
 // every replica computes bit-identical reports (the solvers' unique
 // least fixpoint), routing is purely a cache-locality optimization:
 // ANY replica can serve ANY request correctly, so failover never
-// changes a response byte. See DESIGN.md §12 for the routing
+// changes a response byte. See DESIGN.md §11 for the routing
 // invariants.
 package fleet
 

@@ -41,7 +41,7 @@ type RouterConfig struct {
 // /v1/* request to a replica by content key, fails over in ring order
 // when the owner is down, and serves its own /healthz and /metrics.
 //
-// Routing invariants (DESIGN.md §12): (1) same key → same backend, on
+// Routing invariants (DESIGN.md §11): (1) same key → same backend, on
 // every router instance, across restarts; (2) a response's bytes never
 // depend on which backend served it — replicas are bit-identical by
 // the solvers' unique-least-fixpoint guarantee — so failover is

@@ -37,7 +37,7 @@ var analyzeEngine = engine.MustNew(engine.Config{CacheSize: -1})
 
 // Analyze runs the full pipeline on p in the given mode. It is a
 // thin compatibility wrapper over internal/engine with the default
-// (phased) strategy. Pipeline failures are returned, not panicked:
+// (topo) strategy. Pipeline failures are returned, not panicked:
 // library callers decide how to surface them.
 func Analyze(p *syntax.Program, mode constraints.Mode) (*Result, error) {
 	res, err := analyzeEngine.Analyze(engine.Job{Program: p, Mode: mode})

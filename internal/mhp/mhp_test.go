@@ -309,7 +309,15 @@ func TestReportJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if decoded.Constraints.Slabels == 0 || decoded.Iterations.Level1 == 0 {
+	// The default strategy (topo) runs no level-1/level-2 passes: it
+	// counts constraint evaluations instead.
+	if got := analyzeEngine.Strategy().Name(); got != "topo" {
+		t.Fatalf("Analyze runs strategy %q, want topo", got)
+	}
+	if r.Sol.Evaluations == 0 {
+		t.Fatal("topo solve reports no evaluations")
+	}
+	if decoded.Constraints.Slabels == 0 || decoded.Iterations.Slabels == 0 {
 		t.Fatalf("decoded metrics empty: %+v", decoded)
 	}
 }

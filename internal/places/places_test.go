@@ -96,7 +96,7 @@ void main() {
 func TestRefineDropsCrossPlacePairs(t *testing.T) {
 	p := parser.MustParse(placedSrc)
 	in := labels.Compute(p)
-	m := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Options{}).MainM()
+	m := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Phased).MainM()
 	pi := Compute(p)
 	refined := pi.Refine(m)
 
@@ -132,7 +132,7 @@ func TestRefineDropsCrossPlacePairs(t *testing.T) {
 func TestSameplaceParallelSoundness(t *testing.T) {
 	p := parser.MustParse(placedSrc)
 	in := labels.Compute(p)
-	m := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Options{}).MainM()
+	m := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Phased).MainM()
 	refined := Compute(p).Refine(m)
 
 	for seed := int64(0); seed < 30; seed++ {
@@ -162,7 +162,7 @@ void main() {
 }
 `)
 	in := labels.Compute(p)
-	m := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Options{}).MainM()
+	m := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Phased).MainM()
 	pi := Compute(p)
 	if pi.NumPlaces != 1 {
 		t.Fatalf("NumPlaces = %d", pi.NumPlaces)

@@ -86,7 +86,7 @@ func TestClockedSoundnessRandomPrograms(t *testing.T) {
 			continue
 		}
 		in := labels.Compute(p)
-		m := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Options{}).MainM()
+		m := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Phased).MainM()
 		if !res.MHP.SubsetOf(m) {
 			t.Fatalf("seed %d: soundness violated\nexact: %v\ninferred: %v\nprogram:\n%s",
 				seed, res.MHP, m, syntax.Print(p))

@@ -12,9 +12,8 @@ import (
 // methods rather than the random nesting of Config. Where Generate
 // exercises the analysis's breadth (every construct, adversarial
 // nesting), GenerateHuge exercises its scale: the constraint graph's
-// condensation becomes a wide, deep DAG — independent call subtrees —
-// which is exactly the shape a parallel solver needs to show a
-// speedup, while the finish discipline below keeps pair counts and
+// condensation becomes a wide, deep DAG of independent call
+// subtrees, while the finish discipline below keeps pair counts and
 // escape sets bounded so solving stays memory-feasible at 100k+
 // labels.
 type HugeConfig struct {

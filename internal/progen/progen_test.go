@@ -69,7 +69,7 @@ func TestSoundnessRandomFinitePrograms(t *testing.T) {
 		p := Generate(seed, Finite())
 		in := labels.Compute(p)
 		sys := constraints.Generate(in, constraints.ContextSensitive)
-		m := sys.Solve(constraints.Options{}).MainM()
+		m := sys.Solve(constraints.Phased).MainM()
 		res := explore.MHPWithInfo(in, p, nil, 200_000)
 		if res.ProgressViolations != 0 {
 			t.Fatalf("seed %d: progress violations", seed)
@@ -93,7 +93,7 @@ func TestEquivalenceRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		p := Generate(seed, Default())
 		in := labels.Compute(p)
-		sol := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Options{})
+		sol := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Phased)
 		env := sol.Env()
 		c := types.NewChecker(in)
 		if err := c.Check(env); err != nil {
@@ -111,22 +111,22 @@ func TestCSSubsetCIRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		p := Generate(seed, Default())
 		in := labels.Compute(p)
-		cs := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Options{}).MainM()
-		ci := constraints.Generate(in, constraints.ContextInsensitive).Solve(constraints.Options{}).MainM()
+		cs := constraints.Generate(in, constraints.ContextSensitive).Solve(constraints.Phased).MainM()
+		ci := constraints.Generate(in, constraints.ContextInsensitive).Solve(constraints.Phased).MainM()
 		if !cs.SubsetOf(ci) {
 			t.Fatalf("seed %d: CS ⊄ CI\n%s", seed, syntax.Print(p))
 		}
 	}
 }
 
-// Monolithic and phased solving agree on random programs.
+// Topological and phased solving agree on random programs.
 func TestSolverModesAgreeRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		p := Generate(seed, Default())
 		in := labels.Compute(p)
 		sys := constraints.Generate(in, constraints.ContextSensitive)
-		a := sys.Solve(constraints.Options{})
-		b := sys.Solve(constraints.Options{Monolithic: true})
+		a := sys.Solve(constraints.Phased)
+		b := sys.Solve(constraints.Topo)
 		for mi := range p.Methods {
 			if !a.MethodSummary(mi).Equal(b.MethodSummary(mi)) {
 				t.Fatalf("seed %d: solver modes disagree on method %d", seed, mi)
@@ -223,8 +223,8 @@ func TestWorklistSolverRandomPrograms(t *testing.T) {
 		in := labels.Compute(p)
 		for _, mode := range []constraints.Mode{constraints.ContextSensitive, constraints.ContextInsensitive} {
 			sys := constraints.Generate(in, mode)
-			a := sys.Solve(constraints.Options{})
-			b := sys.Solve(constraints.Options{Worklist: true})
+			a := sys.Solve(constraints.Phased)
+			b := sys.Solve(constraints.Worklist)
 			for mi := range p.Methods {
 				if !a.MethodSummary(mi).Equal(b.MethodSummary(mi)) {
 					t.Fatalf("seed %d mode %v: worklist disagrees on method %d", seed, mode, mi)

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fx10/internal/constraints"
 	"fx10/internal/engine"
 )
 
@@ -44,14 +43,6 @@ type Metrics struct {
 	queueWait    *Histogram // time from admission to worker slot
 	solveLatency *Histogram // engine time per successful solve
 	reqLatency   *Histogram // end-to-end handler time, all endpoints
-
-	// Sharded-solve section ("shard"), fed only by solves the shard
-	// strategy performed; all-zero under every other strategy.
-	shardSolves   *expvar.Int // solves that ran sharded
-	shardRoundsL1 *expvar.Int // cumulative level-1 merge rounds
-	shardRoundsL2 *expvar.Int // cumulative level-2 merge rounds
-	shardLast     *expvar.Int // shard count of the most recent sharded solve
-	shardSolveLat *Histogram  // per-shard solve time (summed shard ns / shards) per solve
 }
 
 // newMetrics builds the registry. cacheStats feeds the "cache"
@@ -73,11 +64,6 @@ func newMetrics(cacheStats func() engine.CacheStats) *Metrics {
 		queueWait:     NewHistogram(),
 		solveLatency:  NewHistogram(),
 		reqLatency:    NewHistogram(),
-		shardSolves:   new(expvar.Int),
-		shardRoundsL1: new(expvar.Int),
-		shardRoundsL2: new(expvar.Int),
-		shardLast:     new(expvar.Int),
-		shardSolveLat: NewHistogram(),
 	}
 	start := time.Now()
 	m.vars.Set("requests", m.requests)
@@ -108,29 +94,7 @@ func newMetrics(cacheStats func() engine.CacheStats) *Metrics {
 			"programHitRate": rate(cs.Hits, cs.Misses),
 		}
 	}))
-	shardMap := new(expvar.Map).Init()
-	shardMap.Set("solves", m.shardSolves)
-	shardMap.Set("mergeRoundsL1", m.shardRoundsL1)
-	shardMap.Set("mergeRoundsL2", m.shardRoundsL2)
-	shardMap.Set("lastShards", m.shardLast)
-	shardMap.Set("perShardSolveMs", m.shardSolveLat)
-	m.vars.Set("shard", shardMap)
 	return m
-}
-
-// observeShard folds one sharded solve's structure into the "shard"
-// section; a nil st (any non-shard strategy) is a no-op.
-func (m *Metrics) observeShard(st *constraints.ShardStats) {
-	if st == nil {
-		return
-	}
-	m.shardSolves.Add(1)
-	m.shardRoundsL1.Add(int64(st.MergeRoundsL1))
-	m.shardRoundsL2.Add(int64(st.MergeRoundsL2))
-	m.shardLast.Set(int64(st.Shards))
-	if st.Shards > 0 {
-		m.shardSolveLat.Observe(time.Duration(st.ShardSolveNs / int64(st.Shards)))
-	}
 }
 
 func rate(hits, misses uint64) float64 {

@@ -56,12 +56,10 @@ type Config struct {
 	// QueueDepth bounds requests waiting for a worker before 429s
 	// start; ≤ 0 selects 4 × Workers.
 	QueueDepth int
-	// Strategy names the engine solver strategy ("" = default).
+	// Strategy names the engine solver strategy ("" = the engine
+	// default, topo). The daemon always serves the default; tests
+	// substitute registered fakes here.
 	Strategy string
-	// SolverWorkers bounds the solver-internal pool when Strategy is
-	// parallel (e.g. ptopo); ≤ 0 keeps the strategy default. Distinct
-	// from Workers, which bounds concurrent solves across requests.
-	SolverWorkers int
 	// CacheSize sizes the engine's program cache (0 = engine
 	// default).
 	CacheSize int
@@ -136,10 +134,9 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	eng, err := engine.New(engine.Config{
-		Strategy:      cfg.Strategy,
-		Workers:       cfg.Workers,
-		SolverWorkers: cfg.SolverWorkers,
-		CacheSize:     cfg.CacheSize,
+		Strategy:  cfg.Strategy,
+		Workers:   cfg.Workers,
+		CacheSize: cfg.CacheSize,
 	})
 	if err != nil {
 		return nil, err
@@ -363,7 +360,6 @@ func (s *Server) recordSolve(res *engine.Result, err error, d time.Duration) {
 	}
 	s.metrics.solveLatency.Observe(d)
 	s.observeSolve(d)
-	s.metrics.observeShard(res.Stats.Shard)
 }
 
 // observeSolve feeds the Retry-After EWMA (α = 1/8).

@@ -24,7 +24,7 @@ import (
 
 // slowStrategy is a registered-once test strategy whose Solve first
 // calls the current slowHook (set per test), then delegates to the
-// default phased solver. Tests that install a hook must not run in
+// reference phased solver. Tests that install a hook must not run in
 // parallel with each other.
 type slowStrategy struct{}
 
@@ -37,7 +37,7 @@ var (
 
 func (slowStrategy) Name() string { return "testslow" }
 
-func (slowStrategy) Solve(sys *constraints.System) *constraints.Solution {
+func (slowStrategy) Solve(ctx context.Context, sys *constraints.System) (*constraints.Solution, error) {
 	slowSolves.Add(1)
 	slowHookMu.Lock()
 	fn := slowHookFn
@@ -45,7 +45,7 @@ func (slowStrategy) Solve(sys *constraints.System) *constraints.Solution {
 	if fn != nil {
 		fn()
 	}
-	return sys.Solve(constraints.Options{})
+	return sys.SolveCtx(ctx, constraints.Phased)
 }
 
 func setSlowHook(t *testing.T, fn func()) {
@@ -637,6 +637,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigServesTopo: the zero Config — what fx10d builds —
+// serves the engine's default strategy, topo.
+func TestDefaultConfigServesTopo(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.Engine().Strategy().Name(); got != "topo" {
+		t.Errorf("default server serves %q, want topo", got)
+	}
+}
+
 // TestCacheHitIsNotASolve: a repeated analysis served from the
 // program cache must not count as a solve or feed the solve latency
 // (and with it the Retry-After estimate).
@@ -653,76 +666,6 @@ func TestCacheHitIsNotASolve(t *testing.T) {
 	}
 	if got := s.metrics.solveLatency.count.Load(); got != 1 {
 		t.Errorf("solve latency observations = %d, want 1", got)
-	}
-}
-
-// TestMetricsShardSection: under the shard strategy the "shard"
-// section counts solves and merge rounds, and — because the sharded
-// solver's plan and merge schedule are deterministic — two servers
-// given the same workload report identical merge-round totals. Under
-// any other strategy the section stays all-zero.
-func TestMetricsShardSection(t *testing.T) {
-	type shardSection struct {
-		Solves        int64 `json:"solves"`
-		MergeRoundsL1 int64 `json:"mergeRoundsL1"`
-		MergeRoundsL2 int64 `json:"mergeRoundsL2"`
-		LastShards    int64 `json:"lastShards"`
-	}
-	scrape := func(t *testing.T, ts *httptest.Server) shardSection {
-		t.Helper()
-		resp, err := ts.Client().Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		var m struct {
-			Shard *shardSection `json:"shard"`
-		}
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatalf("/metrics is not JSON: %v\n%s", err, data)
-		}
-		if m.Shard == nil {
-			t.Fatalf("/metrics missing shard section\n%s", data)
-		}
-		return *m.Shard
-	}
-	srcs := []string{
-		syntax.Print(mustWorkload(t, "series").Program()),
-		syntax.Print(mustWorkload(t, "crypt").Program()),
-	}
-	run := func(t *testing.T) shardSection {
-		t.Helper()
-		_, ts := newTestServer(t, Config{Strategy: "shard"})
-		for _, src := range srcs {
-			status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/analyze", AnalyzeRequest{Source: src})
-			if status != http.StatusOK {
-				t.Fatalf("analyze status %d: %s", status, data)
-			}
-		}
-		return scrape(t, ts)
-	}
-	a := run(t)
-	if a.Solves != int64(len(srcs)) {
-		t.Errorf("shard.solves = %d, want %d", a.Solves, len(srcs))
-	}
-	if a.MergeRoundsL1 < a.Solves || a.MergeRoundsL2 < a.Solves {
-		t.Errorf("merge rounds below one per solve: %+v", a)
-	}
-	if a.LastShards < 1 {
-		t.Errorf("lastShards = %d, want ≥ 1", a.LastShards)
-	}
-	// Golden stability: an identical server over the identical
-	// workload reports the identical section.
-	if b := run(t); a != b {
-		t.Errorf("shard section not deterministic:\n  first  %+v\n  second %+v", a, b)
-	}
-
-	// A non-shard strategy leaves the section untouched.
-	_, ts := newTestServer(t, Config{Strategy: "topo"})
-	postJSON(t, ts.Client(), ts.URL+"/v1/analyze", AnalyzeRequest{Source: srcs[0]})
-	if z := scrape(t, ts); z != (shardSection{}) {
-		t.Errorf("shard section non-zero under topo strategy: %+v", z)
 	}
 }
 
