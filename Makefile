@@ -29,10 +29,10 @@ bench:
 benchsmoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# profile writes CPU and heap profiles for the worklist-vs-topo solver
+# profile writes CPU and heap profiles for the phased-vs-topo solver
 # ablation; inspect with `go tool pprof solver.cpu.pprof`.
 profile:
-	$(GO) test -run xxx -bench 'BenchmarkSolverWorklist|BenchmarkSolverTopo' -benchmem \
+	$(GO) test -run xxx -bench 'BenchmarkSolverPhased|BenchmarkSolverTopo' -benchmem \
 		-cpuprofile solver.cpu.pprof -memprofile solver.mem.pprof .
 
 # solverbench regenerates the committed strategy comparison.

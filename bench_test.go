@@ -263,16 +263,10 @@ func BenchmarkPairSetCrossSym(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverWorklist is the second solving strategy: phased with
-// change-driven re-evaluation instead of whole passes.
-func BenchmarkSolverWorklist(b *testing.B) {
-	benchSolver(b, constraints.Worklist)
-}
-
 // BenchmarkSolverTopo is the served default: SCC-condensed
 // topological propagation with copy elision — each constraint
 // evaluated at most once, whole alias chains solved as one value.
-// Compare allocs/op against BenchmarkSolverWorklist.
+// Compare allocs/op against BenchmarkSolverPhased.
 func BenchmarkSolverTopo(b *testing.B) {
 	benchSolver(b, constraints.Topo)
 }

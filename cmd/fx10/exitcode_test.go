@@ -51,7 +51,7 @@ func TestMHPUnknownStrategyExitCode(t *testing.T) {
 	if got := exitCode(err); got != 2 {
 		t.Errorf("unknown strategy maps to exit %d, want 2 (err: %v)", got, err)
 	}
-	for _, name := range []string{"no-such-solver", "phased", "topo", "worklist"} {
+	for _, name := range []string{"no-such-solver", "phased", "topo"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not mention %q: %v", name, err)
 		}

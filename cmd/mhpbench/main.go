@@ -186,7 +186,7 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 		fmt.Print(experiments.FormatScaling(rows))
 	}
 	if want["solver"] {
-		section("Solver strategies: 13 benchmarks × 3 strategies")
+		section("Solver strategies: 13 benchmarks × 2 strategies")
 		bench, err := experiments.RunSolverBench(3)
 		if err != nil {
 			return err

@@ -173,14 +173,14 @@ func TestIncrementalSection(t *testing.T) {
 	defer func() { os.Stdout = old; devnull.Close() }()
 
 	path := t.TempDir() + "/bench.json"
-	if err := run("incremental", 1, "worklist", path, 5, ""); err != nil {
+	if err := run("incremental", 1, "phased", path, 5, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("benchjson not written: %v", err)
 	}
-	for _, frag := range []string{`"strategy": "worklist"`, `"benchmark": "mg"`, `"delta_ns_per_op"`, `"strict_subset_edits"`, `"identical": true`} {
+	for _, frag := range []string{`"strategy": "phased"`, `"benchmark": "mg"`, `"delta_ns_per_op"`, `"strict_subset_edits"`, `"identical": true`} {
 		if !strings.Contains(string(data), frag) {
 			t.Fatalf("benchjson missing %q:\n%s", frag, data)
 		}

@@ -11,12 +11,12 @@
 // conservatively with diagnostics, so `fx10 mhp main.go` analyzes
 // ordinary Go), synthetic reconstructions of the paper's 13
 // benchmarks, and harnesses regenerating Figures 5–9. The analysis
-// runs through a unified engine with three pluggable solver strategies
-// — SCC-condensed topological solving (topo, the default), the
-// paper's three-phase algorithm (phased, the reference) and a
-// change-driven worklist (the base of incremental re-solving) — a
+// runs through a unified engine with two pluggable solver strategies
+// — SCC-condensed topological solving (topo, the default) and the
+// paper's three-phase algorithm (phased, the reference) — a
 // content-hash cache of whole-program results and method-granular
-// incremental re-analysis (engine.AnalyzeDelta), all differentially
+// incremental re-analysis (engine.AnalyzeDelta, which re-solves the
+// edit's closure with topo's SCC pass), all differentially
 // fuzzed against exact and observed parallelism and scale-tested on
 // internal/progen's huge tier of generated programs. The engine also
 // serves as a long-lived HTTP/JSON daemon (cmd/fx10d):

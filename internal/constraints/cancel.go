@@ -7,7 +7,7 @@ import (
 // Cancellation support: SolveCtx and SolveDeltaCtx are the
 // context-aware entry points a long-lived caller (internal/server)
 // uses to abandon a solve mid-flight — a client gone away must not pin
-// a worker for the rest of a large fixpoint. The iterative loops poll
+// a worker for the rest of a large fixpoint. The solver loops poll
 // the context every CancelStride constraint evaluations (polling every
 // evaluation would put an atomic load on the hottest path for no
 // benefit; a stride keeps the overhead to a countdown decrement) and
@@ -88,7 +88,7 @@ func (s *System) SolveCtx(ctx context.Context, alg Algorithm) (sol *Solution, er
 }
 
 // SolveDeltaCtx is SolveDelta with cooperative cancellation; the
-// restricted worklists (and the full-solve fallback) poll ctx every
+// closure solve (and the full-solve fallback) polls ctx every
 // CancelStride evaluations. On cancellation it returns
 // (nil, DeltaInfo{}, ctx.Err()) and no partial solution.
 func (s *System) SolveDeltaCtx(ctx context.Context, prev *Solution, dirty []MethodID) (sol *Solution, info DeltaInfo, err error) {

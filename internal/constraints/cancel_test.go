@@ -31,7 +31,7 @@ void g() {
 `
 
 // algorithms lists every Algorithm; each must honour cancellation.
-var algorithms = []Algorithm{Phased, Worklist, Topo}
+var algorithms = []Algorithm{Phased, Topo}
 
 func cancelSystem(t *testing.T, mode Mode) *System {
 	t.Helper()

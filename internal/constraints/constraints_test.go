@@ -176,7 +176,7 @@ func TestValuationEqualDetectsDifference(t *testing.T) {
 	if a.ValuationEqual(b) {
 		t.Fatal("valuations of different programs compare equal")
 	}
-	if !a.ValuationEqual(sys1.Solve(Worklist)) {
+	if !a.ValuationEqual(sys1.Solve(Topo)) {
 		t.Fatal("same system solved twice compares unequal")
 	}
 }
@@ -305,35 +305,6 @@ func TestStmtAccessors(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if ContextSensitive.String() != "context-sensitive" || ContextInsensitive.String() != "context-insensitive" {
 		t.Fatalf("Mode.String wrong")
-	}
-}
-
-// The worklist solver must produce the identical least solution, with
-// evaluation counting in place of pass counting.
-func TestWorklistEqualsPhased(t *testing.T) {
-	srcs := []string{
-		fixtures.Example21Source,
-		fixtures.Example22Source,
-		`void rec() { W: while (a[0] != 0) { B: async { S: skip; } C: rec(); } }
-		 void main() { M: rec(); }`,
-	}
-	for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
-		for i, src := range srcs {
-			p, sys := gen(t, src, mode)
-			a := sys.Solve(Phased)
-			b := sys.Solve(Worklist)
-			for mi := range p.Methods {
-				if !a.MethodSummary(mi).Equal(b.MethodSummary(mi)) {
-					t.Fatalf("mode %v case %d: worklist differs on method %d", mode, i, mi)
-				}
-			}
-			if b.Evaluations == 0 {
-				t.Fatalf("worklist did not count evaluations")
-			}
-			if b.IterL1 != 0 || b.IterL2 != 0 {
-				t.Fatalf("worklist should not report pass counts")
-			}
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fx10/internal/parser"
 	"fx10/internal/progen"
 	"fx10/internal/syntax"
+	"fx10/internal/workloads"
 )
 
 // deltaSys generates the system for p in the given mode.
@@ -99,12 +100,12 @@ func TestSolveDeltaEquivalence(t *testing.T) {
 	for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
 		for seed := int64(0); seed < 20; seed++ {
 			p := progen.Generate(seed, progen.Default())
-			prevSol := deltaSys(p, mode).Solve(Worklist)
+			prevSol := deltaSys(p, mode).Solve(Topo)
 			for mi := range p.Methods {
 				edited := progen.MutateMethod(p, mi, seed*31+int64(mi))
 				sys := deltaSys(edited, mode)
 				got, info := sys.SolveDelta(prevSol, dirtyByHash(p, edited))
-				want := sys.Solve(Worklist)
+				want := sys.Solve(Phased)
 				if !got.ValuationEqual(want) {
 					t.Fatalf("%v seed %d method %d: delta valuation differs (full=%v, closure=%v)\n%s",
 						mode, seed, mi, info.Full, info.Closure, syntax.Print(edited))
@@ -136,7 +137,7 @@ func TestSolveDeltaStrictSubset(t *testing.T) {
 		return b.MustProgram()
 	}
 	base, edited := build(false), build(true)
-	prevSol := deltaSys(base, ContextSensitive).Solve(Worklist)
+	prevSol := deltaSys(base, ContextSensitive).Solve(Topo)
 	sys := deltaSys(edited, ContextSensitive)
 	got, info := sys.SolveDelta(prevSol, dirtyByHash(base, edited))
 	if info.Full {
@@ -151,7 +152,7 @@ func TestSolveDeltaStrictSubset(t *testing.T) {
 	if info.MethodsReused == 0 {
 		t.Fatal("no methods reused")
 	}
-	if !got.ValuationEqual(sys.Solve(Worklist)) {
+	if !got.ValuationEqual(sys.Solve(Phased)) {
 		t.Fatal("delta valuation differs from scratch")
 	}
 }
@@ -206,10 +207,10 @@ void main() {
 	}
 
 	for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
-		prevSol := deltaSys(base, mode).Solve(Worklist)
+		prevSol := deltaSys(base, mode).Solve(Topo)
 		sys := deltaSys(edited, mode)
 		got, info := sys.SolveDelta(prevSol, dirtyByHash(base, edited))
-		want := sys.Solve(Worklist)
+		want := sys.Solve(Phased)
 		if !got.ValuationEqual(want) {
 			t.Fatalf("%v: delta valuation differs after phase-shifting edit (full=%v, closure=%v)",
 				mode, info.Full, info.Closure)
@@ -236,14 +237,47 @@ func TestSolveDeltaFallbacks(t *testing.T) {
 	if !info.Full {
 		t.Error("nil previous solution should force a full solve")
 	}
-	if !sol.ValuationEqual(sys.Solve(Worklist)) {
+	if !sol.ValuationEqual(sys.Solve(Phased)) {
 		t.Error("fallback solution differs from scratch")
 	}
 
 	// Mode mismatch: a CI solution cannot seed a CS delta.
-	ciSol := deltaSys(p, ContextInsensitive).Solve(Worklist)
+	ciSol := deltaSys(p, ContextInsensitive).Solve(Topo)
 	_, info = sys.SolveDelta(ciSol, nil)
 	if !info.Full {
 		t.Error("mode mismatch should force a full solve")
+	}
+}
+
+// TestSolveDeltaEvaluatesNoMoreThanScratch: over every single-method
+// AppendSkip edit of every paper program, in both modes, the delta
+// path stays incremental, reproduces the reference valuation, and
+// evaluates no more constraints than a topo solve from scratch (the
+// closure is solved by the same SCC pass, with the kept components
+// skipped).
+func TestSolveDeltaEvaluatesNoMoreThanScratch(t *testing.T) {
+	for _, wl := range workloads.All() {
+		t.Run(wl.Name, func(t *testing.T) {
+			t.Parallel()
+			p := wl.Program()
+			for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
+				prevSol := deltaSys(p, mode).Solve(Topo)
+				for mi := range p.Methods {
+					edited := progen.AppendSkip(p, mi)
+					sys := deltaSys(edited, mode)
+					got, info := sys.SolveDelta(prevSol, dirtyByHash(p, edited))
+					if info.Full {
+						t.Fatalf("%v method %d: delta fell back to a full solve", mode, mi)
+					}
+					if !got.ValuationEqual(sys.Solve(Phased)) {
+						t.Fatalf("%v method %d: delta valuation differs from phased", mode, mi)
+					}
+					if scratch := sys.Solve(Topo).Evaluations; info.ConstraintsReevaluated > scratch {
+						t.Errorf("%v method %d: delta evaluated %d constraints, topo from scratch %d",
+							mode, mi, info.ConstraintsReevaluated, scratch)
+					}
+				}
+			}
+		})
 	}
 }

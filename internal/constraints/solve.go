@@ -20,30 +20,24 @@ const (
 	// Phased is the paper's three-phase algorithm (Section 5.3):
 	// Slabels, then level-1 passes to a fixpoint, then the level-2
 	// cross terms folded in once and pure m-variable unions iterated.
-	// It fills IterL1/IterL2 and is the reference the other
-	// algorithms are tested against.
+	// It fills IterL1/IterL2 and is the reference Topo is tested
+	// against.
 	Phased Algorithm = iota
-	// Worklist is still phased but re-evaluates only constraints whose
-	// inputs changed; it counts Evaluations instead of passes.
-	// SolveDelta's restricted re-solve is built on it.
-	Worklist
 	// Topo eliminates iteration instead of just pruning it: each
 	// level's constraint graph is condensed into strongly connected
 	// components (Tarjan), every variable in a cycle provably shares
 	// the SCC's least value, and components are solved exactly once in
 	// topological order (see topo.go). Evaluations counts the
-	// near-minimal constraint evaluations.
+	// near-minimal constraint evaluations. SolveDelta re-solves its
+	// dirty closure with the same pass.
 	Topo
 )
 
-// String returns the algorithm's strategy name: "phased", "worklist"
-// or "topo".
+// String returns the algorithm's strategy name: "phased" or "topo".
 func (a Algorithm) String() string {
 	switch a {
 	case Phased:
 		return "phased"
-	case Worklist:
-		return "worklist"
 	case Topo:
 		return "topo"
 	}
@@ -59,22 +53,16 @@ type Solution struct {
 
 	// IterSlabels, IterL1 and IterL2 are the fixpoint pass counts of
 	// the three phases (each includes the final, no-change pass).
-	// Only Phased runs level-1 and level-2 passes; under Worklist and
-	// Topo IterL1 and IterL2 stay zero and Evaluations counts
-	// constraint evaluations instead.
+	// Only Phased runs level-1 and level-2 passes; under Topo IterL1
+	// and IterL2 stay zero and Evaluations counts constraint
+	// evaluations instead.
 	IterSlabels int
 	IterL1      int
 	IterL2      int
-	// Evaluations counts individual constraint evaluations in
-	// worklist and topo modes. The topo solver evaluates each
-	// constraint at most once (copy-elided constraints not at all),
-	// so its count is a lower bound the worklist count can be
-	// compared against.
+	// Evaluations counts individual constraint evaluations of the
+	// topo solver and of SolveDelta. Each constraint is evaluated at
+	// most once (copy-elided constraints not at all).
 	Evaluations int64
-
-	// scratch holds buffers the iterative solvers share across the
-	// two levels; it is released before Solve returns.
-	scratch solverScratch
 
 	// cancel is the cooperative-cancellation state (see cancel.go);
 	// zero when the solve is not cancellable.
@@ -128,9 +116,9 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 	}
 	sol.cancel.arm(ctx)
 	// The topo solver allocates its own valuation (one slab for all
-	// set variables, aliased pair bags); the iterative solvers start
-	// from an explicit bottom valuation.
-	if alg != Topo {
+	// set variables, aliased pair bags); the phased solver starts from
+	// an explicit bottom valuation.
+	if alg == Phased {
 		for i := range sol.setVals {
 			sol.setVals[i] = intset.New(n)
 		}
@@ -143,16 +131,12 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 	case Phased:
 		sol.solveL1()
 		sol.solveL2()
-	case Worklist:
-		sol.solveL1Worklist()
-		sol.solveL2Worklist()
 	case Topo:
-		sol.solveTopoL1()
-		sol.solveTopoL2()
+		sol.solveTopoL1(nil)
+		sol.solveTopoL2(nil)
 	default:
 		panic(fmt.Sprintf("constraints: unknown %v", alg))
 	}
-	sol.scratch = solverScratch{}
 
 	sol.Duration = time.Since(start)
 	sol.AllocBytes = HeapAllocBytes() - alloc0

@@ -30,11 +30,20 @@ import (
 // transitive callers) or their weak components over the union of the
 // old and new call graphs (context-insensitive — the old graph
 // matters because a removed call edge can strand stale caller-context
-// labels). Closure variables restart from bottom and are re-solved by
-// a worklist restricted to constraints whose left-hand side the
-// closure owns; all other variables are seeded from the previous
-// valuation through the label remap and are provably already at their
-// least fixpoint, so their constraints are never re-evaluated.
+// labels). Every variable outside the closure is seeded from the
+// previous valuation through the label remap and is provably already
+// at its least fixpoint. The closure is re-solved by topo's SCC pass
+// with the other methods kept (topo.go): their components take their
+// seeded values, so their constraints are never re-evaluated.
+//
+// No variable SCC straddles the closure boundary, so each component is
+// either kept whole or re-solved whole. Context-sensitively,
+// cross-method edges follow call edges (callee → caller), so a cycle
+// through two methods makes each a transitive caller of the other, and
+// the closure holds every transitive caller of its members.
+// Context-insensitively, cross-method edges run both ways along call
+// edges, and the closure holds whole weak components of the call
+// graph.
 //
 // Any structural surprise — a method with no same-named predecessor,
 // a correspondence mismatch, a previous value mentioning a label the
@@ -55,7 +64,7 @@ type DeltaInfo struct {
 	// methods: seeded from the previous solution vs re-solved.
 	MethodsReused, MethodsResolved int
 	// ConstraintsReevaluated counts individual constraint
-	// evaluations performed by the restricted (or fallback) solve.
+	// evaluations performed by the closure (or fallback) solve.
 	ConstraintsReevaluated int64
 }
 
@@ -191,40 +200,40 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 	alloc0 := HeapAllocBytes()
 	start := time.Now()
 
+	keep := make([]bool, len(p.Methods))
+	nkept := 0
+	for mi, in := range inClosure {
+		if !in {
+			keep[mi] = true
+			nkept += len(s.SetVarsOf(mi))
+		}
+	}
 	sol := &Solution{
 		sys:         s,
-		setVals:     intset.NewBatch(n, len(s.SetVarNames)),
+		setVals:     make([]*intset.Set, len(s.SetVarNames)),
 		pairVals:    make([]pairBag, len(s.PairVarNames)),
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)
 
-	// Seed: closure variables restart from bottom (the batch sets are
-	// born empty; pair bags are presized from the previous solve, a
-	// size hint that spares the worklist's incremental map growth);
-	// every other variable gets its previous value. Identity methods
-	// (identVals) reuse it verbatim — word-copied sets, aliased pair
-	// bags, safe because the restricted solvers only ever mutate
-	// closure-owned values. The rest translate through the label remap.
-	// A previous value containing a label the remap does not cover
-	// means influence from outside the reused region — re-solve
-	// everything (it cannot legitimately happen for the closures
-	// computed above; this is the defensive backstop).
+	// Seed every kept variable with its previous value; the closure's
+	// variables are left to the topo pass, which allocates them.
+	// Identity methods (identVals) reuse the value verbatim:
+	// word-copied sets and aliased pair bags, safe because topo never
+	// mutates a kept value. The rest translate through the label
+	// remap. A previous value containing a label the remap does not
+	// cover means influence from outside the reused region, so
+	// everything is re-solved (it cannot legitimately happen for the
+	// closures computed above; this is the defensive backstop).
+	seeded := intset.NewBatch(n, nkept)
 	for mi := range p.Methods {
-		pj := matchNewToPrev[mi]
-		if inClosure[mi] {
-			var prevPair []PairVar
-			if pj >= 0 {
-				prevPair = prevSys.PairVarsOf(pj)
-			}
-			for k, v := range s.PairVarsOf(mi) {
-				hint := 0
-				if k < len(prevPair) {
-					hint = len(prev.pairVals[prevPair[k]])
-				}
-				sol.pairVals[v] = make(pairBag, hint)
-			}
+		if !keep[mi] {
 			continue
+		}
+		pj := matchNewToPrev[mi]
+		for _, v := range s.SetVarsOf(mi) {
+			sol.setVals[v] = seeded[0]
+			seeded = seeded[1:]
 		}
 		prevSet := prevSys.SetVarsOf(pj)
 		prevPair := prevSys.PairVarsOf(pj)
@@ -261,9 +270,8 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 		}
 	}
 
-	sol.solveL1Restricted(inClosure)
-	sol.solveL2Restricted(inClosure)
-	sol.scratch = solverScratch{}
+	sol.solveTopoL1(keep)
+	sol.solveTopoL2(keep)
 
 	sol.Duration = time.Since(start)
 	sol.AllocBytes = HeapAllocBytes() - alloc0
@@ -286,7 +294,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 
 // fullFallback solves from scratch and reports it.
 func (s *System) fullFallback(ctx context.Context) (*Solution, DeltaInfo) {
-	sol := s.solve(ctx, Worklist)
+	sol := s.solve(ctx, Topo)
 	info := DeltaInfo{
 		Full:                   true,
 		MethodsResolved:        len(s.P.Methods),
@@ -483,136 +491,4 @@ func remapBagInto(dst pairBag, src pairBag, remap []int) bool {
 		dst[pairKey(i, j)] = struct{}{}
 	}
 	return true
-}
-
-// solveL1Restricted runs the level-1 worklist over the constraints
-// whose left-hand side is owned by a closure method. Non-closure
-// variables are already at their least fixpoint (seeded), never
-// change, and so never require their constraints to fire.
-func (sol *Solution) solveL1Restricted(inClosure []bool) {
-	s := sol.sys
-	var active []int32 // global ids: 0..len(L1s)-1, then subsets
-	for ci, c := range s.L1s {
-		if inClosure[s.SetVarOwner[c.LHS]] {
-			active = append(active, int32(ci))
-		}
-	}
-	for si, c := range s.Subsets {
-		if inClosure[s.SetVarOwner[c.Sup]] {
-			active = append(active, int32(len(s.L1s)+si))
-		}
-	}
-
-	// dependents[v] lists active positions reading set variable v.
-	dependents := sol.scratch.dependents(len(s.SetVarNames))
-	for pos, ci := range active {
-		if int(ci) < len(s.L1s) {
-			for _, v := range s.L1s[ci].Vars {
-				dependents[v] = append(dependents[v], int32(pos))
-			}
-		} else {
-			dependents[s.Subsets[int(ci)-len(s.L1s)].Sub] = append(
-				dependents[s.Subsets[int(ci)-len(s.L1s)].Sub], int32(pos))
-		}
-	}
-
-	queue := &sol.scratch.wq
-	queue.reset(len(active))
-	inQueue := sol.scratch.flags(len(active))
-	for pos := range active {
-		queue.push(int32(pos))
-		inQueue[pos] = true
-	}
-
-	for !queue.empty() {
-		pos := queue.pop()
-		inQueue[pos] = false
-		sol.Evaluations++
-		sol.checkCancel()
-
-		ci := active[pos]
-		var lhs SetVar
-		changed := false
-		if int(ci) < len(s.L1s) {
-			c := s.L1s[ci]
-			lhs = c.LHS
-			dst := sol.setVals[lhs]
-			if c.Const != nil && dst.UnionWith(c.Const) {
-				changed = true
-			}
-			for _, v := range c.Vars {
-				if dst.UnionWith(sol.setVals[v]) {
-					changed = true
-				}
-			}
-		} else {
-			c := s.Subsets[int(ci)-len(s.L1s)]
-			lhs = c.Sup
-			changed = sol.setVals[lhs].UnionWith(sol.setVals[c.Sub])
-		}
-		if changed {
-			for _, d := range dependents[lhs] {
-				if !inQueue[d] {
-					inQueue[d] = true
-					queue.push(d)
-				}
-			}
-		}
-	}
-}
-
-// solveL2Restricted runs the level-2 worklist over the closure's
-// constraints: cross terms are folded once (level 1 is solved), then
-// pair unions propagate.
-func (sol *Solution) solveL2Restricted(inClosure []bool) {
-	s := sol.sys
-	var active []int32
-	for ci, c := range s.L2s {
-		if inClosure[s.PairVarOwner[c.LHS]] {
-			active = append(active, int32(ci))
-		}
-	}
-
-	dependents := sol.scratch.dependents(len(s.PairVarNames))
-	for pos, ci := range active {
-		for _, v := range s.L2s[ci].Pairs {
-			dependents[v] = append(dependents[v], int32(pos))
-		}
-	}
-
-	queue := &sol.scratch.wq
-	queue.reset(len(active))
-	inQueue := sol.scratch.flags(len(active))
-	for pos, ci := range active {
-		lhs := sol.pairVals[s.L2s[ci].LHS]
-		for _, ct := range s.L2s[ci].Crosses {
-			lhs.crossSym(ct.Const, sol.setVals[ct.Var], s.PhaseCode)
-		}
-		queue.push(int32(pos))
-		inQueue[pos] = true
-	}
-
-	for !queue.empty() {
-		pos := queue.pop()
-		inQueue[pos] = false
-		sol.Evaluations++
-		sol.checkCancel()
-
-		c := s.L2s[active[pos]]
-		lhs := sol.pairVals[c.LHS]
-		changed := false
-		for _, v := range c.Pairs {
-			if lhs.unionWith(sol.pairVals[v]) {
-				changed = true
-			}
-		}
-		if changed {
-			for _, d := range dependents[c.LHS] {
-				if !inQueue[d] {
-					inQueue[d] = true
-					queue.push(d)
-				}
-			}
-		}
-	}
 }

@@ -1,12 +1,11 @@
 // Package constraints implements the constraint-based type inference
 // of Section 5 of the paper: constraint generation (equations
 // (57)–(82)), the context-insensitive variant of Section 7 (equations
-// (83)–(84)), and three solvers for the least solution (Algorithm):
+// (83)–(84)), and two solvers for the least solution (Algorithm):
 // the three-phase iterative solver of Section 5.3 (Slabels, then
-// level-1, then level-2), which is the reference; a change-driven
-// worklist variant, on which incremental re-solving (SolveDelta) is
-// built; and the SCC-condensing topological solver the engine serves
-// by default.
+// level-1, then level-2), which is the reference, and the
+// SCC-condensing topological solver the engine serves by default and
+// incremental re-solving (SolveDelta) reuses for the dirty closure.
 //
 // For every statement s (every suffix position, i.e. every
 // instruction) the generator introduces the set variables r_s and o_s

@@ -12,9 +12,16 @@ package constraints
 // most once, against already-final inputs, instead of being iterated
 // or re-queued; singleton components whose right-hand side is a single
 // inflow are copy-elided entirely (their value is aliased, zero
-// evaluations). The worst case drops from the worklist's
+// evaluations). The worst case drops from the pass-based solver's
 // O(passes × constraints) re-evaluations to one evaluation per
 // constraint plus a linear Tarjan pass.
+//
+// Both levels take a per-method keep mask, nil for a solve from
+// scratch. SolveDelta passes the methods outside its dirty closure:
+// their variables arrive seeded with their least values, so a
+// component whose members all belong to kept methods takes its seeded
+// value and is neither evaluated nor re-materialized. Every other
+// component is solved as usual, reading kept values as final inputs.
 
 import (
 	"fx10/internal/intset"
@@ -183,8 +190,33 @@ func (s *System) l1Graph() (lhsL1 []int32, subSrc, g graphCSR) {
 	return lhsL1, subSrc, g
 }
 
+// keptComps marks the components whose members all belong to methods
+// keep marks, and counts the variables they hold. It returns nil when
+// keep is nil (a solve from scratch).
+func keptComps(keep []bool, owner []MethodID, comp []int32, ncomp int32) (kept []bool, nkept int) {
+	if keep == nil {
+		return nil, 0
+	}
+	kept = make([]bool, ncomp)
+	for c := range kept {
+		kept[c] = true
+	}
+	for v, c := range comp {
+		if !keep[owner[v]] {
+			kept[c] = false
+		}
+	}
+	for _, c := range comp {
+		if kept[c] {
+			nkept++
+		}
+	}
+	return kept, nkept
+}
+
 // solveTopoL1 computes the level-1 least solution by SCC condensation.
-func (sol *Solution) solveTopoL1() {
+// keep is the per-method keep mask described at the top of the file.
+func (sol *Solution) solveTopoL1(keep []bool) {
 	s := sol.sys
 	nv := len(s.SetVarNames)
 	if nv == 0 {
@@ -195,11 +227,13 @@ func (sol *Solution) solveTopoL1() {
 	lhsL1, subSrc, g := s.l1Graph()
 	comp, ncomp := tarjanSCC(nv, g)
 	members := memberCSR(comp, ncomp)
+	kept, nkept := keptComps(keep, s.SetVarOwner, comp, ncomp)
 
-	// One final Set per variable, all drawn from a single slab: the
-	// materialization below gives every variable a pointer-distinct
-	// set, so callers never observe the internal aliasing.
-	slab := intset.NewBatch(n, nv)
+	// One final Set per solved variable, all drawn from a single slab:
+	// the materialization below gives every variable a
+	// pointer-distinct set, so callers never observe the internal
+	// aliasing.
+	slab := intset.NewBatch(n, nv-nkept)
 	nextSet := 0
 
 	vals := make([]*intset.Set, ncomp) // component value (maybe aliased)
@@ -210,6 +244,10 @@ func (sol *Solution) solveTopoL1() {
 
 	for cid := ncomp - 1; cid >= 0; cid-- {
 		ms := members.edges[members.off[cid]:members.off[cid+1]]
+		if kept != nil && kept[cid] {
+			vals[cid] = sol.setVals[ms[0]]
+			continue
+		}
 		// Copy elision: a singleton whose constraint contributes no
 		// constant and draws from exactly one earlier component is
 		// that component's value; alias it instead of copying.
@@ -231,6 +269,9 @@ func (sol *Solution) solveTopoL1() {
 	// gets its own copy from the slab.
 	for v := 0; v < nv; v++ {
 		cid := comp[v]
+		if kept != nil && kept[cid] {
+			continue
+		}
 		if owner[cid] == int32(v) {
 			sol.setVals[v] = vals[cid]
 			continue
@@ -314,8 +355,9 @@ func (s *System) l1SingleInflow(m int32, cid int32, comp []int32, lhsL1 []int32,
 // over pair variables only. Pair values are sparse bags, and here the
 // aliasing is kept (bags are never handed out by reference — PairValue
 // densifies a copy), so a copy-elided chain of m variables shares one
-// bag instead of duplicating it per variable.
-func (sol *Solution) solveTopoL2() {
+// bag instead of duplicating it per variable. keep is the per-method
+// keep mask described at the top of the file.
+func (sol *Solution) solveTopoL2(keep []bool) {
 	s := sol.sys
 	np := len(s.PairVarNames)
 	if np == 0 {
@@ -325,10 +367,15 @@ func (sol *Solution) solveTopoL2() {
 	lhsL2, g := s.l2Graph()
 	comp, ncomp := tarjanSCC(np, g)
 	members := memberCSR(comp, ncomp)
+	kept, _ := keptComps(keep, s.PairVarOwner, comp, ncomp)
 
 	bags := make([]pairBag, ncomp)
 	for cid := ncomp - 1; cid >= 0; cid-- {
 		ms := members.edges[members.off[cid]:members.off[cid+1]]
+		if kept != nil && kept[cid] {
+			bags[cid] = sol.pairVals[ms[0]]
+			continue
+		}
 		if len(ms) == 1 {
 			if src, ok := s.l2SingleInflow(ms[0], cid, comp, lhsL2, sol.setVals); ok {
 				bags[cid] = bags[src]
@@ -339,7 +386,9 @@ func (sol *Solution) solveTopoL2() {
 	}
 
 	for v := 0; v < np; v++ {
-		sol.pairVals[v] = bags[comp[v]]
+		if kept == nil || !kept[comp[v]] {
+			sol.pairVals[v] = bags[comp[v]]
+		}
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 
 // deltaStrategies are the built-in strategies every incremental result
 // is checked under.
-var deltaStrategies = []string{"phased", "worklist", "topo"}
+var deltaStrategies = []string{"phased", "topo"}
 
 // TestAnalyzeDeltaEquivalenceCorpus is the acceptance sweep for the
 // incremental pipeline: 200 seeded (program, single-method edit)
-// pairs, each analyzed under all three strategies, with AnalyzeDelta
+// pairs, each analyzed under both strategies, with AnalyzeDelta
 // required to match a from-scratch analysis bit for bit — valuation,
 // M, and Env. Context-sensitive throughout (the summary-bearing mode);
 // TestAnalyzeDeltaContextInsensitive covers CI.

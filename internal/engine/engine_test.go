@@ -12,14 +12,14 @@ import (
 	"fx10/internal/syntax"
 )
 
-// TestRegistryBuiltins pins the registry to the three built-in
+// TestRegistryBuiltins pins the registry to the two built-in
 // strategies, with topo as the default.
 func TestRegistryBuiltins(t *testing.T) {
 	if DefaultStrategy != "topo" {
 		t.Errorf("DefaultStrategy = %q, want topo", DefaultStrategy)
 	}
-	if got := strings.Join(Strategies(), " "); got != "phased topo worklist" {
-		t.Errorf("Strategies() = [%s], want [phased topo worklist]", got)
+	if got := strings.Join(Strategies(), " "); got != "phased topo" {
+		t.Errorf("Strategies() = [%s], want [phased topo]", got)
 	}
 	for _, name := range Strategies() {
 		s, err := Lookup(name)
@@ -166,13 +166,13 @@ func TestCacheKeying(t *testing.T) {
 		t.Error("modes produced equal M on the context-sensitivity example; keying test is vacuous")
 	}
 
-	wl := MustNew(Config{Strategy: "worklist", CacheSize: 8})
-	wr, err := wl.Analyze(Job{Program: p})
+	ph := MustNew(Config{Strategy: "phased", CacheSize: 8})
+	pr, err := ph.Analyze(Job{Program: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wr.Stats.CacheHit || wr.Stats.Strategy != "worklist" {
-		t.Errorf("fresh engine reported stats %+v", wr.Stats)
+	if pr.Stats.CacheHit || pr.Stats.Strategy != "phased" {
+		t.Errorf("fresh engine reported stats %+v", pr.Stats)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 // TestStrategyEquivalenceProgenCorpus is the executable form of the
 // paper's Theorems 5–6: the constraint system has a unique least
 // solution, so every solving strategy — phased (the Section 5.3
-// three-phase optimization, the reference), worklist (change-driven
-// re-evaluation) and topo (SCC-condensed topological propagation) —
-// must assign bit-identical values to every set and pair variable. It sweeps a seeded progen
+// three-phase optimization, the reference) and topo (SCC-condensed
+// topological propagation) — must assign bit-identical values to
+// every set and pair variable. It sweeps a seeded progen
 // corpus of 50 programs (25 full-calculus, 25 loop-free) in both
 // analysis modes.
 func TestStrategyEquivalenceProgenCorpus(t *testing.T) {
@@ -31,7 +31,7 @@ func TestStrategyEquivalenceProgenCorpus(t *testing.T) {
 	// The built-in strategies, resolved through the registry so the
 	// test exercises the same lookup path engine callers use; the
 	// reference comes first.
-	names := []string{"phased", "worklist", "topo"}
+	names := []string{"phased", "topo"}
 	strategies := make([]Strategy, len(names))
 	for i, name := range names {
 		s, err := Lookup(name)
@@ -86,15 +86,13 @@ func TestStrategyEquivalenceViaEngines(t *testing.T) {
 		})
 	}
 	base := MustNew(Config{Strategy: "phased", CacheSize: -1}).AnalyzeCorpus(jobs)
-	for _, name := range []string{"worklist", "topo"} {
-		got := MustNew(Config{Strategy: name, CacheSize: -1}).AnalyzeCorpus(jobs)
-		for i := range jobs {
-			if base[i].Err != nil || got[i].Err != nil {
-				t.Fatalf("%s/%s: %v / %v", jobs[i].Name, name, base[i].Err, got[i].Err)
-			}
-			if !base[i].Result.M.Equal(got[i].Result.M) {
-				t.Errorf("%s: %s M differs from phased", jobs[i].Name, name)
-			}
+	got := MustNew(Config{Strategy: "topo", CacheSize: -1}).AnalyzeCorpus(jobs)
+	for i := range jobs {
+		if base[i].Err != nil || got[i].Err != nil {
+			t.Fatalf("%s: %v / %v", jobs[i].Name, base[i].Err, got[i].Err)
+		}
+		if !base[i].Result.M.Equal(got[i].Result.M) {
+			t.Errorf("%s: topo M differs from phased", jobs[i].Name)
 		}
 	}
 }

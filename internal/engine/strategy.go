@@ -16,7 +16,7 @@ import (
 // must be safe for concurrent use: the engine calls Solve from many
 // worker goroutines.
 type Strategy interface {
-	// Name is the registry key ("topo", "phased", "worklist").
+	// Name is the registry key ("topo", "phased").
 	Name() string
 	// Solve computes the least solution of sys, aborting with
 	// ctx.Err() if ctx is cancelled mid-solve. A partial solution is
@@ -47,7 +47,7 @@ var (
 )
 
 func init() {
-	for _, a := range []constraints.Algorithm{constraints.Phased, constraints.Worklist, constraints.Topo} {
+	for _, a := range []constraints.Algorithm{constraints.Phased, constraints.Topo} {
 		MustRegister(algorithm(a))
 	}
 }

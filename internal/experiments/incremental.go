@@ -55,12 +55,14 @@ type IncrementalRow struct {
 
 // IncrementalBench is the full sweep plus the environment it ran in.
 type IncrementalBench struct {
-	Go       string           `json:"go"`
-	GOOS     string           `json:"goos"`
-	GOARCH   string           `json:"goarch"`
-	Strategy string           `json:"strategy"`
-	Reps     int              `json:"reps"`
-	Rows     []IncrementalRow `json:"rows"`
+	Go         string           `json:"go"`
+	GOOS       string           `json:"goos"`
+	GOARCH     string           `json:"goarch"`
+	NumCPU     int              `json:"num_cpu"`
+	GOMAXPROCS int              `json:"gomaxprocs"`
+	Strategy   string           `json:"strategy"`
+	Reps       int              `json:"reps"`
+	Rows       []IncrementalRow `json:"rows"`
 }
 
 // RunIncremental sweeps every corpus benchmark (context-sensitive, as
@@ -72,10 +74,12 @@ func RunIncremental(reps int, strategy string) (IncrementalBench, error) {
 		reps = 1
 	}
 	bench := IncrementalBench{
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		Reps:   reps,
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Reps:       reps,
 	}
 	e, err := engine.New(engine.Config{Strategy: strategy, CacheSize: -1})
 	if err != nil {
@@ -220,8 +224,8 @@ func FormatIncremental(bench IncrementalBench) string {
 			fmt.Sprint(r.Identical))
 	}
 	tw.flush()
-	fmt.Fprintf(&b, "(%s %s/%s, strategy %s, best of %d reps; one op = re-analysis after appending a skip to one method)\n",
-		bench.Go, bench.GOOS, bench.GOARCH, bench.Strategy, bench.Reps)
+	fmt.Fprintf(&b, "(%s %s/%s, %d CPUs, GOMAXPROCS %d, strategy %s, best of %d reps; one op = re-analysis after appending a skip to one method)\n",
+		bench.Go, bench.GOOS, bench.GOARCH, bench.NumCPU, bench.GOMAXPROCS, bench.Strategy, bench.Reps)
 	return b.String()
 }
 

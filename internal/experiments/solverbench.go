@@ -15,13 +15,13 @@ import (
 
 // The solver bench is the head-to-head comparison of the solving
 // strategies on the paper's 13-benchmark corpus: same generated
-// constraint system, three ways to reach the unique least solution.
+// constraint system, two ways to reach the unique least solution.
 // It backs the README's performance table and is written as
 // BENCH_solver.json so perf regressions are diffable across commits.
 
 // SolverBenchStrategies are the algorithms the bench sweeps, in
 // presentation order: the reference first, the served default last.
-var SolverBenchStrategies = []constraints.Algorithm{constraints.Phased, constraints.Worklist, constraints.Topo}
+var SolverBenchStrategies = []constraints.Algorithm{constraints.Phased, constraints.Topo}
 
 // SolverBenchRow is one (benchmark, strategy) measurement.
 type SolverBenchRow struct {
@@ -142,7 +142,7 @@ func FormatSolverBench(bench SolverBench) string {
 			fmt.Sprint(r.BytesPerOp))
 	}
 	tw.flush()
-	fmt.Fprintf(&b, "(%s %s/%s, %d CPUs, GOMAXPROCS %d, best of %d reps; evals for worklist/topo, passes for phased)\n",
+	fmt.Fprintf(&b, "(%s %s/%s, %d CPUs, GOMAXPROCS %d, best of %d reps; evals for topo, passes for phased)\n",
 		bench.Go, bench.GOOS, bench.GOARCH, bench.NumCPU, bench.GOMAXPROCS, bench.Reps)
 	return b.String()
 }

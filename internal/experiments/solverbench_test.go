@@ -5,13 +5,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fx10/internal/constraints"
+	"fx10/internal/labels"
+	"fx10/internal/workloads"
 )
 
 // TestRunSolverBench checks the sweep's shape and its two structural
 // guarantees: every (benchmark, strategy) cell is present, and the
-// topo solver never evaluates more constraints than the worklist
-// solver on the same benchmark (each constraint is evaluated at most
-// once after SCC condensation).
+// topo solver never evaluates more constraints than the benchmark's
+// system has (each constraint is evaluated at most once after SCC
+// condensation).
 func TestRunSolverBench(t *testing.T) {
 	bench, err := RunSolverBench(1)
 	if err != nil {
@@ -30,19 +34,17 @@ func TestRunSolverBench(t *testing.T) {
 			if r.Passes == 0 {
 				t.Errorf("%s/%s: pass-based strategy reports 0 passes", r.Benchmark, r.Strategy)
 			}
-		case "worklist", "topo":
+		case "topo":
 			if r.Evaluations == 0 {
 				t.Errorf("%s/%s: evaluation-counting strategy reports 0 evaluations", r.Benchmark, r.Strategy)
 			}
 		}
 		evals[[2]string{r.Benchmark, r.Strategy}] = r.Evaluations
 	}
-	for k, topo := range evals {
-		if k[1] != "topo" {
-			continue
-		}
-		if wl := evals[[2]string{k[0], "worklist"}]; topo > wl {
-			t.Errorf("%s: topo evaluations %d > worklist %d", k[0], topo, wl)
+	for _, wl := range workloads.All() {
+		_, l1, l2 := constraints.Generate(labels.Compute(wl.Program()), constraints.ContextSensitive).Counts()
+		if topo := evals[[2]string{wl.Name, "topo"}]; topo > int64(l1+l2) {
+			t.Errorf("%s: topo evaluations %d > constraint count %d", wl.Name, topo, l1+l2)
 		}
 	}
 

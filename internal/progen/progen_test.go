@@ -214,22 +214,3 @@ func TestRuntimeDifferentialRandomFinitePrograms(t *testing.T) {
 		}
 	}
 }
-
-// The worklist solver agrees with the pass-based solver on random
-// programs, in both analysis modes.
-func TestWorklistSolverRandomPrograms(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		p := Generate(seed, Default())
-		in := labels.Compute(p)
-		for _, mode := range []constraints.Mode{constraints.ContextSensitive, constraints.ContextInsensitive} {
-			sys := constraints.Generate(in, mode)
-			a := sys.Solve(constraints.Phased)
-			b := sys.Solve(constraints.Worklist)
-			for mi := range p.Methods {
-				if !a.MethodSummary(mi).Equal(b.MethodSummary(mi)) {
-					t.Fatalf("seed %d mode %v: worklist disagrees on method %d", seed, mode, mi)
-				}
-			}
-		}
-	}
-}

@@ -82,29 +82,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	enqueued := time.Now()
-	if err := s.adm.acquire(ctx); err != nil {
-		if err == errOverloaded {
-			s.metrics.overload.Add(1)
-			s.writeHandlerError(w, &handlerError{
-				status: http.StatusTooManyRequests, kind: "overloaded",
-				msg:   "admission queue full",
-				retry: s.adm.retryAfter(time.Duration(s.solveEWMA.Load())),
-			})
-			return
-		}
-		s.metrics.canceled.Add(1)
-		s.writeHandlerError(w, ctxError(err))
+	release, herr := s.admit(ctx)
+	if herr != nil {
+		s.writeHandlerError(w, herr)
 		return
 	}
-	s.metrics.queueWait.Observe(time.Since(enqueued))
-	s.metrics.queueDepth.Set(s.adm.depth())
-	s.metrics.inflight.Add(1)
-	defer func() {
-		s.metrics.inflight.Add(-1)
-		s.adm.release()
-		s.metrics.queueDepth.Set(s.adm.depth())
-	}()
+	defer release()
 
 	s.metrics.batches.Add(1)
 	s.metrics.batchPrograms.Add(int64(len(req.Programs)))

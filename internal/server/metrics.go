@@ -28,9 +28,8 @@ type Metrics struct {
 	requests  *expvar.Map
 	responses *expvar.Map
 
-	queueDepth *expvar.Int // requests waiting for a worker slot
-	inflight   *expvar.Int // requests holding a worker slot
-	sessions   *expvar.Int // live delta sessions
+	inflight *expvar.Int // requests holding a worker slot
+	sessions *expvar.Int // live delta sessions
 
 	coalesced *expvar.Int // requests served by joining another's solve
 	solves    *expvar.Int // engine calls that ran the pipeline (cache hits excluded)
@@ -46,13 +45,12 @@ type Metrics struct {
 }
 
 // newMetrics builds the registry. cacheStats feeds the "cache"
-// section.
-func newMetrics(cacheStats func() engine.CacheStats) *Metrics {
+// section; queueDepth reports the requests waiting for a worker slot.
+func newMetrics(cacheStats func() engine.CacheStats, queueDepth func() int64) *Metrics {
 	m := &Metrics{
 		vars:          new(expvar.Map).Init(),
 		requests:      new(expvar.Map).Init(),
 		responses:     new(expvar.Map).Init(),
-		queueDepth:    new(expvar.Int),
 		inflight:      new(expvar.Int),
 		sessions:      new(expvar.Int),
 		coalesced:     new(expvar.Int),
@@ -68,7 +66,7 @@ func newMetrics(cacheStats func() engine.CacheStats) *Metrics {
 	start := time.Now()
 	m.vars.Set("requests", m.requests)
 	m.vars.Set("responses", m.responses)
-	m.vars.Set("queueDepth", m.queueDepth)
+	m.vars.Set("queueDepth", expvar.Func(func() any { return queueDepth() }))
 	m.vars.Set("inflight", m.inflight)
 	m.vars.Set("sessions", m.sessions)
 	m.vars.Set("coalesced", m.coalesced)

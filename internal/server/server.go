@@ -152,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:    base,
 		baseCancel: cancel,
 	}
-	s.metrics = newMetrics(eng.CacheStats)
+	s.metrics = newMetrics(eng.CacheStats, s.adm.depth)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.instrument("analyze", s.handleAnalyze))
 	mux.HandleFunc("/v1/batch", s.instrument("batch", s.handleBatch))
@@ -292,29 +292,38 @@ func (s *Server) analyze(ctx context.Context, p *syntax.Program, mode constraint
 		return res, true, nil
 	}
 
+	release, herr := s.admit(ctx)
+	if herr != nil {
+		return nil, false, herr
+	}
+	defer release()
+	return s.solveOne(ctx, key, p, mode, what)
+}
+
+// admit takes a worker slot, queueing while the admission queue has
+// room. On success the caller must call release once its solve is
+// done; otherwise the error is the 429 (with Retry-After) for a full
+// queue or the cancellation that ended the wait.
+func (s *Server) admit(ctx context.Context) (release func(), herr *handlerError) {
 	enqueued := time.Now()
 	if err := s.adm.acquire(ctx); err != nil {
 		if errors.Is(err, errOverloaded) {
 			s.metrics.overload.Add(1)
-			return nil, false, &handlerError{
+			return nil, &handlerError{
 				status: http.StatusTooManyRequests, kind: "overloaded",
 				msg:   "admission queue full",
 				retry: s.adm.retryAfter(time.Duration(s.solveEWMA.Load())),
 			}
 		}
 		s.metrics.canceled.Add(1)
-		return nil, false, ctxError(err)
+		return nil, ctxError(err)
 	}
 	s.metrics.queueWait.Observe(time.Since(enqueued))
-	s.metrics.queueDepth.Set(s.adm.depth())
 	s.metrics.inflight.Add(1)
-	defer func() {
+	return func() {
 		s.metrics.inflight.Add(-1)
 		s.adm.release()
-		s.metrics.queueDepth.Set(s.adm.depth())
-	}()
-
-	return s.solveOne(ctx, key, p, mode, what)
+	}, nil
 }
 
 // solveError maps engine failures onto HTTP statuses.
@@ -493,27 +502,12 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	// Incremental path: admission still applies (a delta is a solve,
 	// just a smaller one), but coalescing does not — the session's
 	// base is private state.
-	enqueued := time.Now()
-	if err := s.adm.acquire(ctx); err != nil {
-		if errors.Is(err, errOverloaded) {
-			s.metrics.overload.Add(1)
-			s.writeHandlerError(w, &handlerError{
-				status: http.StatusTooManyRequests, kind: "overloaded",
-				msg:   "admission queue full",
-				retry: s.adm.retryAfter(time.Duration(s.solveEWMA.Load())),
-			})
-			return
-		}
-		s.metrics.canceled.Add(1)
-		s.writeHandlerError(w, ctxError(err))
+	release, herr := s.admit(ctx)
+	if herr != nil {
+		s.writeHandlerError(w, herr)
 		return
 	}
-	s.metrics.queueWait.Observe(time.Since(enqueued))
-	s.metrics.inflight.Add(1)
-	defer func() {
-		s.metrics.inflight.Add(-1)
-		s.adm.release()
-	}()
+	defer release()
 
 	t0 := time.Now()
 	res, err := s.eng.AnalyzeDeltaSafe(ctx, sess.base, p)

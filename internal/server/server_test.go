@@ -379,6 +379,85 @@ func TestOverload(t *testing.T) {
 	}
 }
 
+// TestQueuedDeltaCountsInQueueDepth: a /v1/delta waiting for the only
+// worker shows in /metrics queueDepth like any other queued solve.
+func TestQueuedDeltaCountsInQueueDepth(t *testing.T) {
+	registerSlow(t)
+	_, ts := newTestServer(t, Config{Strategy: "testslow", Workers: 1, QueueDepth: 2, CacheSize: -1})
+	p := mustWorkload(t, "series").Program()
+	// The session's first request is a full analyze: give it a base
+	// before the worker is held.
+	if status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/delta", DeltaRequest{Session: "q", Source: syntax.Print(p)}); status != http.StatusOK {
+		t.Fatalf("session base: %d: %s", status, data)
+	}
+
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	setSlowHook(t, func() {
+		entered <- struct{}{}
+		<-release
+	})
+	defer releaseAll()
+
+	statuses := make(chan int, 2)
+	post := func(path string, body any) {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Error(err)
+			statuses <- 0
+			return
+		}
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Error(err)
+			statuses <- 0
+			return
+		}
+		resp.Body.Close()
+		statuses <- resp.StatusCode
+	}
+	go post("/v1/analyze", AnalyzeRequest{Source: syntax.Print(mustWorkload(t, "stream").Program())})
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("analyze never reached the solver")
+	}
+	go post("/v1/delta", DeltaRequest{Session: "q", Source: syntax.Print(progen.AppendSkip(p, 0))})
+
+	queueDepth := func() float64 {
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatalf("/metrics is not JSON: %v", err)
+		}
+		d, _ := m["queueDepth"].(float64)
+		return d
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for queueDepth() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("queueDepth never read 1 while a delta waited for the worker")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	releaseAll()
+	for i := 0; i < 2; i++ {
+		if status := <-statuses; status != http.StatusOK {
+			t.Errorf("status %d, want 200", status)
+		}
+	}
+	if d := queueDepth(); d != 0 {
+		t.Errorf("queueDepth = %v after the queue drained, want 0", d)
+	}
+}
+
 // TestCancelMidSolve: a request whose deadline fires mid-solve comes
 // back promptly with 504 and does not poison the cache.
 func TestCancelMidSolve(t *testing.T) {
