@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test race bench benchsmoke profile figures solverbench incrementalbench clockedbench serverbench serversmoke fleetbench fleet-smoke fuzz fuzz-smoke clocked-smoke gofrontbench gofront-smoke benchcheck
+.PHONY: verify build vet test race bench benchsmoke profile figures solverbench incrementalbench clockedbench serversmoke fuzz fuzz-smoke clocked-smoke gofrontbench gofront-smoke benchcheck
 
 verify: build vet race
 
@@ -49,30 +49,11 @@ incrementalbench:
 clockedbench:
 	$(GO) run ./cmd/mhpbench -figure clocked -benchjson BENCH_clocked.json
 
-# serverbench regenerates the committed analysis-service load report:
-# a mixed query/analyze/delta run plus a cached-/v1/query-only run,
-# both in-process (no TCP listener flakiness), seeded.
-serverbench:
-	printf '{"mixed": %s, "cachedQuery": %s}\n' \
-		"$$($(GO) run ./cmd/fx10d loadgen -c 8 -duration 10s -mix query=8,analyze=3,delta=1,goanalyze=1 -json)" \
-		"$$($(GO) run ./cmd/fx10d loadgen -c 16 -duration 10s -mix query=1 -json)" \
-		> BENCH_server.json
-
-# serversmoke starts a real fx10d, hammers it for 15s over TCP, and
-# fails on transport errors or any status outside 2xx/429.
+# serversmoke starts a real fx10d, drives every endpoint once over
+# TCP with curl (checking each answer), and fails unless a SIGTERM
+# drain then exits 0.
 serversmoke:
 	./scripts/server_smoke.sh
-
-fleetbench:
-	$(GO) run ./cmd/mhpbench -figure fleet -benchjson BENCH_fleet.json
-
-# fleet-smoke is the CI gate for the fleet: the in-process fleet
-# scenario (3 replicas + router + mid-load kill, -race), then the same
-# topology as real daemons behind `fx10d route`, with a replica
-# SIGTERMed mid-burst — asserting zero failures, zero cross-backend
-# divergences and reroutes counted.
-fleet-smoke:
-	./scripts/fleet_smoke.sh
 
 # benchcheck vets and tests the bench/ module, which has its own
 # go.mod and so is not reached by `go test ./...` at the root: an

@@ -5,11 +5,9 @@
 //
 // Usage:
 //
-//	fx10d [flags]                   serve (default)
-//	fx10d route [flags]             fleet front door: route to replicas
-//	fx10d loadgen [flags]           drive a server and report latency
+//	fx10d [flags]
 //
-// See DESIGN.md §8 for the API and §11 for fleet routing.
+// See DESIGN.md §8 for the API.
 package main
 
 import (
@@ -28,22 +26,7 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 && args[0] == "loadgen" {
-		if err := runLoadgen(args[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "fx10d loadgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(args) > 0 && args[0] == "route" {
-		if err := runRoute(args[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "fx10d route:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := runServe(args); err != nil {
+	if err := runServe(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "fx10d:", err)
 		os.Exit(1)
 	}
@@ -62,6 +45,11 @@ func runServe(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// fx10d has no subcommands, so a positional word is a mistake:
+	// report it rather than start a daemon nobody asked for.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (usage: fx10d [flags])", fs.Arg(0))
 	}
 
 	srv, err := server.New(server.Config{

@@ -13,7 +13,7 @@
 // one authoritative list is the figures slice below, which also
 // generates the flag's help text and the unknown-figure error, so
 // this comment does not enumerate it. Highlights: the solver figure
-// races the three solving strategies on the 13-benchmark corpus;
+// races the solving strategies on the 13-benchmark corpus;
 // the incremental figure sweeps single-method edits and compares
 // incremental re-analysis (engine.AnalyzeDelta) against solving from
 // scratch; the clocked figure compares clock-blind and clock-aware
@@ -21,11 +21,10 @@
 // gofront figure sweeps the committed Go corpus (-gocorpus) through
 // the real-Go front end and reports lowering coverage and pair
 // counts, failing if any runtime-observed pair escapes the static
-// relation; the fleet figure measures routed throughput at 1/2/4
-// replicas. -benchjson additionally writes the selected sweep
+// relation. -benchjson additionally writes the selected sweep
 // machine-readably (the committed BENCH_solver.json /
-// BENCH_incremental.json / BENCH_clocked.json / BENCH_gofront.json /
-// BENCH_fleet.json).
+// BENCH_incremental.json / BENCH_clocked.json / BENCH_gofront.json),
+// each headed by the host it ran on.
 package main
 
 import (
@@ -47,7 +46,7 @@ import (
 var figures = []string{
 	"examples", "5", "6", "7", "8", "9",
 	"precision", "scaling", "corpus",
-	"solver", "incremental", "clocked", "gofront", "fleet",
+	"solver", "incremental", "clocked", "gofront",
 }
 
 // allFigures is what -figure all selects: the paper regeneration
@@ -61,7 +60,7 @@ func main() {
 	figure := flag.String("figure", "all", "which figure(s) to regenerate, comma-separated: "+figureList())
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for the corpus sweep")
 	strategy := flag.String("strategy", "", "solver strategy for the incremental figure (default: "+engine.DefaultStrategy+")")
-	benchjson := flag.String("benchjson", "", "with -figure solver, incremental or clocked: also write the sweep as JSON to this file")
+	benchjson := flag.String("benchjson", "", "with -figure solver, incremental, clocked or gofront: also write the sweep as JSON to this file")
 	n := flag.Int("n", 40, "generated programs for the clocked figure")
 	gocorpus := flag.String("gocorpus", "testdata/goprograms", "Go corpus directory for the gofront figure")
 	flag.Parse()
@@ -222,20 +221,6 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 		fmt.Print(experiments.FormatClockedBench(bench))
 		if benchjson != "" {
 			if err := experiments.WriteClockedBenchJSON(bench, benchjson); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", benchjson)
-		}
-	}
-	if want["fleet"] {
-		section("Fleet: routed throughput at 1/2/4 replicas")
-		bench, err := experiments.RunFleetBench()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatFleetBench(bench))
-		if benchjson != "" {
-			if err := experiments.WriteFleetBenchJSON(bench, benchjson); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", benchjson)

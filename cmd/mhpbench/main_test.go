@@ -218,7 +218,7 @@ func TestClockedSection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("benchjson not written: %v", err)
 	}
-	for _, frag := range []string{`"name": "phased"`, `"blind_pairs"`, `"aware_pairs"`, `"pruned"`, `"strictly_fewer"`} {
+	for _, frag := range []string{`"name": "phased"`, `"blind_pairs"`, `"aware_pairs"`, `"pruned"`, `"strictly_fewer"`, `"num_cpu"`, `"gomaxprocs"`} {
 		if !strings.Contains(string(data), frag) {
 			t.Fatalf("benchjson missing %q:\n%s", frag, data)
 		}
@@ -257,7 +257,7 @@ func TestGofrontSection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("benchjson not written: %v", err)
 	}
-	for _, frag := range []string{`"file": "fanout.go"`, `"file": "leaky.go"`, `"coverage"`, `"cs_pairs"`, `"observed_pairs"`} {
+	for _, frag := range []string{`"file": "fanout.go"`, `"file": "leaky.go"`, `"coverage"`, `"cs_pairs"`, `"observed_pairs"`, `"num_cpu"`, `"gomaxprocs"`} {
 		if !strings.Contains(string(data), frag) {
 			t.Fatalf("benchjson missing %q:\n%s", frag, data)
 		}

@@ -23,11 +23,7 @@
 // admission-controlled solves, singleflight coalescing, batch corpus
 // submission under one admission slot (/v1/batch), editor delta
 // sessions, per-request language selection through the front-end
-// registry, and live metrics; fx10d route turns N daemons into one
-// fleet —
-// consistent-hash routing on program content (internal/fleet) and
-// health-checked failover that is byte-invisible because replicas
-// agree bit-for-bit. Front
+// registry, and live metrics. Front
 // ends are held to the analysis's soundness bar by a cross-front-end
 // oracle (X10 and Go renderings of the same program must analyze
 // bit-identically under every strategy, and runtime-observed pairs

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -68,10 +67,8 @@ type ClockedBenchRow struct {
 
 // ClockedBench is the full sweep plus the environment it ran in.
 type ClockedBench struct {
-	Go     string `json:"go"`
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	Reps   int    `json:"reps"`
+	Host
+	Reps int `json:"reps"`
 	// Programs counts clocked programs measured; StrictlyFewer counts
 	// those where clock-aware < clock-blind.
 	Programs      int               `json:"programs"`
@@ -86,10 +83,8 @@ func RunClockedBench(n, reps int) (ClockedBench, error) {
 		reps = 1
 	}
 	bench := ClockedBench{
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		Reps:   reps,
+		Host: CurrentHost(),
+		Reps: reps,
 	}
 
 	phased, err := parser.Parse(phasedSource)
@@ -218,8 +213,7 @@ func FormatClockedBench(bench ClockedBench) string {
 	tw.flush()
 	fmt.Fprintf(&b, "clock-aware strictly fewer pairs on %d/%d clocked programs\n",
 		bench.StrictlyFewer, bench.Programs)
-	fmt.Fprintf(&b, "(%s %s/%s, best of %d reps; pairs are unordered main-M counts)\n",
-		bench.Go, bench.GOOS, bench.GOARCH, bench.Reps)
+	fmt.Fprintf(&b, "(%s, best of %d reps; pairs are unordered main-M counts)\n", bench.Host.Describe(), bench.Reps)
 	return b.String()
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -58,11 +57,9 @@ type GofrontRow struct {
 
 // GofrontBench is the full sweep plus environment.
 type GofrontBench struct {
-	Go     string       `json:"go"`
-	GOOS   string       `json:"goos"`
-	GOARCH string       `json:"goarch"`
-	Seeds  int          `json:"seeds"`
-	Rows   []GofrontRow `json:"rows"`
+	Host
+	Seeds int          `json:"seeds"`
+	Rows  []GofrontRow `json:"rows"`
 }
 
 // RunGofrontBench sweeps every .go file under dir through the Go
@@ -74,10 +71,8 @@ func RunGofrontBench(dir string, seeds int) (GofrontBench, error) {
 		seeds = 1
 	}
 	bench := GofrontBench{
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		Seeds:  seeds,
+		Host:  CurrentHost(),
+		Seeds: seeds,
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -174,8 +169,8 @@ func FormatGofrontBench(bench GofrontBench) string {
 			fmt.Sprint(r.ObservedPairs))
 	}
 	tw.flush()
-	fmt.Fprintf(&b, "(%s %s/%s; pairs are unordered main-M counts; observed ⊆ CS checked over %d runtime seeds)\n",
-		bench.Go, bench.GOOS, bench.GOARCH, bench.Seeds)
+	fmt.Fprintf(&b, "(%s; pairs are unordered main-M counts; observed ⊆ CS checked over %d runtime seeds)\n",
+		bench.Host.Describe(), bench.Seeds)
 	return b.String()
 }
 

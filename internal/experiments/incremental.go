@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -55,14 +54,10 @@ type IncrementalRow struct {
 
 // IncrementalBench is the full sweep plus the environment it ran in.
 type IncrementalBench struct {
-	Go         string           `json:"go"`
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
-	NumCPU     int              `json:"num_cpu"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Strategy   string           `json:"strategy"`
-	Reps       int              `json:"reps"`
-	Rows       []IncrementalRow `json:"rows"`
+	Host
+	Strategy string           `json:"strategy"`
+	Reps     int              `json:"reps"`
+	Rows     []IncrementalRow `json:"rows"`
 }
 
 // RunIncremental sweeps every corpus benchmark (context-sensitive, as
@@ -74,12 +69,8 @@ func RunIncremental(reps int, strategy string) (IncrementalBench, error) {
 		reps = 1
 	}
 	bench := IncrementalBench{
-		Go:         runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Reps:       reps,
+		Host: CurrentHost(),
+		Reps: reps,
 	}
 	e, err := engine.New(engine.Config{Strategy: strategy, CacheSize: -1})
 	if err != nil {
@@ -224,8 +215,8 @@ func FormatIncremental(bench IncrementalBench) string {
 			fmt.Sprint(r.Identical))
 	}
 	tw.flush()
-	fmt.Fprintf(&b, "(%s %s/%s, %d CPUs, GOMAXPROCS %d, strategy %s, best of %d reps; one op = re-analysis after appending a skip to one method)\n",
-		bench.Go, bench.GOOS, bench.GOARCH, bench.NumCPU, bench.GOMAXPROCS, bench.Strategy, bench.Reps)
+	fmt.Fprintf(&b, "(%s, strategy %s, best of %d reps; one op = re-analysis after appending a skip to one method)\n",
+		bench.Host.Describe(), bench.Strategy, bench.Reps)
 	return b.String()
 }
 

@@ -50,7 +50,8 @@ func TestMeasureIncremental(t *testing.T) {
 // TestWriteIncrementalJSON round-trips the JSON artifact.
 func TestWriteIncrementalJSON(t *testing.T) {
 	bench := IncrementalBench{
-		Go: "go-test", GOOS: "linux", GOARCH: "amd64", Strategy: "phased", Reps: 1,
+		Host:     Host{Go: "go-test", GOOS: "linux", GOARCH: "amd64"},
+		Strategy: "phased", Reps: 1,
 		Rows: []IncrementalRow{{Benchmark: "x", Methods: 3, Edits: 3, Identical: true}},
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")

@@ -44,13 +44,9 @@ type SolverBenchRow struct {
 
 // SolverBench is the full sweep plus the environment it ran in.
 type SolverBench struct {
-	Go         string           `json:"go"`
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
-	NumCPU     int              `json:"num_cpu"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Reps       int              `json:"reps"`
-	Rows       []SolverBenchRow `json:"rows"`
+	Host
+	Reps int              `json:"reps"`
+	Rows []SolverBenchRow `json:"rows"`
 }
 
 // RunSolverBench measures every strategy on every benchmark
@@ -62,12 +58,8 @@ func RunSolverBench(reps int) (SolverBench, error) {
 		reps = 1
 	}
 	bench := SolverBench{
-		Go:         runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Reps:       reps,
+		Host: CurrentHost(),
+		Reps: reps,
 	}
 	for _, wl := range workloads.All() {
 		sys := constraints.Generate(labels.Compute(wl.Program()), constraints.ContextSensitive)
@@ -142,8 +134,7 @@ func FormatSolverBench(bench SolverBench) string {
 			fmt.Sprint(r.BytesPerOp))
 	}
 	tw.flush()
-	fmt.Fprintf(&b, "(%s %s/%s, %d CPUs, GOMAXPROCS %d, best of %d reps; evals for topo, passes for phased)\n",
-		bench.Go, bench.GOOS, bench.GOARCH, bench.NumCPU, bench.GOMAXPROCS, bench.Reps)
+	fmt.Fprintf(&b, "(%s, best of %d reps; evals for topo, passes for phased)\n", bench.Host.Describe(), bench.Reps)
 	return b.String()
 }
 

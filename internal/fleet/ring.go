@@ -7,6 +7,10 @@
 // ANY replica can serve ANY request correctly, so failover never
 // changes a response byte. See DESIGN.md §11 for the routing
 // invariants.
+//
+// No command in this module uses the package: fx10d only serves. It
+// remains as the bench/ module's probe of one proxy hop's cost
+// (fleet.proxy_p50_us) and goes when that metric does.
 package fleet
 
 import (

@@ -56,6 +56,14 @@ var keywords = map[string]bool{
 	"clocked": true, "next": true, "advance": true,
 }
 
+// punct maps each single-byte punctuation token to its kind; tokEOF
+// marks every other byte.
+var punct = [256]tokKind{
+	'{': tokLBrace, '}': tokRBrace, '(': tokLParen, ')': tokRParen,
+	'[': tokLBrack, ']': tokRBrack, ';': tokSemi, ':': tokColon,
+	'=': tokAssign, '+': tokPlus,
+}
+
 // token is one lexical token with its source position.
 type token struct {
 	kind tokKind
@@ -191,14 +199,10 @@ func (lx *lexer) next() (token, error) {
 		}
 		return token{kind: tokInt, text: lx.src[start:lx.pos], line: line, col: col}, nil
 	}
+	start := lx.pos
 	lx.advance()
-	single := map[byte]tokKind{
-		'{': tokLBrace, '}': tokRBrace, '(': tokLParen, ')': tokRParen,
-		'[': tokLBrack, ']': tokRBrack, ';': tokSemi, ':': tokColon,
-		'=': tokAssign, '+': tokPlus,
-	}
-	if k, ok := single[c]; ok {
-		return token{kind: k, text: string(c), line: line, col: col}, nil
+	if k := punct[c]; k != tokEOF {
+		return token{kind: k, text: lx.src[start:lx.pos], line: line, col: col}, nil
 	}
 	if c == '!' {
 		if lx.peekByte() == '=' {

@@ -3,6 +3,7 @@ package server
 import (
 	"expvar"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"runtime"
 	"strings"
@@ -114,29 +115,32 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 
 // Histogram is a fixed-bucket latency histogram implementing
 // expvar.Var. Buckets are powers of two in microseconds (1µs …
-// ~137s), wide enough for a cache-hit query and a cold mg solve
+// ~134s), wide enough for a cache-hit query and a cold mg solve
 // alike. All mutation is atomic; String renders counts plus
-// interpolated p50/p95/p99 — the live view the daemon's /metrics
-// serves, while loadgen computes exact client-side quantiles from raw
-// samples.
+// interpolated p50/p95/p99, the live view the daemon's /metrics
+// serves. Exact quantiles need raw samples, which a client-side
+// load generator such as bench/ keeps.
 type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
 	sumNs   atomic.Uint64
 }
 
-const histBuckets = 28 // bucket i covers (2^(i-1), 2^i] microseconds
+// histBuckets is the bucket count: bucket 0 covers [0, 1] µs and
+// bucket b > 0 covers (2^(b-1), 2^b] µs.
+const histBuckets = 28
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// Observe records one duration.
+// Observe records one duration in the bucket whose bounds contain
+// it: a duration of u µs, rounded up to whole microseconds, goes to
+// bucket ⌈log₂ u⌉.
 func (h *Histogram) Observe(d time.Duration) {
-	us := d.Microseconds()
 	b := 0
-	for us > 1 && b < histBuckets-1 {
-		us >>= 1
-		b++
+	if ns := d.Nanoseconds(); ns > 0 {
+		us := (uint64(ns) + 999) / 1000
+		b = min(bits.Len64(us-1), histBuckets-1)
 	}
 	h.buckets[b].Add(1)
 	h.count.Add(1)

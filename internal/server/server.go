@@ -170,8 +170,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics exposes the registry (for publishing under /debug/vars).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Engine exposes the underlying engine (loadgen's selfserve mode and
-// tests compare against direct engine calls).
+// Engine exposes the underlying engine (the bench/ module reads its
+// cache statistics, and tests compare against direct engine calls).
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Drain flips the server into draining mode: /healthz reports
