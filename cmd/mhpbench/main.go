@@ -13,7 +13,8 @@
 // one authoritative list is the figures slice below, which also
 // generates the flag's help text and the unknown-figure error, so
 // this comment does not enumerate it. Highlights: the solver figure
-// races the solving strategies on the 13-benchmark corpus;
+// races the solving strategies on the 13-benchmark corpus and the
+// huge tier;
 // the incremental figure sweeps single-method edits and compares
 // incremental re-analysis (engine.AnalyzeDelta) against solving from
 // scratch; the clocked figure compares clock-blind and clock-aware
@@ -185,7 +186,7 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 		fmt.Print(experiments.FormatScaling(rows))
 	}
 	if want["solver"] {
-		section("Solver strategies: 13 benchmarks × 2 strategies")
+		section("Solver strategies: 13 benchmarks + huge tier × 2 strategies")
 		bench, err := experiments.RunSolverBench(3)
 		if err != nil {
 			return err

@@ -10,14 +10,22 @@ import (
 
 	"fx10/internal/constraints"
 	"fx10/internal/labels"
+	"fx10/internal/progen"
+	"fx10/internal/syntax"
 	"fx10/internal/workloads"
 )
 
 // The solver bench is the head-to-head comparison of the solving
-// strategies on the paper's 13-benchmark corpus: same generated
-// constraint system, two ways to reach the unique least solution.
-// It backs the README's performance table and is written as
-// BENCH_solver.json so perf regressions are diffable across commits.
+// strategies on the paper's 13-benchmark corpus plus two huge-tier
+// programs (the 3000-label size the daemon benchmark serves, and
+// 10,000 labels): same generated constraint system, two ways to reach
+// the unique least solution. It backs the README's performance table
+// and is written as BENCH_solver.json so perf regressions are
+// diffable across commits.
+
+// SolverBenchHuge lists the huge-tier label counts the bench adds
+// after the paper corpus, as rows named "huge<labels>".
+var SolverBenchHuge = []int{3000, 10000}
 
 // SolverBenchStrategies are the algorithms the bench sweeps, in
 // presentation order: the reference first, the served default last.
@@ -40,6 +48,9 @@ type SolverBenchRow struct {
 	// loop).
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
+	// FootprintBytes is Solution.FootprintBytes: the memory retained
+	// by the solved valuation (the space column of Figure 8).
+	FootprintBytes int `json:"footprint_bytes"`
 }
 
 // SolverBench is the full sweep plus the environment it ran in.
@@ -49,10 +60,10 @@ type SolverBench struct {
 	Rows []SolverBenchRow `json:"rows"`
 }
 
-// RunSolverBench measures every strategy on every benchmark
-// (context-sensitive, as in Figure 8). Each (benchmark, strategy) cell
-// is timed reps times over an adaptively sized inner loop and the
-// fastest rep wins, go-test style.
+// RunSolverBench measures every strategy on every benchmark and on
+// the huge tier (context-sensitive, as in Figure 8). Each (benchmark,
+// strategy) cell is timed reps times over an adaptively sized inner
+// loop and the fastest rep wins, go-test style.
 func RunSolverBench(reps int) (SolverBench, error) {
 	if reps < 1 {
 		reps = 1
@@ -61,11 +72,17 @@ func RunSolverBench(reps int) (SolverBench, error) {
 		Host: CurrentHost(),
 		Reps: reps,
 	}
-	for _, wl := range workloads.All() {
-		sys := constraints.Generate(labels.Compute(wl.Program()), constraints.ContextSensitive)
+	add := func(name string, p *syntax.Program) {
+		sys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
 		for _, alg := range SolverBenchStrategies {
-			bench.Rows = append(bench.Rows, measureSolver(wl.Name, alg, sys, reps))
+			bench.Rows = append(bench.Rows, measureSolver(name, alg, sys, reps))
 		}
+	}
+	for _, wl := range workloads.All() {
+		add(wl.Name, wl.Program())
+	}
+	for _, n := range SolverBenchHuge {
+		add(fmt.Sprintf("huge%d", n), progen.GenerateHuge(0, progen.Huge(n)))
 	}
 	return bench, nil
 }
@@ -75,10 +92,11 @@ func measureSolver(benchmark string, alg constraints.Algorithm, sys *constraints
 	// Warm-up solve; its (deterministic) counters fill the row.
 	warm := sys.Solve(alg)
 	row := SolverBenchRow{
-		Benchmark:   benchmark,
-		Strategy:    alg.String(),
-		Evaluations: warm.Evaluations,
-		Passes:      warm.IterL1 + warm.IterL2,
+		Benchmark:      benchmark,
+		Strategy:       alg.String(),
+		Evaluations:    warm.Evaluations,
+		Passes:         warm.IterL1 + warm.IterL2,
+		FootprintBytes: warm.FootprintBytes,
 	}
 
 	// Size the inner loop so each rep runs ≥ ~2ms: single solves on
@@ -124,14 +142,15 @@ func measureSolver(benchmark string, alg constraints.Algorithm, sys *constraints
 // per (benchmark, strategy).
 func FormatSolverBench(bench SolverBench) string {
 	var b strings.Builder
-	tw := newTable(&b, "benchmark", "strategy", "ns/op", "evals", "passes", "allocs/op", "B/op")
+	tw := newTable(&b, "benchmark", "strategy", "ns/op", "evals", "passes", "allocs/op", "B/op", "footprint B")
 	for _, r := range bench.Rows {
 		tw.row(r.Benchmark, r.Strategy,
 			fmt.Sprint(r.NsPerOp),
 			fmt.Sprint(r.Evaluations),
 			fmt.Sprint(r.Passes),
 			fmt.Sprint(r.AllocsPerOp),
-			fmt.Sprint(r.BytesPerOp))
+			fmt.Sprint(r.BytesPerOp),
+			fmt.Sprint(r.FootprintBytes))
 	}
 	tw.flush()
 	fmt.Fprintf(&b, "(%s, best of %d reps; evals for topo, passes for phased)\n", bench.Host.Describe(), bench.Reps)

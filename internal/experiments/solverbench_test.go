@@ -21,7 +21,7 @@ func TestRunSolverBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(bench.Rows), 13*len(SolverBenchStrategies); got != want {
+	if got, want := len(bench.Rows), (13+len(SolverBenchHuge))*len(SolverBenchStrategies); got != want {
 		t.Fatalf("got %d rows, want %d", got, want)
 	}
 	evals := map[[2]string]int64{}
