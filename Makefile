@@ -1,12 +1,16 @@
 # Development targets. `make verify` is the gate every change must
-# pass: it includes the race detector because the analysis engine's
-# corpus worker pool must be race-clean.
+# pass: it checks formatting and includes the race detector because
+# the analysis engine's corpus worker pool must be race-clean.
 
 GO ?= go
 
-.PHONY: verify build vet test race bench benchsmoke profile figures solverbench incrementalbench clockedbench serversmoke fuzz fuzz-smoke clocked-smoke gofrontbench gofront-smoke benchcheck
+.PHONY: verify fmt build vet test race bench benchsmoke profile figures solverbench incrementalbench clockedbench serversmoke fuzz fuzz-smoke clocked-smoke gofrontbench gofront-smoke benchcheck
 
-verify: build vet race
+verify: fmt build vet race
+
+# fmt fails when any tracked Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 build:
 	$(GO) build ./...

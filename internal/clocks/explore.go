@@ -57,7 +57,7 @@ type cfin struct {
 // cpar is T1 ∥ T2 (L is the spawned activity, R the spawner).
 type cpar struct{ L, R ctree }
 
-func (cdone) isCtree() {}
+func (cdone) isCtree()  {}
 func (*cleaf) isCtree() {}
 func (*cfin) isCtree()  {}
 func (*cpar) isCtree()  {}

@@ -119,6 +119,46 @@ func TestSolveDeltaEquivalence(t *testing.T) {
 	}
 }
 
+// TestSolveDeltaLeavesSeedIntact: pair bags are shared, across the
+// variables of a copy-elided chain and across Solutions by delta
+// seeding, so no solve may write into a bag another Solution can see.
+// Along a chain of edits, each solution a SolveDelta was seeded from
+// must still equal a fresh solve of its own program afterwards.
+func TestSolveDeltaLeavesSeedIntact(t *testing.T) {
+	progs := []*syntax.Program{}
+	for seed := int64(0); seed < 20; seed++ {
+		progs = append(progs, progen.Generate(seed, progen.Default()))
+	}
+	for _, name := range []string{"mg", "plasma"} {
+		wl, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, wl.Program())
+	}
+	for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
+		for pi, p := range progs {
+			sys := deltaSys(p, mode)
+			sol := sys.Solve(Topo)
+			for mi := 0; mi < len(p.Methods) && mi < 8; mi++ {
+				edited := progen.AppendSkip(p, mi)
+				if mi%2 == 1 {
+					edited = progen.MutateMethod(p, mi, int64(pi*31+mi))
+				}
+				esys := deltaSys(edited, mode)
+				next, _ := esys.SolveDelta(sol, dirtyByHash(p, edited))
+				if !sol.ValuationEqual(sys.Solve(Phased)) {
+					t.Fatalf("%v program %d: a delta solve for an edit of method %d changed its seed solution", mode, pi, mi)
+				}
+				p, sys, sol = edited, esys, next
+			}
+			if !sol.ValuationEqual(sys.Solve(Phased)) {
+				t.Fatalf("%v program %d: last delta solution of the chain differs from phased", mode, pi)
+			}
+		}
+	}
+}
+
 // TestSolveDeltaStrictSubset: editing a leaf method of a fan-out
 // program must not re-solve untouched siblings (context-sensitively
 // the closure is the edited method plus its transitive callers).

@@ -220,7 +220,8 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 	// variables are left to the topo pass, which allocates them.
 	// Identity methods (identVals) reuse the value verbatim:
 	// word-copied sets and aliased pair bags, safe because topo never
-	// mutates a kept value. The rest translate through the label
+	// mutates a kept value and no bag is mutated once stored
+	// (pairbag.go). The rest translate through the label
 	// remap. A previous value containing a label the remap does not
 	// cover means influence from outside the reused region, so
 	// everything is re-solved (it cannot legitimately happen for the
@@ -262,11 +263,11 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 			}
 		}
 		for k, v := range s.PairVarsOf(mi) {
-			dst := make(pairBag, len(prev.pairVals[prevPair[k]]))
-			if !remapBagInto(dst, prev.pairVals[prevPair[k]], remap) {
+			bag, ok := remapBag(prev.pairVals[prevPair[k]], remap)
+			if !ok {
 				return s.fullFallback(ctx)
 			}
-			sol.pairVals[v] = dst
+			sol.pairVals[v] = bag
 		}
 	}
 
@@ -275,10 +276,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 
 	sol.Duration = time.Since(start)
 	sol.AllocBytes = HeapAllocBytes() - alloc0
-	sol.FootprintBytes += len(sol.setVals) * ((n+63)/64*8 + 24)
-	for _, b := range sol.pairVals {
-		sol.FootprintBytes += b.footprintBytes()
-	}
+	sol.footprint()
 
 	info := DeltaInfo{ConstraintsReevaluated: sol.Evaluations}
 	for mi := range p.Methods {
@@ -478,17 +476,4 @@ func remapSetInto(dst *intset.Set, src *intset.Set, remap []int) bool {
 		dst.Add(ne)
 	})
 	return ok
-}
-
-// remapBagInto translates every pair of src through remap into dst,
-// reporting false if any coordinate is unmapped.
-func remapBagInto(dst pairBag, src pairBag, remap []int) bool {
-	for k := range src {
-		i, j := remap[int(k>>32)], remap[int(uint32(k))]
-		if i < 0 || j < 0 {
-			return false
-		}
-		dst[pairKey(i, j)] = struct{}{}
-	}
-	return true
 }

@@ -353,7 +353,7 @@ func (s *System) l1SingleInflow(m int32, cid int32, comp []int32, lhsL1 []int32,
 // solveTopoL2 computes the level-2 least solution by SCC condensation.
 // Level-1 is final, so every cross term is a constant; the graph is
 // over pair variables only. Pair values are sparse bags, and here the
-// aliasing is kept (bags are never handed out by reference — PairValue
+// aliasing is kept (bags are immutable once stored, and PairValue
 // densifies a copy), so a copy-elided chain of m variables shares one
 // bag instead of duplicating it per variable. keep is the per-method
 // keep mask described at the top of the file.
@@ -432,19 +432,7 @@ func (s *System) l2Graph() (lhsL2 []int32, g graphCSR) {
 // the (final) bags of its predecessor components.
 func (sol *Solution) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, bags []pairBag) pairBag {
 	s := sol.sys
-	// Pre-size the bag to the sum of its inflows so the map grows
-	// once instead of rehashing per union.
-	hint := 0
-	for _, m := range ms {
-		if ci := lhsL2[m]; ci >= 0 {
-			for _, v := range s.L2s[ci].Pairs {
-				if comp[v] != cid {
-					hint += len(bags[comp[v]])
-				}
-			}
-		}
-	}
-	bag := make(pairBag, hint)
+	var bag pairBag
 	for _, m := range ms {
 		ci := lhsL2[m]
 		if ci < 0 {

@@ -1,5 +1,7 @@
 package constraints
 
+import "slices"
+
 // Valuation comparison: Theorems 5–6 say every solving strategy
 // reaches the same least solution, and internal/engine's
 // cross-strategy equivalence test checks that claim executably. The
@@ -23,7 +25,7 @@ func (sol *Solution) ValuationEqual(other *Solution) bool {
 		}
 	}
 	for i, b := range sol.pairVals {
-		if !b.equal(other.pairVals[i]) {
+		if !slices.Equal(b, other.pairVals[i]) {
 			return false
 		}
 	}

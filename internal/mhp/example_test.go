@@ -6,8 +6,8 @@ import (
 
 	"fx10/internal/clocks"
 	"fx10/internal/condensed"
-	"fx10/internal/frontend"
 	"fx10/internal/constraints"
+	"fx10/internal/frontend"
 	"fx10/internal/mhp"
 	"fx10/internal/parser"
 	"fx10/internal/syntax"

@@ -208,10 +208,9 @@ func TestCheckFalsePositivesCleanProgram(t *testing.T) {
 	}
 }
 
-func TestCheckFalsePositivesDeadLoop(t *testing.T) {
-	// The paper's Section 8 pattern: a never-executed loop makes the
-	// analysis report a pair that never happens.
-	p := parser.MustParse(`
+// deadLoopSrc is the paper's Section 8 pattern: a never-executed loop
+// makes the analysis report a pair that never happens.
+const deadLoopSrc = `
 array 2;
 void main() {
   W: while (a[0] != 0) {
@@ -219,7 +218,10 @@ void main() {
   }
   B2: async { S2: skip; }
 }
-`)
+`
+
+func TestCheckFalsePositivesDeadLoop(t *testing.T) {
+	p := parser.MustParse(deadLoopSrc)
 	r := MustAnalyze(p, constraints.ContextSensitive)
 	rep := r.CheckFalsePositives(nil, 1_000_000)
 	if !rep.Complete || !rep.SoundnessHolds {
@@ -355,12 +357,9 @@ func TestAnalyzeDelta(t *testing.T) {
 	}
 }
 
-// TestCheckFalsePositivesClocked: on a clocked program the exact
-// relation comes from the barrier-aware explorer, so the phase-pruned
-// analysis must still be sound — the erased explorer would have
-// flagged every pruned pair as a soundness violation.
-func TestCheckFalsePositivesClocked(t *testing.T) {
-	p := parser.MustParse(`
+// clockedPhasesSrc has two clocked asyncs whose cross-phase accesses
+// the barrier orders.
+const clockedPhasesSrc = `
 array 8;
 void main() {
   L: clocked async {
@@ -376,7 +375,14 @@ void main() {
   N: next;
   D: a[4] = a[2] + 1;
 }
-`)
+`
+
+// TestCheckFalsePositivesClocked: on a clocked program the exact
+// relation comes from the barrier-aware explorer, so the phase-pruned
+// analysis must still be sound — the erased explorer would have
+// flagged every pruned pair as a soundness violation.
+func TestCheckFalsePositivesClocked(t *testing.T) {
+	p := parser.MustParse(clockedPhasesSrc)
 	r := MustAnalyze(p, constraints.ContextSensitive)
 	rep := r.CheckFalsePositives(nil, 1_000_000)
 	if !rep.Complete {

@@ -17,7 +17,10 @@
 // pretty-printer whose output re-parses with internal/parser.
 package syntax
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Label identifies an instruction within a Program. Labels are dense:
 // valid labels of a program p are 0 … p.NumLabels()-1.
@@ -282,6 +285,11 @@ type Program struct {
 	// hash.go). Programs are immutable once validated, so the lazy
 	// computation is safe under concurrent readers.
 	hashes hashMemo
+
+	// labelIndex memoizes LabelByName's name → label table the same
+	// way.
+	labelOnce  sync.Once
+	labelIndex map[string]Label
 }
 
 // NumLabels returns the number of labels in the program.
@@ -305,14 +313,21 @@ func (p *Program) LabelName(l Label) string {
 	return p.Labels[l].Name
 }
 
-// LabelByName returns the label with the given display name, if any.
+// LabelByName returns the label with the given display name, if any
+// (the first such label; Validate rejects duplicate names). The name
+// table is built on first use.
 func (p *Program) LabelByName(name string) (Label, bool) {
-	for l := range p.Labels {
-		if p.Labels[l].Name == name {
-			return Label(l), true
+	p.labelOnce.Do(func() {
+		p.labelIndex = make(map[string]Label, len(p.Labels))
+		for l := len(p.Labels) - 1; l >= 0; l-- {
+			p.labelIndex[p.Labels[l].Name] = Label(l)
 		}
+	})
+	l, ok := p.labelIndex[name]
+	if !ok {
+		return NoLabel, false
 	}
-	return NoLabel, false
+	return l, true
 }
 
 // AsyncLabels returns the labels of all async instructions, in label

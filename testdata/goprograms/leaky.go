@@ -5,7 +5,7 @@ package main
 
 import "sync"
 
-func tracked() {}
+func tracked()   {}
 func untracked() {}
 
 func main() {

@@ -4,7 +4,7 @@ package main
 
 import "sync"
 
-func log() {}
+func log()     {}
 func compute() {}
 
 func main() {
