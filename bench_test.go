@@ -1,7 +1,11 @@
 package fx10_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"fx10/internal/constraints"
@@ -16,6 +20,7 @@ import (
 	"fx10/internal/parser"
 	"fx10/internal/progen"
 	"fx10/internal/runtime"
+	"fx10/internal/server"
 	"fx10/internal/syntax"
 	"fx10/internal/types"
 	"fx10/internal/workloads"
@@ -353,6 +358,64 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 				if !res.Stats.CacheHit {
 					b.Fatal("cache miss")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkServerQuery measures the daemon's two cache-served requests
+// on plasma, the largest paper program, through the server's handler
+// without a network: a /v1/query verdict read from the engine's
+// program cache, and a repeated /v1/analyze, a program-cache hit that
+// still builds and encodes the whole report. Together they are
+// hot-mixed's steady state.
+func BenchmarkServerQuery(b *testing.B) {
+	wl, err := workloads.Get("plasma")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := wl.Program()
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	post := func(b *testing.B, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	analyze, err := json.Marshal(server.AnalyzeRequest{Source: syntax.Print(p)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post(b, "/v1/analyze", analyze)
+	var resp server.AnalyzeResponse
+	if err := json.Unmarshal(post(b, "/v1/analyze", analyze).Body.Bytes(), &resp); err != nil {
+		b.Fatal(err)
+	}
+	if !resp.Cached {
+		b.Fatal("repeated analysis missed the program cache")
+	}
+	query, err := json.Marshal(server.QueryRequest{
+		ProgramHash: resp.ProgramHash,
+		A:           p.Labels[0].Name,
+		B:           p.Labels[len(p.Labels)-1].Name,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, req := range []struct {
+		name, path string
+		body       []byte
+	}{{"query", "/v1/query", query}, {"analyze", "/v1/analyze", analyze}} {
+		b.Run(req.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				post(b, req.path, req.body)
 			}
 		})
 	}

@@ -309,7 +309,6 @@ func cmdMHP(args []string) error {
 	showPairs := fs.Bool("pairs", true, "print the MHP label pairs")
 	showRaces := fs.Bool("races", false, "print race candidates")
 	withPlaces := fs.Bool("places", false, "apply the same-place refinement (Section 8 extension)")
-	withClocks := fs.Bool("clocks", false, "apply the clock-phase refinement (now built into solving for clocked programs; kept for compatibility, a re-application is a no-op)")
 	asJSON := fs.Bool("json", false, "emit a machine-readable JSON report (ignores the other output flags)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -339,9 +338,6 @@ func cmdMHP(args []string) error {
 	set := r.M
 	if *withPlaces {
 		set = places.Compute(p).Refine(set)
-	}
-	if *withClocks {
-		set = clocks.ComputePhases(p).Refine(set)
 	}
 
 	if *showPairs {

@@ -220,15 +220,6 @@ func TestCmdMHPClockAwareByDefault(t *testing.T) {
 	if !strings.Contains(full, "pruned") {
 		t.Fatalf("default analysis does not report pruned pairs:\n%s", full)
 	}
-	// -clocks is a compatibility no-op: the refinement already ran
-	// inside the solver, so re-applying it must change nothing.
-	refined, err := capture(t, func() error { return run([]string{"mhp", "-clocks", phased}) })
-	if err != nil {
-		t.Fatalf("mhp -clocks: %v", err)
-	}
-	if refined != full {
-		t.Fatalf("-clocks changed clock-aware output:\nwithout:\n%s\nwith:\n%s", full, refined)
-	}
 }
 
 func TestCmdMHPJSON(t *testing.T) {

@@ -29,3 +29,18 @@ func TestRunServeRejectsPositionalArgs(t *testing.T) {
 		}
 	}
 }
+
+// A negative -cache would disable the program cache, which /v1/query
+// reads, so it is a usage error reported before anything listens.
+func TestRunServeRejectsNegativeCache(t *testing.T) {
+	errc := make(chan error, 1)
+	go func() { errc <- runServe([]string{"-addr", "127.0.0.1:0", "-cache", "-1"}) }()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "-cache -1") {
+			t.Errorf("runServe(-cache -1) = %v, want an error naming -cache -1", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("runServe(-cache -1) started serving instead of rejecting the size")
+	}
+}

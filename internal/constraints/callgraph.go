@@ -45,9 +45,6 @@ func NewCallGraph(p *syntax.Program) *CallGraph {
 	return g
 }
 
-// NumMethods returns the number of methods the graph covers.
-func (g *CallGraph) NumMethods() int { return len(g.callees) }
-
 // Callees returns the methods mi calls (shared slice; do not mutate).
 func (g *CallGraph) Callees(mi MethodID) []MethodID { return g.callees[mi] }
 
@@ -74,39 +71,6 @@ func (g *CallGraph) CallerClosure(dirty []MethodID) []bool {
 		mi := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, c := range g.callers[mi] {
-			if !mark[c] {
-				mark[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return mark
-}
-
-// ComponentClosure marks the weakly connected component of every
-// dirty method: the closure under both caller and callee edges. This
-// is the context-insensitive invalidation set — rᵢ variables flow
-// caller→callee while oᵢ/mᵢ flow callee→caller, so influence
-// propagates along edges in both directions.
-func (g *CallGraph) ComponentClosure(dirty []MethodID) []bool {
-	mark := make([]bool, len(g.callees))
-	var stack []MethodID
-	for _, mi := range dirty {
-		if mi >= 0 && mi < len(mark) && !mark[mi] {
-			mark[mi] = true
-			stack = append(stack, mi)
-		}
-	}
-	for len(stack) > 0 {
-		mi := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range g.callers[mi] {
-			if !mark[c] {
-				mark[c] = true
-				stack = append(stack, c)
-			}
-		}
-		for _, c := range g.callees[mi] {
 			if !mark[c] {
 				mark[c] = true
 				stack = append(stack, c)

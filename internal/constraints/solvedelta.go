@@ -315,8 +315,10 @@ func dirtyList(isDirty []bool) []MethodID {
 }
 
 // componentClosureWithPrev computes the context-insensitive closure:
-// the weakly connected components of the dirty methods over the
-// union of the new call graph and the previous one (prev methods
+// the weakly connected components of the dirty methods (rᵢ variables
+// flow caller→callee while oᵢ/mᵢ flow callee→caller, so influence
+// propagates along call edges in both directions) over the union of
+// the new call graph and the previous one (prev methods
 // identified with new ones by name; prev methods with no same-named
 // survivor count as dirty, since whatever context they contributed is
 // gone). Returned marks are over the new program's methods.

@@ -136,6 +136,5 @@ func (s *Server) solveOne(ctx context.Context, key flightKey, p *syntax.Program,
 	if err != nil {
 		return nil, joined, s.solveError(err)
 	}
-	s.index.put(key, &indexed{program: res.Program, m: res.M})
 	return res, joined, nil
 }

@@ -617,7 +617,7 @@ func TestHammer(t *testing.T) {
 		refs[i] = r
 	}
 
-	// Warm the query index: a client may query a program before any
+	// Warm the program cache: a client may query a program before any
 	// other client has analyzed it otherwise.
 	for _, r := range refs {
 		status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/analyze", AnalyzeRequest{Source: r.src})

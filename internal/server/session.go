@@ -6,8 +6,6 @@ import (
 
 	"fx10/internal/constraints"
 	"fx10/internal/engine"
-	"fx10/internal/intset"
-	"fx10/internal/syntax"
 )
 
 // Delta sessions: /v1/delta is an editor-shaped protocol. A session
@@ -25,8 +23,10 @@ type session struct {
 	mode constraints.Mode
 	lang string // canonical front-end name ("fx10", "x10", "go")
 	// base is the last served result, nil until the first analyze
-	// completes. It is shared read-only with flight joiners, the
-	// program cache and the query index, so keeping it costs no copy.
+	// completes. Its program, solution and M are the program cache's,
+	// shared read-only, so keeping it costs no copy. It outlives the
+	// cache entry when the cache evicts the program: the session can
+	// still edit it, while /v1/query answers 404 for it.
 	base *engine.Result
 }
 
@@ -63,30 +63,27 @@ func newSessionStore(capacity int) *sessionStore {
 // solved for its configuration's lowered program, so serving it to a
 // request of another configuration would mix two different analyses
 // (a delta against a base lowered by another front end is undefined).
-// created reports a fresh session; evicted is the number of sessions
-// dropped to make room. The checks happen under the store lock, so a
-// caller never observes a session whose configuration it did not
-// agree to.
-func (st *sessionStore) get(id string, mode constraints.Mode, lang string) (s *session, created bool, evicted int, ok bool) {
+// The checks happen under the store lock, so a caller never observes
+// a session whose configuration it did not agree to.
+func (st *sessionStore) get(id string, mode constraints.Mode, lang string) (*session, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e, exists := st.m[id]; exists {
-		s = e.Value.(sessionEntry).s
+		s := e.Value.(sessionEntry).s
 		if s.mode != mode || s.lang != lang {
-			return nil, false, 0, false
+			return nil, false
 		}
 		st.order.MoveToFront(e)
-		return s, false, 0, true
+		return s, true
 	}
-	s = &session{mode: mode, lang: lang}
+	s := &session{mode: mode, lang: lang}
 	st.m[id] = st.order.PushFront(sessionEntry{id: id, s: s})
 	for len(st.m) > st.cap {
 		oldest := st.order.Back()
 		st.order.Remove(oldest)
 		delete(st.m, oldest.Value.(sessionEntry).id)
-		evicted++
 	}
-	return s, true, evicted, true
+	return s, true
 }
 
 // len is the number of live sessions.
@@ -94,64 +91,4 @@ func (st *sessionStore) len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.m)
-}
-
-// queryIndex maps analyzed program hashes to the immutable data
-// /v1/query needs: the MHP pair set and the label-name table. Entries
-// are added by analyze and delta responses and the index is a bounded
-// LRU; /v1/query on an evicted (or never-seen) hash is a 404 telling
-// the client to analyze first.
-type queryIndex struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[flightKey]*list.Element
-	order *list.List // values are indexEntry
-}
-
-type indexEntry struct {
-	key flightKey
-	val *indexed
-}
-
-// indexed is one analyzed program, read-only after construction.
-type indexed struct {
-	program *syntax.Program
-	m       *intset.PairSet
-}
-
-func newQueryIndex(capacity int) *queryIndex {
-	if capacity < 1 {
-		capacity = 1 // see newSessionStore: cap 0 would evict on insert
-	}
-	return &queryIndex{
-		cap:   capacity,
-		m:     make(map[flightKey]*list.Element),
-		order: list.New(),
-	}
-}
-
-func (qi *queryIndex) put(key flightKey, val *indexed) {
-	qi.mu.Lock()
-	defer qi.mu.Unlock()
-	if e, ok := qi.m[key]; ok {
-		qi.order.MoveToFront(e)
-		return
-	}
-	qi.m[key] = qi.order.PushFront(indexEntry{key: key, val: val})
-	for len(qi.m) > qi.cap {
-		oldest := qi.order.Back()
-		qi.order.Remove(oldest)
-		delete(qi.m, oldest.Value.(indexEntry).key)
-	}
-}
-
-func (qi *queryIndex) get(key flightKey) (*indexed, bool) {
-	qi.mu.Lock()
-	defer qi.mu.Unlock()
-	e, ok := qi.m[key]
-	if !ok {
-		return nil, false
-	}
-	qi.order.MoveToFront(e)
-	return e.Value.(indexEntry).val, true
 }

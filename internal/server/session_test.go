@@ -81,12 +81,12 @@ func TestDeltaSessionSameModeReuses(t *testing.T) {
 func TestSessionStoreCapClamped(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
 		st := newSessionStore(capacity)
-		s1, created, _, ok := st.get("a", constraints.ContextSensitive, "fx10")
-		if !ok || !created || s1 == nil {
+		s1, ok := st.get("a", constraints.ContextSensitive, "fx10")
+		if !ok || s1 == nil {
 			t.Fatalf("cap %d: insert failed", capacity)
 		}
-		s2, created, _, ok := st.get("a", constraints.ContextSensitive, "fx10")
-		if !ok || created || s2 != s1 {
+		s2, ok := st.get("a", constraints.ContextSensitive, "fx10")
+		if !ok || s2 != s1 {
 			t.Fatalf("cap %d: just-inserted session evicted", capacity)
 		}
 		if st.len() != 1 {
@@ -95,22 +95,10 @@ func TestSessionStoreCapClamped(t *testing.T) {
 	}
 }
 
-// TestQueryIndexCapClamped: same clamp for the query index.
-func TestQueryIndexCapClamped(t *testing.T) {
-	for _, capacity := range []int{0, -1} {
-		qi := newQueryIndex(capacity)
-		key := flightKey{mode: constraints.ContextSensitive}
-		qi.put(key, &indexed{})
-		if _, ok := qi.get(key); !ok {
-			t.Fatalf("cap %d: just-inserted entry evicted", capacity)
-		}
-	}
-}
-
 // TestDeltaSessionBaseDropsEnv: a session base holds no Env, and its
-// M is the very pair set the query index holds for that program — one
-// shared E(main).M, not a copy — and the next delta still matches a
-// from-scratch analysis.
+// M is the very pair set the program cache holds for that program —
+// one shared E(main).M, not a copy — and the next delta still matches
+// a from-scratch analysis.
 func TestDeltaSessionBaseDropsEnv(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	p := mustWorkload(t, "stream").Program()
@@ -119,7 +107,7 @@ func TestDeltaSessionBaseDropsEnv(t *testing.T) {
 		t.Fatalf("first delta: status %d: %s", status, data)
 	}
 	for i := 0; i < 2; i++ {
-		sess, _, _, ok := s.sessions.get("lean", constraints.ContextSensitive, "fx10")
+		sess, ok := s.sessions.get("lean", constraints.ContextSensitive, "fx10")
 		if !ok {
 			t.Fatalf("step %d: session lost", i)
 		}
@@ -133,12 +121,12 @@ func TestDeltaSessionBaseDropsEnv(t *testing.T) {
 		if base.Env != nil {
 			t.Fatalf("step %d: session base keeps an Env", i)
 		}
-		entry, ok := s.index.get(flightKey{hash: p.Hash(), mode: constraints.ContextSensitive})
+		cached, ok := s.Engine().Cached(p.Hash(), constraints.ContextSensitive)
 		if !ok {
-			t.Fatalf("step %d: program not in the query index", i)
+			t.Fatalf("step %d: program not in the program cache", i)
 		}
-		if base.M == nil || base.M != entry.m {
-			t.Fatalf("step %d: session base M is not the indexed pair set", i)
+		if base.M == nil || base.M != cached.M {
+			t.Fatalf("step %d: session base M is not the cached pair set", i)
 		}
 		if base.Program == nil || base.Sys == nil || base.Sol == nil {
 			t.Fatalf("step %d: session base lost what AnalyzeDelta reads", i)
