@@ -39,8 +39,7 @@ func runServe(args []string) error {
 		workers    = fs.Int("workers", 0, "concurrent solves (0 = GOMAXPROCS)")
 		queue      = fs.Int("queue", 0, "admission queue depth (0 = 4×workers)")
 		cache      = fs.Int("cache", 0, "program cache entries, also the programs /v1/query answers for (0 = default, 1024; the cache also keeps at most 128 MiB)")
-		solveTO    = fs.Duration("solve-timeout", 30*time.Second, "per-solve ceiling")
-		reqTO      = fs.Duration("request-timeout", 10*time.Second, "per-request deadline")
+		reqTO      = fs.Duration("request-timeout", 10*time.Second, "per-request deadline, which also caps the request's solve")
 		drainGrace = fs.Duration("drain-grace", 15*time.Second, "max time to finish in-flight requests on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -61,7 +60,6 @@ func runServe(args []string) error {
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		CacheSize:      *cache,
-		SolveTimeout:   *solveTO,
 		RequestTimeout: *reqTO,
 	})
 	if err != nil {

@@ -20,8 +20,8 @@
 // fuzzed against exact and observed parallelism and scale-tested on
 // internal/progen's huge tier of generated programs. The engine also
 // serves as a long-lived HTTP/JSON daemon (cmd/fx10d):
-// admission-controlled solves, singleflight coalescing, batch corpus
-// submission under one admission slot (/v1/batch), editor delta
+// admission-controlled solves on each request's own context, batch
+// corpus submission under one admission slot (/v1/batch), editor delta
 // sessions, per-request language selection through the front-end
 // registry, and live metrics. Front
 // ends are held to the analysis's soundness bar by a cross-front-end

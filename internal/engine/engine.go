@@ -140,9 +140,9 @@ type Job struct {
 }
 
 // Result is one completed analysis. It is immutable once returned:
-// the Result a solve returns is the one the program cache stores and
-// coalesced requests share, and a cache hit is a copy that shares
-// everything but Stats — treat all of it as read-only.
+// the Result a solve returns is the one the program cache stores, and
+// a cache hit is a copy that shares everything but Stats — treat all
+// of it as read-only.
 type Result struct {
 	// Program, Info, Sys and Sol are the pipeline's intermediate
 	// products. Program is the one the maps of Sys are keyed by: on a

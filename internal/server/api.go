@@ -29,10 +29,8 @@ type AnalyzeResponse struct {
 	// equals report.programHash.
 	ProgramHash string `json:"programHash"`
 	// Cached is true when the engine served the solve from its
-	// program cache; Coalesced when this request joined another
-	// in-flight solve of the same program.
-	Cached    bool `json:"cached"`
-	Coalesced bool `json:"coalesced"`
+	// program cache.
+	Cached bool `json:"cached"`
 	// SolveMs is the engine's solve-stage wall time for the run that
 	// produced the result (zero on a cache hit).
 	SolveMs float64 `json:"solveMs"`
@@ -45,12 +43,11 @@ type AnalyzeResponse struct {
 // workspace scan) is one unit of work to the admission queue, not N
 // competing requests — so a 64-program batch cannot starve
 // interactive /v1/analyze traffic the way 64 parallel posts would.
-// Within the batch, content-identical programs are solved once, and
-// each program still coalesces with any concurrent solve of the same
-// (hash, mode) flight.
+// Within the batch, content-identical programs are solved once, and a
+// program already in the engine's program cache is a hit.
 type BatchRequest struct {
 	// Programs are analyzed in order; results come back in the same
-	// order. Bounded by Config.MaxBatchPrograms (default 64).
+	// order. At most 64 per request.
 	Programs []BatchProgram `json:"programs"`
 	// Mode applies to the whole batch: "cs" (default) or "ci".
 	Mode string `json:"mode,omitempty"`
@@ -162,8 +159,8 @@ type ErrorResponse struct {
 // ErrorDetail carries a machine-routable kind alongside the message.
 // Kinds: "parse" (bad FX10 source), "analysis" (the pipeline failed
 // on valid-looking input), "overloaded" (admission queue full; honour
-// Retry-After), "timeout" (deadline hit mid-solve), "bad_request",
-// "not_found", "draining".
+// Retry-After), "timeout" (deadline hit), "canceled" (the client went
+// away or the server closed), "bad_request", "not_found", "draining".
 type ErrorDetail struct {
 	Kind    string `json:"kind"`
 	Message string `json:"message"`

@@ -1,32 +1,30 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
-	"time"
 
-	"fx10/internal/constraints"
 	"fx10/internal/engine"
 	"fx10/internal/syntax"
 )
+
+// maxBatchPrograms bounds the programs accepted per /v1/batch request.
+const maxBatchPrograms = 64
 
 // handleBatch analyzes N programs under one admission slot.
 //
 // Shape of the work: parse everything first (parse failures fill
 // their result slots and never touch admission), dedup
 // content-identical programs within the batch, then — holding a
-// single worker slot — solve each distinct program through the same
-// flight mechanism /v1/analyze uses, so a batch member still
-// coalesces with concurrent interactive requests for the same
-// program. Solves run sequentially within the batch: the batch owns
-// one slot, so it gets one worker's worth of throughput, which is
-// exactly the starvation-resistance the endpoint exists for.
+// single worker slot — run each distinct program through the same
+// solve step /v1/analyze uses, on the batch request's context.
+// Solves run sequentially within the batch: the batch owns one slot,
+// so it gets one worker's worth of throughput, which is exactly the
+// starvation-resistance the endpoint exists for.
 //
 // Results are deterministic and input-ordered. Engine results are
 // deterministic per program, so a batch response is byte-stable for a
-// given corpus regardless of in-batch dedup or cross-request
-// coalescing.
+// given corpus regardless of in-batch dedup or program-cache hits.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if !s.readJSON(w, r, &req) {
@@ -41,9 +39,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "programs must be non-empty")
 		return
 	}
-	if len(req.Programs) > s.cfg.MaxBatchPrograms {
+	if len(req.Programs) > maxBatchPrograms {
 		s.writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch of %d programs exceeds the limit of %d", len(req.Programs), s.cfg.MaxBatchPrograms))
+			fmt.Sprintf("batch of %d programs exceeds the limit of %d", len(req.Programs), maxBatchPrograms))
 		return
 	}
 	if s.draining.Load() {
@@ -79,7 +77,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
 	release, herr := s.admit(ctx)
@@ -93,48 +91,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batchPrograms.Add(int64(len(req.Programs)))
 
 	// Solve phase, one admission slot for the whole loop. In-batch
-	// dedup: the first occurrence of a (hash, mode) solves; later
-	// occurrences reuse its result slot-for-slot.
+	// dedup: the first occurrence of a program solves; later
+	// occurrences reuse its result slot-for-slot. The mode is
+	// batch-wide, so the program hash alone is the key.
 	type outcome struct {
 		res  *engine.Result
 		herr *handlerError
 	}
-	done := make(map[flightKey]outcome)
+	done := make(map[syntax.ProgramHash]outcome)
 	for i, p := range parsed {
 		if p == nil {
 			continue // parse error already recorded
 		}
-		key := flightKey{hash: p.Hash(), mode: mode}
-		out, seen := done[key]
+		h := p.Hash()
+		out, seen := done[h]
 		if !seen {
-			res, _, herr := s.solveOne(ctx, key, p, mode, fmt.Sprintf("batch[%d]", i))
+			res, herr := s.solve(ctx, p, mode, fmt.Sprintf("batch[%d]", i))
 			out = outcome{res: res, herr: herr}
-			done[key] = out
+			done[h] = out
 		}
 		if out.herr != nil {
 			results[i].Error = &ErrorDetail{Kind: out.herr.kind, Message: out.herr.msg}
 			continue
 		}
-		resp := s.analyzeResponse(out.res, false)
+		resp := s.analyzeResponse(out.res)
 		results[i].Analysis = &resp
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
-}
-
-// solveOne runs one program through the flight mechanism, assuming
-// the caller already holds an admission slot.
-func (s *Server) solveOne(ctx context.Context, key flightKey, p *syntax.Program, mode constraints.Mode, what string) (*engine.Result, bool, *handlerError) {
-	res, err, joined := s.flights.do(ctx, key, func(fctx context.Context) (*engine.Result, error) {
-		t0 := time.Now()
-		r, err := s.eng.AnalyzeSafe(fctx, engine.Job{Name: what, Program: p, Mode: mode})
-		s.recordSolve(r, err, time.Since(t0))
-		return r, err
-	})
-	if joined {
-		s.metrics.coalesced.Add(1)
-	}
-	if err != nil {
-		return nil, joined, s.solveError(err)
-	}
-	return res, joined, nil
 }

@@ -126,18 +126,18 @@ func TestBatchDedupsIdenticalPrograms(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsOversizeAndEmpty: request-level validation.
+// TestBatchRejectsOversizeAndEmpty: request-level validation; a batch
+// of maxBatchPrograms+1 programs is refused whole.
 func TestBatchRejectsOversizeAndEmpty(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatchPrograms: 2})
+	_, ts := newTestServer(t, Config{})
 	status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/batch", BatchRequest{})
 	if status != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d: %s", status, data)
 	}
-	req := BatchRequest{Programs: []BatchProgram{
-		{Source: "void main() { skip; }"},
-		{Source: "void main() { skip; skip; }"},
-		{Source: "void main() { skip; skip; skip; }"},
-	}}
+	var req BatchRequest
+	for i := 0; i <= maxBatchPrograms; i++ {
+		req.Programs = append(req.Programs, BatchProgram{Source: "void main() { skip; }"})
+	}
 	status, data, _ = postJSON(t, ts.Client(), ts.URL+"/v1/batch", req)
 	if status != http.StatusBadRequest {
 		t.Fatalf("oversize batch: status %d: %s", status, data)

@@ -32,10 +32,9 @@ type Metrics struct {
 	inflight *expvar.Int // requests holding a worker slot
 	sessions *expvar.Int // live delta sessions
 
-	coalesced *expvar.Int // requests served by joining another's solve
-	solves    *expvar.Int // engine calls that ran the pipeline (cache hits excluded)
-	overload  *expvar.Int // requests rejected 429 at admission
-	canceled  *expvar.Int // requests abandoned by client or deadline
+	solves   *expvar.Int // engine calls that ran the pipeline (cache hits excluded)
+	overload *expvar.Int // requests rejected 429 at admission
+	canceled *expvar.Int // requests abandoned by client or deadline
 
 	batches       *expvar.Int // /v1/batch requests admitted
 	batchPrograms *expvar.Int // programs carried by those batches
@@ -54,7 +53,6 @@ func newMetrics(cacheStats func() engine.CacheStats, queueDepth func() int64) *M
 		responses:     new(expvar.Map).Init(),
 		inflight:      new(expvar.Int),
 		sessions:      new(expvar.Int),
-		coalesced:     new(expvar.Int),
 		solves:        new(expvar.Int),
 		overload:      new(expvar.Int),
 		canceled:      new(expvar.Int),
@@ -70,7 +68,6 @@ func newMetrics(cacheStats func() engine.CacheStats, queueDepth func() int64) *M
 	m.vars.Set("queueDepth", expvar.Func(func() any { return queueDepth() }))
 	m.vars.Set("inflight", m.inflight)
 	m.vars.Set("sessions", m.sessions)
-	m.vars.Set("coalesced", m.coalesced)
 	m.vars.Set("solves", m.solves)
 	m.vars.Set("overload", m.overload)
 	m.vars.Set("canceled", m.canceled)

@@ -7,9 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
-	"time"
 
 	"fx10/internal/constraints"
 	"fx10/internal/engine"
@@ -71,67 +69,17 @@ func checkQueryable(t *testing.T, ts *httptest.Server, p *syntax.Program, mode s
 }
 
 // TestQueryAnswersEveryAnalyzePath: a program is queryable right after
-// each way of analyzing it — /v1/analyze, a request coalesced into
-// another's solve, a /v1/batch slot and a /v1/delta edit — because
-// each leaves it in the engine's program cache, the store /v1/query
-// reads.
+// each way of analyzing it — /v1/analyze, a /v1/batch slot and a
+// /v1/delta edit — because each leaves it in the engine's program
+// cache, the store /v1/query reads.
 func TestQueryAnswersEveryAnalyzePath(t *testing.T) {
-	registerSlow(t)
-	s, ts := newTestServer(t, Config{Strategy: "testslow", Workers: 2})
+	_, ts := newTestServer(t, Config{})
 	prog := func(name string) *syntax.Program { return mustWorkload(t, name).Program() }
 
 	t.Run("analyze", func(t *testing.T) {
 		p := prog("series")
 		if status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/analyze", AnalyzeRequest{Source: syntax.Print(p)}); status != http.StatusOK {
 			t.Fatalf("analyze: status %d: %s", status, data)
-		}
-		checkQueryable(t, ts, p, "cs")
-	})
-
-	t.Run("coalesced", func(t *testing.T) {
-		p := prog("stream")
-		entered := make(chan struct{}, 1)
-		release := make(chan struct{})
-		setSlowHook(t, func() {
-			entered <- struct{}{}
-			<-release
-		})
-		var wg sync.WaitGroup
-		responses := make([]AnalyzeResponse, 2)
-		post := func(i int) {
-			defer wg.Done()
-			status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/analyze", AnalyzeRequest{Source: syntax.Print(p)})
-			if status != http.StatusOK {
-				t.Errorf("analyze %d: status %d: %s", i, status, data)
-				return
-			}
-			if err := json.Unmarshal(data, &responses[i]); err != nil {
-				t.Errorf("analyze %d: %v", i, err)
-			}
-		}
-		wg.Add(1)
-		go post(0)
-		select {
-		case <-entered:
-		case <-time.After(5 * time.Second):
-			close(release)
-			t.Fatal("the leader never reached the solver")
-		}
-		joined := s.metrics.coalesced.Value()
-		wg.Add(1)
-		go post(1)
-		for deadline := time.Now().Add(5 * time.Second); s.metrics.coalesced.Value() == joined; {
-			if time.Now().After(deadline) {
-				close(release)
-				t.Fatal("the second request never joined the flight")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		close(release)
-		wg.Wait()
-		setSlowHook(t, nil)
-		if !responses[1].Coalesced {
-			t.Fatal("the second request was not served by the first one's solve")
 		}
 		checkQueryable(t, ts, p, "cs")
 	})

@@ -4,19 +4,16 @@
 //
 // Request path:
 //
-//		admission → coalesce → solve → cache
+//		admission → solve → cache
 //
 //	  - admission: a bounded worker pool with an explicit wait queue;
 //	    a full queue is answered 429 + Retry-After immediately.
-//	  - coalesce: concurrent requests for the same (program hash, mode)
-//	    join one in-flight solve (flight.go); the solve is cancelled
-//	    only when every interested request has gone away. Duplicates of
-//	    an already-running solve join it before admission — they add no
-//	    work, so they never occupy a slot or queue position.
-//	  - solve: engine.AnalyzeSafe on a per-flight context — client
-//	    disconnects and deadlines cancel mid-fixpoint via the solver's
-//	    cancellation checkpoints, and panics on malformed programs are
-//	    contained per request.
+//	  - solve: engine.AnalyzeSafe on the request's own context, inside
+//	    the admission slot the request took — client disconnects,
+//	    deadlines and Close cancel mid-fixpoint via the solver's
+//	    cancellation checkpoints, the handler returns only once the
+//	    engine has, and panics on malformed programs are contained per
+//	    request.
 //	  - cache: the engine's program cache makes repeat analyses hits,
 //	    and it is the daemon's one record of an analyzed program:
 //	    /v1/query reads the cached E(main).M without admission or
@@ -68,20 +65,12 @@ type Config struct {
 	// negative disables both, for tests that need every request to
 	// solve.
 	CacheSize int
-	// SolveTimeout caps one engine solve regardless of waiters
-	// (default 30s).
-	SolveTimeout time.Duration
-	// RequestTimeout is the per-request deadline (default 10s); it
-	// cancels mid-solve through the flight mechanism when the request
-	// is the only one interested.
+	// RequestTimeout is the per-request deadline (default 10s). The
+	// request's analysis runs on a context that ends then, so it also
+	// caps the solve.
 	RequestTimeout time.Duration
 	// MaxSourceBytes bounds request bodies (default 1 MiB).
 	MaxSourceBytes int64
-	// MaxSessions bounds live delta sessions (default 128).
-	MaxSessions int
-	// MaxBatchPrograms bounds the programs accepted per /v1/batch
-	// request (default 64).
-	MaxBatchPrograms int
 }
 
 func (c Config) withDefaults() Config {
@@ -91,20 +80,11 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.SolveTimeout <= 0 {
-		c.SolveTimeout = 30 * time.Second
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = 1 << 20
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 128
-	}
-	if c.MaxBatchPrograms <= 0 {
-		c.MaxBatchPrograms = 64
 	}
 	return c
 }
@@ -115,7 +95,6 @@ type Server struct {
 	cfg      Config
 	eng      *engine.Engine
 	adm      *admission
-	flights  *flights
 	sessions *sessionStore
 	metrics  *Metrics
 	mux      *http.ServeMux
@@ -145,8 +124,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		eng:        eng,
 		adm:        newAdmission(cfg.Workers, cfg.QueueDepth),
-		flights:    newFlights(base, cfg.SolveTimeout),
-		sessions:   newSessionStore(cfg.MaxSessions),
+		sessions:   newSessionStore(),
 		baseCtx:    base,
 		baseCancel: cancel,
 	}
@@ -178,9 +156,22 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 // to completion. Use before shutting the HTTP listener down.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Close cancels every in-flight solve. Call after the HTTP server has
+// Close cancels every in-flight solve: each request's context ends
+// with the server's (requestContext). Call after the HTTP server has
 // stopped accepting connections.
 func (s *Server) Close() { s.baseCancel() }
+
+// requestContext returns the context one request's analysis runs on.
+// It ends at the request deadline (RequestTimeout), when the client
+// disconnects, or when Close runs, whichever comes first.
+func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	return ctx, func() {
+		stop()
+		cancel()
+	}
+}
 
 // instrument wraps a handler with request/response counting and
 // end-to-end latency observation.
@@ -230,7 +221,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
-// handleAnalyze: parse → admission → coalesced solve → report.
+// handleAnalyze: parse → admission → solve → report.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	if !s.readJSON(w, r, &req) {
@@ -247,15 +238,15 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
-	res, coalesced, herr := s.analyze(ctx, p, mode, r.URL.Path)
+	res, herr := s.analyze(ctx, p, mode, r.URL.Path)
 	if herr != nil {
 		s.writeHandlerError(w, herr)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.analyzeResponse(res, coalesced))
+	writeJSON(w, http.StatusOK, s.analyzeResponse(res))
 }
 
 // handlerError pairs an HTTP status with an ErrorDetail.
@@ -268,32 +259,30 @@ type handlerError struct {
 
 func (e *handlerError) Error() string { return e.msg }
 
-// analyze runs the shared admission → coalesce → solve path.
-func (s *Server) analyze(ctx context.Context, p *syntax.Program, mode constraints.Mode, what string) (*engine.Result, bool, *handlerError) {
+// analyze runs the shared admission → solve → cache path. The slot is
+// released when the engine returns, before the report is built.
+func (s *Server) analyze(ctx context.Context, p *syntax.Program, mode constraints.Mode, what string) (*engine.Result, *handlerError) {
 	if s.draining.Load() {
-		return nil, false, &handlerError{status: http.StatusServiceUnavailable, kind: "draining", msg: "server is draining"}
+		return nil, &handlerError{status: http.StatusServiceUnavailable, kind: "draining", msg: "server is draining"}
 	}
-	key := flightKey{hash: p.Hash(), mode: mode}
-
-	// Duplicates of an in-flight solve coalesce before admission:
-	// they add no work, so they must not occupy a worker slot or
-	// queue position (8 identical requests on a 4-worker server are
-	// one solve, not two).
-	if f, ok := s.flights.join(key); ok {
-		s.metrics.coalesced.Add(1)
-		res, err := s.flights.wait(ctx, f)
-		if err != nil {
-			return nil, true, s.solveError(err)
-		}
-		return res, true, nil
-	}
-
 	release, herr := s.admit(ctx)
 	if herr != nil {
-		return nil, false, herr
+		return nil, herr
 	}
 	defer release()
-	return s.solveOne(ctx, key, p, mode, what)
+	return s.solve(ctx, p, mode, what)
+}
+
+// solve runs one analysis on the request's context; the caller holds
+// an admission slot until it returns.
+func (s *Server) solve(ctx context.Context, p *syntax.Program, mode constraints.Mode, what string) (*engine.Result, *handlerError) {
+	t0 := time.Now()
+	res, err := s.eng.AnalyzeSafe(ctx, engine.Job{Name: what, Program: p, Mode: mode})
+	s.recordSolve(res, err, time.Since(t0))
+	if err != nil {
+		return nil, s.solveError(err)
+	}
+	return res, nil
 }
 
 // admit takes a worker slot, queueing while the admission queue has
@@ -383,7 +372,7 @@ func (s *Server) observeSolve(d time.Duration) {
 	}
 }
 
-func (s *Server) analyzeResponse(res *engine.Result, coalesced bool) AnalyzeResponse {
+func (s *Server) analyzeResponse(res *engine.Result) AnalyzeResponse {
 	rep := mhp.FromEngine(res).Report()
 	solveMs := float64(res.Stats.Solve.Nanoseconds()) / 1e6
 	if res.Stats.CacheHit {
@@ -392,7 +381,6 @@ func (s *Server) analyzeResponse(res *engine.Result, coalesced bool) AnalyzeResp
 	return AnalyzeResponse{
 		ProgramHash: rep.ProgramHash,
 		Cached:      res.Stats.CacheHit,
-		Coalesced:   coalesced,
 		SolveMs:     solveMs,
 		Report:      rep,
 	}
@@ -465,7 +453,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
 	sess, ok := s.sessions.get(req.Session, mode, lang)
@@ -487,19 +475,18 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	defer sess.mu.Unlock()
 
 	if sess.base == nil {
-		res, coalesced, herr := s.analyze(ctx, p, mode, "session:"+req.Session)
+		res, herr := s.analyze(ctx, p, mode, "session:"+req.Session)
 		if herr != nil {
 			s.writeHandlerError(w, herr)
 			return
 		}
 		sess.base = res
-		writeJSON(w, http.StatusOK, DeltaResponse{AnalyzeResponse: s.analyzeResponse(res, coalesced)})
+		writeJSON(w, http.StatusOK, DeltaResponse{AnalyzeResponse: s.analyzeResponse(res)})
 		return
 	}
 
-	// Incremental path: admission still applies (a delta is a solve,
-	// just a smaller one), but coalescing does not — the session's
-	// base is private state.
+	// Incremental path: admission applies as to any solve (a delta is
+	// just a smaller one).
 	release, herr := s.admit(ctx)
 	if herr != nil {
 		s.writeHandlerError(w, herr)
@@ -517,7 +504,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 
 	sess.base = res
 	writeJSON(w, http.StatusOK, DeltaResponse{
-		AnalyzeResponse: s.analyzeResponse(res, false),
+		AnalyzeResponse: s.analyzeResponse(res),
 		Delta:           deltaStatsFrom(res.Stats.Delta),
 	})
 }

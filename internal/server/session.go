@@ -30,9 +30,12 @@ type session struct {
 	base *engine.Result
 }
 
+// maxSessions bounds the live delta sessions; a new session past it
+// evicts the least recently used one.
+const maxSessions = 128
+
 type sessionStore struct {
 	mu    sync.Mutex
-	cap   int
 	m     map[string]*list.Element
 	order *list.List // front = most recently used; values are sessionEntry
 }
@@ -42,15 +45,8 @@ type sessionEntry struct {
 	s  *session
 }
 
-func newSessionStore(capacity int) *sessionStore {
-	if capacity < 1 {
-		// A zero or negative capacity would evict each session the
-		// moment it is inserted — a store that silently forgets
-		// everything. Clamp to the smallest store that can function.
-		capacity = 1
-	}
+func newSessionStore() *sessionStore {
 	return &sessionStore{
-		cap:   capacity,
 		m:     make(map[string]*list.Element),
 		order: list.New(),
 	}
@@ -78,7 +74,7 @@ func (st *sessionStore) get(id string, mode constraints.Mode, lang string) (*ses
 	}
 	s := &session{mode: mode, lang: lang}
 	st.m[id] = st.order.PushFront(sessionEntry{id: id, s: s})
-	for len(st.m) > st.cap {
+	for len(st.m) > maxSessions {
 		oldest := st.order.Back()
 		st.order.Remove(oldest)
 		delete(st.m, oldest.Value.(sessionEntry).id)

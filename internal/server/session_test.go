@@ -76,25 +76,6 @@ func TestDeltaSessionSameModeReuses(t *testing.T) {
 	}
 }
 
-// TestSessionStoreCapClamped: capacities ≤ 0 must not evict the
-// just-inserted element.
-func TestSessionStoreCapClamped(t *testing.T) {
-	for _, capacity := range []int{0, -5} {
-		st := newSessionStore(capacity)
-		s1, ok := st.get("a", constraints.ContextSensitive, "fx10")
-		if !ok || s1 == nil {
-			t.Fatalf("cap %d: insert failed", capacity)
-		}
-		s2, ok := st.get("a", constraints.ContextSensitive, "fx10")
-		if !ok || s2 != s1 {
-			t.Fatalf("cap %d: just-inserted session evicted", capacity)
-		}
-		if st.len() != 1 {
-			t.Fatalf("cap %d: len = %d, want 1", capacity, st.len())
-		}
-	}
-}
-
 // TestDeltaSessionBaseDropsEnv: a session base holds no Env, and its
 // M is the very pair set the program cache holds for that program —
 // one shared E(main).M, not a copy — and the next delta still matches
