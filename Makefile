@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt build vet test race bench benchsmoke profile figures solverbench incrementalbench clockedbench serversmoke fuzz fuzz-smoke clocked-smoke gofrontbench gofront-smoke benchcheck
+.PHONY: verify fmt build vet test race bench benchsmoke profile figures solverbench incrementalbench clockedbench serversmoke fuzz fuzz-smoke clocked-smoke gofrontbench gofront-smoke benchcheck loc
 
 verify: fmt build vet race
 
@@ -67,6 +67,11 @@ benchcheck:
 
 figures:
 	$(GO) run ./cmd/mhpbench -figure all
+
+# loc prints the non-test Go line count outside bench/, the code-size
+# figure ROADMAP.md tracks.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
 # fuzz is the full differential soundness run (observed ⊆ exact ⊆
 # static across all solver strategies); fuzz-smoke is the fixed-seed

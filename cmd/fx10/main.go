@@ -5,7 +5,8 @@
 //
 //	fx10 run        [-lang L] [-sched S] [-seed N] [-steps N] [-a CSV] [-trace] FILE
 //	fx10 exec       [-lang L] [-procs N] [-a CSV] FILE
-//	fx10 mhp        [-lang L] [-mode M] [-strategy NAME] [-pairs] [-races] [-places] FILE
+//	fx10 mhp        [-lang L] [-mode M] [-strategy NAME] [-pairs] [-races] [-places] [-json] FILE
+//	fx10 clocked    [-lang L] [-seed N] [-steps N] [-a CSV] FILE
 //	fx10 constraints [-lang L] [-mode M] FILE
 //	fx10 explore    [-lang L] [-max N] [-a CSV] FILE
 //	fx10 fuzz       [-seeds CSV] [-n N] [-budget N] [-parallel N] [-minimize] [-incremental] [-clocked] [-frontends]
@@ -14,11 +15,13 @@
 //
 // run steps the formal small-step semantics (internal/machine); exec
 // executes with real goroutines (internal/runtime); mhp runs the
-// may-happen-in-parallel analysis; constraints prints the generated
-// constraint system (Figure 5 style); explore computes the exact MHP
-// relation by exhaustive interleaving search; fuzz differentially
-// tests the analysis against the explorer and the instrumented
-// runtime (internal/difffuzz); print pretty-prints; check parses and
+// may-happen-in-parallel analysis (-json prints the whole report);
+// clocked runs a clocked program under the barrier semantics
+// (internal/clocks); constraints prints the generated constraint
+// system (Figure 5 style); explore computes the exact MHP relation by
+// exhaustive interleaving search; fuzz differentially tests the
+// analysis against the explorer and the instrumented runtime
+// (internal/difffuzz); print pretty-prints; check parses and
 // validates.
 //
 // FILE may be core FX10 (.fx10, parsed directly) or any language with
@@ -29,7 +32,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -291,16 +293,6 @@ func cmdClocked(args []string) error {
 	return nil
 }
 
-func parseMode(s string) (constraints.Mode, error) {
-	switch s {
-	case "cs", "sensitive", "context-sensitive":
-		return constraints.ContextSensitive, nil
-	case "ci", "insensitive", "context-insensitive":
-		return constraints.ContextInsensitive, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want cs or ci)", s)
-}
-
 func cmdMHP(args []string) error {
 	fs := flag.NewFlagSet("mhp", flag.ContinueOnError)
 	langFlag(fs)
@@ -313,7 +305,7 @@ func cmdMHP(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := parseMode(*mode)
+	m, err := constraints.ParseMode(*mode)
 	if err != nil {
 		return err
 	}
@@ -327,7 +319,7 @@ func cmdMHP(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := e.AnalyzeSafe(context.Background(), engine.Job{Name: fs.Arg(0), Program: p, Mode: m})
+	res, err := e.Analyze(engine.Job{Name: fs.Arg(0), Program: p, Mode: m})
 	if err != nil {
 		return err
 	}
@@ -390,7 +382,7 @@ func cmdConstraints(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := parseMode(*mode)
+	m, err := constraints.ParseMode(*mode)
 	if err != nil {
 		return err
 	}

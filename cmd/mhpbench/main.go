@@ -193,7 +193,7 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 		}
 		fmt.Print(experiments.FormatSolverBench(bench))
 		if benchjson != "" {
-			if err := experiments.WriteSolverBenchJSON(bench, benchjson); err != nil {
+			if err := experiments.WriteJSON(benchjson, bench); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", benchjson)
@@ -207,7 +207,7 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 		}
 		fmt.Print(experiments.FormatIncremental(bench))
 		if benchjson != "" {
-			if err := experiments.WriteIncrementalJSON(bench, benchjson); err != nil {
+			if err := experiments.WriteJSON(benchjson, bench); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", benchjson)
@@ -221,7 +221,7 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 		}
 		fmt.Print(experiments.FormatClockedBench(bench))
 		if benchjson != "" {
-			if err := experiments.WriteClockedBenchJSON(bench, benchjson); err != nil {
+			if err := experiments.WriteJSON(benchjson, bench); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", benchjson)
@@ -235,7 +235,7 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 		}
 		fmt.Print(experiments.FormatGofrontBench(bench))
 		if benchjson != "" {
-			if err := experiments.WriteGofrontBenchJSON(bench, benchjson); err != nil {
+			if err := experiments.WriteJSON(benchjson, bench); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", benchjson)

@@ -308,6 +308,24 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// TestParseMode: ParseMode inverts Mode.String, takes the short forms,
+// reads "" as context-sensitive and rejects anything else.
+func TestParseMode(t *testing.T) {
+	for want, spellings := range map[Mode][]string{
+		ContextSensitive:   {ContextSensitive.String(), "", "cs", "sensitive"},
+		ContextInsensitive: {ContextInsensitive.String(), "ci", "insensitive"},
+	} {
+		for _, s := range spellings {
+			if got, err := ParseMode(s); err != nil || got != want {
+				t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
+			}
+		}
+	}
+	if _, err := ParseMode("CS"); err == nil || err.Error() != `unknown mode "CS" (want cs or ci)` {
+		t.Errorf("ParseMode(\"CS\") error = %v", err)
+	}
+}
+
 // TestSolveAllocBytes: AllocBytes, read through runtime/metrics
 // instead of a stop-the-world ReadMemStats, still measures the heap a
 // solve allocates — positive on mg, from scratch and by delta.

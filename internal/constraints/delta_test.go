@@ -312,9 +312,9 @@ func TestSolveDeltaEvaluatesNoMoreThanScratch(t *testing.T) {
 					if !got.ValuationEqual(sys.Solve(Phased)) {
 						t.Fatalf("%v method %d: delta valuation differs from phased", mode, mi)
 					}
-					if scratch := sys.Solve(Topo).Evaluations; info.ConstraintsReevaluated > scratch {
+					if scratch := sys.Solve(Topo).Evaluations; got.Evaluations > scratch {
 						t.Errorf("%v method %d: delta evaluated %d constraints, topo from scratch %d",
-							mode, mi, info.ConstraintsReevaluated, scratch)
+							mode, mi, got.Evaluations, scratch)
 					}
 				}
 			}

@@ -61,11 +61,10 @@ type DeltaInfo struct {
 	// Closure lists the methods that were re-solved, ascending.
 	Closure []MethodID
 	// MethodsReused and MethodsResolved partition the program's
-	// methods: seeded from the previous solution vs re-solved.
+	// methods: seeded from the previous solution vs re-solved. The
+	// solution's Evaluations counts the constraint evaluations of the
+	// closure (or fallback) solve.
 	MethodsReused, MethodsResolved int
-	// ConstraintsReevaluated counts individual constraint
-	// evaluations performed by the closure (or fallback) solve.
-	ConstraintsReevaluated int64
 }
 
 // SolveDelta computes the least solution of s, reusing prev — a least
@@ -278,7 +277,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 	sol.AllocBytes = HeapAllocBytes() - alloc0
 	sol.footprint()
 
-	info := DeltaInfo{ConstraintsReevaluated: sol.Evaluations}
+	var info DeltaInfo
 	for mi := range p.Methods {
 		if inClosure[mi] {
 			info.Closure = append(info.Closure, mi)
@@ -293,11 +292,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 // fullFallback solves from scratch and reports it.
 func (s *System) fullFallback(ctx context.Context) (*Solution, DeltaInfo) {
 	sol := s.solve(ctx, Topo)
-	info := DeltaInfo{
-		Full:                   true,
-		MethodsResolved:        len(s.P.Methods),
-		ConstraintsReevaluated: sol.Evaluations,
-	}
+	info := DeltaInfo{Full: true, MethodsResolved: len(s.P.Methods)}
 	for mi := range s.P.Methods {
 		info.Closure = append(info.Closure, mi)
 	}

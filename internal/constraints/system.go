@@ -46,6 +46,19 @@ func (m Mode) String() string {
 	return "context-insensitive"
 }
 
+// ParseMode is the inverse of Mode.String, which also accepts the
+// short forms "sensitive"/"cs" and "insensitive"/"ci"; the empty
+// string means ContextSensitive.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "cs", "sensitive", "context-sensitive":
+		return ContextSensitive, nil
+	case "ci", "insensitive", "context-insensitive":
+		return ContextInsensitive, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want cs or ci)", s)
+}
+
 // SetVar indexes a level-1 (label set) variable.
 type SetVar int
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 
 	"fx10/internal/constraints"
@@ -16,17 +15,11 @@ import (
 // content hash (sha256 of the printed form — canonical and
 // independent of which *syntax.Program pointer the caller holds,
 // memoized on the Program so repeated lookups don't re-walk the AST)
-// plus the mode and the strategy name (strategies agree on valuations
-// but report different metrics, which Stats exposes, so they must not
-// share entries).
+// plus the mode. It names no strategy: a cache belongs to one Engine,
+// and an Engine solves with one strategy.
 type cacheKey struct {
-	program  syntax.ProgramHash
-	mode     constraints.Mode
-	strategy string
-}
-
-func (k cacheKey) String() string {
-	return fmt.Sprintf("%x/%v/%s", k.program[:6], k.mode, k.strategy)
+	program syntax.ProgramHash
+	mode    constraints.Mode
 }
 
 // resultCache is a mutex-guarded LRU keyed by cacheKey, bounded both

@@ -7,6 +7,8 @@ import (
 
 	"fx10/internal/constraints"
 	"fx10/internal/fixtures"
+	"fx10/internal/parser"
+	"fx10/internal/syntax"
 	"fx10/internal/workloads"
 )
 
@@ -92,16 +94,33 @@ func TestAnalyzeDeltaCtxCancel(t *testing.T) {
 	}
 }
 
-// AnalyzeSafe converts pipeline panics into *AnalysisError and passes
-// parse errors through untouched.
-func TestAnalyzeSafeClassifiesErrors(t *testing.T) {
-	eng := MustNew(Config{})
-	if _, err := eng.AnalyzeSafe(context.Background(), Job{Name: "bad", Source: "void main( {"}); err == nil {
-		t.Fatal("expected parse error")
-	} else {
-		var ae *AnalysisError
-		if errors.As(err, &ae) {
-			t.Fatalf("parse failure misclassified as analysis error: %v", err)
+// TestAnalysisPanicsAreErrors: a panic in the pipeline (here a call
+// to a method past the method table) comes back from Analyze and from
+// AnalyzeDelta as an *AnalysisError, and a parse error passes through
+// as a *parser.Error. The cache is off: the broken program prints,
+// and so hashes, like the one it was made from.
+func TestAnalysisPanicsAreErrors(t *testing.T) {
+	eng := MustNew(Config{CacheSize: -1})
+	base, err := eng.Analyze(Job{Program: fixtures.Example22()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := fixtures.Example22()
+	broken.EachInstr(func(_ int, i syntax.Instr) {
+		if c, ok := i.(*syntax.Call); ok {
+			c.Method = 999
 		}
+	})
+	var ae *AnalysisError
+	if _, err := eng.Analyze(Job{Name: "broken", Program: broken}); !errors.As(err, &ae) {
+		t.Errorf("Analyze: err = %v, want an *AnalysisError", err)
+	}
+	if _, err := eng.AnalyzeDelta(base, broken); !errors.As(err, &ae) {
+		t.Errorf("AnalyzeDelta: err = %v, want an *AnalysisError", err)
+	}
+	_, err = eng.Analyze(Job{Name: "bad", Source: "void main( {"})
+	var pe *parser.Error
+	if !errors.As(err, &pe) || errors.As(err, &ae) {
+		t.Errorf("parse failure: err = %v, want a *parser.Error and no *AnalysisError", err)
 	}
 }

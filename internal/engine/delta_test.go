@@ -171,6 +171,41 @@ func TestAnalyzeDeltaCacheHit(t *testing.T) {
 	}
 }
 
+// TestCacheHitCarriesNoDeltaStats: a cache hit re-solved nothing, so
+// Analyze served from an entry a delta populated carries no
+// DeltaStats, and AnalyzeDelta served from it reports every method
+// reused. Neither hit writes to the stored entry.
+func TestCacheHitCarriesNoDeltaStats(t *testing.T) {
+	e := MustNew(Config{CacheSize: 8})
+	p := progen.Generate(1, progen.Default())
+	edited := progen.AppendSkip(p, 0)
+	base, err := e.Analyze(Job{Program: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := e.AnalyzeDelta(base, edited)
+	if err != nil || delta.Stats.CacheHit || delta.Stats.Delta == nil {
+		t.Fatalf("delta solve: err %v, stats %+v; want a miss with delta stats", err, delta.Stats)
+	}
+	hit, err := e.Analyze(Job{Program: edited})
+	if err != nil || !hit.Stats.CacheHit || hit.Stats.Delta != nil {
+		t.Fatalf("Analyze of the delta's program: err %v, hit %v, delta stats %+v; want a hit with none",
+			err, hit.Stats.CacheHit, hit.Stats.Delta)
+	}
+	again, err := e.AnalyzeDelta(base, edited)
+	if err != nil || !again.Stats.CacheHit {
+		t.Fatalf("repeated delta: err %v; want a cache hit", err)
+	}
+	if ds := again.Stats.Delta; ds == nil || ds.MethodsTotal != len(edited.Methods) ||
+		ds.MethodsReused != ds.MethodsTotal || ds.MethodsResolved != 0 {
+		t.Fatalf("repeated delta's stats = %+v, want every method reused", ds)
+	}
+	stored, _ := e.Cached(edited.Hash(), constraints.ContextSensitive)
+	if stored != delta || stored.Stats.CacheHit || stored.Stats.Delta != delta.Stats.Delta {
+		t.Fatal("a cache hit wrote to the stored entry")
+	}
+}
+
 // TestAnalyzeDeltaErrors: incomplete bases are rejected.
 func TestAnalyzeDeltaErrors(t *testing.T) {
 	e := MustNew(Config{CacheSize: -1})

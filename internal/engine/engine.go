@@ -7,18 +7,19 @@
 // labels/constraints packages do not have —
 //
 //   - named, pluggable solver strategies (Strategy + registry): the
-//     three constraints.Algorithm values, topo by default;
-//   - corpus-level analysis on a bounded worker pool with per-program
-//     panic isolation, so one bad program cannot kill a sweep;
+//     two constraints.Algorithm values, phased and topo (the default);
+//   - corpus-level analysis on a bounded worker pool; Analyze and
+//     AnalyzeDelta contain pipeline panics, so one bad program cannot
+//     kill a sweep or a server;
 //   - a program cache: a content-hash-keyed LRU over solved Results,
 //     bounded in entries and in retained bytes, serving repeated
 //     analyses of identical programs and, through Cached, reads of a
 //     program analyzed earlier;
-//   - method-granular incremental analysis: AnalyzeDelta diffs an
-//     edited program against a base result by method content hash
-//     and re-solves only the dirty methods' call-graph closure
-//     (constraints.SolveDelta), reporting what it reused in
-//     DeltaStats;
+//   - method-granular incremental analysis: AnalyzeDelta is the same
+//     pipeline with a delta solve step, which diffs the edited program
+//     against a base result by method content hash and re-solves only
+//     the dirty methods' call-graph closure (constraints.SolveDelta),
+//     reporting what it reused in DeltaStats;
 //   - per-stage metrics (Stats) for every result.
 //
 // internal/mhp.Analyze, internal/server, internal/experiments and
@@ -176,46 +177,50 @@ func (e *Engine) Analyze(job Job) (*Result, error) {
 // constraints.CancelStride evaluations inside the solver loops. On
 // cancellation it returns ctx's error, caches nothing, and leaves the
 // cache exactly as it was — an abandoned request can never poison a
-// future one.
-func (e *Engine) AnalyzeCtx(ctx context.Context, job Job) (*Result, error) {
+// future one. A parse error unwraps to *parser.Error, and a panic in
+// the pipeline comes back as an *AnalysisError.
+func (e *Engine) AnalyzeCtx(ctx context.Context, job Job) (res *Result, err error) {
+	defer contain(jobName(job), &res, &err)
 	start := time.Now()
-
 	p := job.Program
-	var parseDur time.Duration
+	var parse time.Duration
 	if p == nil {
-		t0 := time.Now()
 		parsed, err := parser.Parse(job.Source)
 		if err != nil {
 			return nil, fmt.Errorf("engine: parse %s: %w", jobName(job), err)
 		}
-		p = parsed
-		parseDur = time.Since(t0)
+		p, parse = parsed, time.Since(start)
 	}
+	return e.pipeline(ctx, start, parse, p, job.Mode, func(ctx context.Context, sys *constraints.System) (*constraints.Solution, *DeltaStats, error) {
+		sol, err := e.strategy.Solve(ctx, sys)
+		return sol, nil, err
+	})
+}
 
+// solveStep computes the least solution of sys and, for an
+// incremental solve, what it reused. It is the one pipeline stage a
+// caller supplies.
+type solveStep func(ctx context.Context, sys *constraints.System) (*constraints.Solution, *DeltaStats, error)
+
+// pipeline is the one path every analysis takes: a program-cache
+// lookup, then, on a miss, labels → generate → solve → seal → cache
+// put. start and parse are the request's start time and parse time.
+// The scratch and the delta solve reach the same least solution
+// (Theorems 5–6), so either may populate the cache for the other.
+// The result is complete, Stats included, before it is cached: other
+// goroutines read cached entries, so nothing writes to it afterwards.
+func (e *Engine) pipeline(ctx context.Context, start time.Time, parse time.Duration, p *syntax.Program, mode constraints.Mode, solve solveStep) (*Result, error) {
 	var key cacheKey
 	if e.cache != nil {
-		key = cacheKey{p.Hash(), job.Mode, e.strategy.Name()}
+		key = cacheKey{p.Hash(), mode}
 	}
 	if c, ok := e.cacheGet(key); ok {
 		res := c.hit()
-		res.Stats.Parse = parseDur
+		res.Stats.Parse = parse
 		res.Stats.Total = time.Since(start)
 		return res, nil
 	}
-	res, err := e.runPipeline(ctx, p, job.Mode)
-	if err != nil {
-		return nil, err
-	}
-	res.seal()
-	res.Stats.Parse = parseDur
-	res.Stats.Total = time.Since(start)
-	e.cachePut(key, res)
-	return res, nil
-}
-
-// runPipeline executes the expensive stages on a cache miss.
-func (e *Engine) runPipeline(ctx context.Context, p *syntax.Program, mode constraints.Mode) (*Result, error) {
-	stats := Stats{Strategy: e.strategy.Name()}
+	stats := Stats{Strategy: e.strategy.Name(), Parse: parse}
 
 	t0 := time.Now()
 	info := labels.Compute(p)
@@ -230,7 +235,7 @@ func (e *Engine) runPipeline(ctx context.Context, p *syntax.Program, mode constr
 	stats.Generate = time.Since(t0)
 
 	t0 = time.Now()
-	sol, err := e.strategy.Solve(ctx, sys)
+	sol, delta, err := solve(ctx, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +247,13 @@ func (e *Engine) runPipeline(ctx context.Context, p *syntax.Program, mode constr
 	stats.Evaluations = sol.Evaluations
 	stats.AllocBytes = sol.AllocBytes
 	stats.FootprintBytes = sol.FootprintBytes
-	return &Result{Program: p, Info: info, Sys: sys, Sol: sol, Stats: stats}, nil
+	stats.Delta = delta
+
+	res := &Result{Program: p, Info: info, Sys: sys, Sol: sol, Stats: stats}
+	res.seal()
+	res.Stats.Total = time.Since(start)
+	e.cachePut(key, res)
+	return res, nil
 }
 
 // seal densifies E(main).M for a freshly solved result, timing it as
@@ -264,27 +275,29 @@ func (r *Result) retainedBytes() int {
 
 // hit serves one request from a cached result: a copy sharing
 // everything but Stats, which keeps the populating run's stage timings
-// and counters, marked as a hit that densified nothing.
+// and counters, marked as a hit that densified and re-solved nothing
+// (so it carries no DeltaStats, whichever solve populated the entry).
 func (r *Result) hit() *Result {
 	c := *r
 	c.Stats.CacheHit = true
 	c.Stats.Report = 0
+	c.Stats.Delta = nil
 	return &c
 }
 
 // Cached returns the program cache's result for the program with the
-// given content hash, analyzed in mode under the engine's strategy,
-// and marks the entry most recently used. It is a lookup for callers
-// that only read an analysis they asked for earlier (the daemon's
-// /v1/query): it counts neither a hit nor a miss in CacheStats and
-// returns the stored Result itself, so it allocates nothing and the
-// Result, Stats included, must not be modified. It reports false when
-// the program is not cached or caching is disabled.
+// given content hash, analyzed in mode, and marks the entry most
+// recently used. It is a lookup for callers that only read an analysis
+// they asked for earlier (the daemon's /v1/query): it counts neither a
+// hit nor a miss in CacheStats and returns the stored Result itself,
+// so it allocates nothing and the Result, Stats included, must not be
+// modified. It reports false when the program is not cached or caching
+// is disabled.
 func (e *Engine) Cached(hash syntax.ProgramHash, mode constraints.Mode) (*Result, bool) {
 	if e.cache == nil {
 		return nil, false
 	}
-	return e.cache.get(cacheKey{hash, mode, e.strategy.Name()})
+	return e.cache.get(cacheKey{hash, mode})
 }
 
 func (e *Engine) cacheGet(key cacheKey) (*Result, bool) {
@@ -331,9 +344,13 @@ func (e *Engine) AnalyzeCorpus(jobs []Job) []CorpusResult {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
+	analyze := func(i int) {
+		res, err := e.Analyze(jobs[i])
+		results[i] = CorpusResult{Job: jobs[i], Result: res, Err: err}
+	}
 	if workers <= 1 {
-		for i, job := range jobs {
-			results[i] = e.analyzeIsolated(job)
+		for i := range jobs {
+			analyze(i)
 		}
 		return results
 	}
@@ -345,7 +362,7 @@ func (e *Engine) AnalyzeCorpus(jobs []Job) []CorpusResult {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = e.analyzeIsolated(jobs[i])
+				analyze(i)
 			}
 		}()
 	}
@@ -355,13 +372,6 @@ func (e *Engine) AnalyzeCorpus(jobs []Job) []CorpusResult {
 	close(next)
 	wg.Wait()
 	return results
-}
-
-// analyzeIsolated is Analyze behind a recover barrier.
-func (e *Engine) analyzeIsolated(job Job) (cr CorpusResult) {
-	cr.Job = job
-	cr.Result, cr.Err = e.AnalyzeSafe(context.Background(), job)
-	return cr
 }
 
 // AnalysisError reports a failure of the analysis itself — a panic
@@ -388,16 +398,13 @@ func (e *AnalysisError) Unwrap() error {
 	return nil
 }
 
-// AnalyzeSafe is AnalyzeCtx behind a recover barrier: a panic in the
-// pipeline (a malformed program tripping an invariant) comes back as
-// an *AnalysisError instead of unwinding the caller — what a
-// long-lived server or a corpus sweep needs. Parse and context errors
-// pass through unchanged.
-func (e *Engine) AnalyzeSafe(ctx context.Context, job Job) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &AnalysisError{Name: jobName(job), Value: r}
-		}
-	}()
-	return e.AnalyzeCtx(ctx, job)
+// contain turns a panic in the pipeline (a malformed program tripping
+// an invariant) into an *AnalysisError attributed to name; AnalyzeCtx
+// and AnalyzeDeltaCtx defer it, so a long-lived server or a corpus
+// sweep survives the program. Cancellation never reaches it: the
+// solvers recover their own sentinel inside SolveCtx and SolveDeltaCtx.
+func contain(name string, res **Result, err *error) {
+	if r := recover(); r != nil {
+		*res, *err = nil, &AnalysisError{Name: name, Value: r}
+	}
 }

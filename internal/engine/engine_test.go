@@ -212,20 +212,20 @@ func TestCacheByteBound(t *testing.T) {
 	if min := res.Stats.FootprintBytes + res.M.MemoryFootprint(); size <= min {
 		t.Fatalf("retainedBytes = %d, want more than the solution and M's %d", size, min)
 	}
-	key := func(s string) cacheKey { return cacheKey{res.Program.Hash(), constraints.ContextSensitive, s} }
+	key := func(b byte) cacheKey { return cacheKey{syntax.ProgramHash{b}, constraints.ContextSensitive} }
 
 	c := newResultCache(8, 2*size)
-	for _, s := range []string{"a", "b", "c"} {
-		c.put(key(s), res)
+	for b := byte(1); b <= 3; b++ {
+		c.put(key(b), res)
 	}
-	if _, ok := c.get(key("a")); ok || c.len() != 2 || c.bytes != 2*size {
+	if _, ok := c.get(key(1)); ok || c.len() != 2 || c.bytes != 2*size {
 		t.Errorf("over the byte bound: %d entries, %d bytes, oldest kept %v; want 2, %d, false", c.len(), c.bytes, ok, 2*size)
 	}
 
 	c = newResultCache(8, size-1)
-	for _, s := range []string{"a", "b"} {
-		c.put(key(s), res)
-		if _, ok := c.get(key(s)); !ok || c.len() != 1 {
+	for b := byte(1); b <= 2; b++ {
+		c.put(key(b), res)
+		if _, ok := c.get(key(b)); !ok || c.len() != 1 {
 			t.Errorf("an entry over the bound on its own: kept %v with %d entries, want true with 1", ok, c.len())
 		}
 	}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"time"
+
+	"fx10/internal/constraints"
 )
 
 // Stats records per-stage metrics for one analysis: where the time
@@ -38,26 +40,22 @@ type Stats struct {
 	// valuation.
 	FootprintBytes int
 
-	// Delta is set only on results produced by AnalyzeDelta.
+	// Delta is set only on results AnalyzeDelta returns; a cache hit
+	// through Analyze carries none.
 	Delta *DeltaStats
 }
 
-// DeltaStats reports what an incremental analysis reused.
+// DeltaStats reports what an incremental analysis reused: what the
+// delta solve did (constraints.DeltaInfo; its constraint evaluations
+// are Stats.Evaluations) and the method diff that drove it.
 type DeltaStats struct {
-	// MethodsTotal is the edited program's method count;
-	// MethodsReused were seeded from the base result, MethodsResolved
-	// (the dirty closure) were re-solved.
-	MethodsTotal    int
-	MethodsReused   int
-	MethodsResolved int
+	constraints.DeltaInfo
+	// MethodsTotal is the edited program's method count, which
+	// MethodsReused and MethodsResolved partition.
+	MethodsTotal int
 	// DirtyMethods names the methods whose content hash differed from
 	// the base (before closure), sorted.
 	DirtyMethods []string
-	// ConstraintsReevaluated counts constraint evaluations performed
-	// by the delta solve.
-	ConstraintsReevaluated int64
-	// Full is true when the delta path fell back to a full re-solve.
-	Full bool
 }
 
 // PipelineDuration is the analysis-only time (labels + generation +

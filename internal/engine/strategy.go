@@ -53,8 +53,9 @@ func init() {
 }
 
 // Register adds a strategy to the registry. It fails on an empty name
-// or a name already taken: strategies are identities (they key the
-// result cache), so silent replacement would corrupt cached results.
+// or a name already taken: a name is a strategy's identity (Stats and
+// every front end report it), so silent replacement would change what
+// a name means.
 func Register(s Strategy) error {
 	name := s.Name()
 	if name == "" {

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -215,14 +213,4 @@ func FormatClockedBench(bench ClockedBench) string {
 		bench.StrictlyFewer, bench.Programs)
 	fmt.Fprintf(&b, "(%s, best of %d reps; pairs are unordered main-M counts)\n", bench.Host.Describe(), bench.Reps)
 	return b.String()
-}
-
-// WriteClockedBenchJSON writes the sweep machine-readably (the
-// committed BENCH_clocked.json).
-func WriteClockedBenchJSON(bench ClockedBench, path string) error {
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

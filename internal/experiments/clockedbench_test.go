@@ -50,7 +50,7 @@ func TestClockedBench(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteClockedBenchJSON(bench, path); err != nil {
+	if err := WriteJSON(path, bench); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

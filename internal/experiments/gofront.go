@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -172,14 +171,4 @@ func FormatGofrontBench(bench GofrontBench) string {
 	fmt.Fprintf(&b, "(%s; pairs are unordered main-M counts; observed ⊆ CS checked over %d runtime seeds)\n",
 		bench.Host.Describe(), bench.Seeds)
 	return b.String()
-}
-
-// WriteGofrontBenchJSON writes the sweep machine-readably (the
-// committed BENCH_gofront.json).
-func WriteGofrontBenchJSON(bench GofrontBench, path string) error {
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
 )
 
@@ -32,4 +34,14 @@ func CurrentHost() Host {
 // fmt print a whole sweep as its host.)
 func (h Host) Describe() string {
 	return fmt.Sprintf("%s %s/%s, %d CPUs, GOMAXPROCS %d", h.Go, h.GOOS, h.GOARCH, h.NumCPU, h.GOMAXPROCS)
+}
+
+// WriteJSON writes a figure machine-readably, as the committed
+// BENCH_*.json files are: indented JSON with a trailing newline.
+func WriteJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -119,7 +117,7 @@ func measureIncremental(e *engine.Engine, name string, p *syntax.Program, reps i
 		}
 		ds := dres.Stats.Delta
 		row.AvgMethodsResolved += float64(ds.MethodsResolved)
-		row.AvgConstraintsReevaluated += float64(ds.ConstraintsReevaluated)
+		row.AvgConstraintsReevaluated += float64(dres.Stats.Evaluations)
 		if ds.MethodsResolved > row.MaxMethodsResolved {
 			row.MaxMethodsResolved = ds.MethodsResolved
 		}
@@ -218,14 +216,4 @@ func FormatIncremental(bench IncrementalBench) string {
 	fmt.Fprintf(&b, "(%s, strategy %s, best of %d reps; one op = re-analysis after appending a skip to one method)\n",
 		bench.Host.Describe(), bench.Strategy, bench.Reps)
 	return b.String()
-}
-
-// WriteIncrementalJSON writes the sweep machine-readably (the
-// committed BENCH_incremental.json).
-func WriteIncrementalJSON(bench IncrementalBench, path string) error {
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -55,7 +55,7 @@ func TestWriteIncrementalJSON(t *testing.T) {
 		Rows: []IncrementalRow{{Benchmark: "x", Methods: 3, Edits: 3, Identical: true}},
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteIncrementalJSON(bench, path); err != nil {
+	if err := WriteJSON(path, bench); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

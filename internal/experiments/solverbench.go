@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -155,14 +153,4 @@ func FormatSolverBench(bench SolverBench) string {
 	tw.flush()
 	fmt.Fprintf(&b, "(%s, best of %d reps; evals for topo, passes for phased)\n", bench.Host.Describe(), bench.Reps)
 	return b.String()
-}
-
-// WriteSolverBenchJSON writes the sweep machine-readably (the
-// committed BENCH_solver.json).
-func WriteSolverBenchJSON(bench SolverBench, path string) error {
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

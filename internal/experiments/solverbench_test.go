@@ -49,7 +49,7 @@ func TestRunSolverBench(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteSolverBenchJSON(bench, path); err != nil {
+	if err := WriteJSON(path, bench); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

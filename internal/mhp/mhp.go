@@ -1,9 +1,10 @@
-// Package mhp is the front door of the may-happen-in-parallel
-// analysis: it wires together the Slabels fixpoint, constraint
-// generation and solving, and exposes the results the paper reports —
-// label-pair queries, the async-body pair classification of Figure 8
-// (self / same / diff), race candidates (the analysis's motivating
-// client), and false-positive counting against the exact relation.
+// Package mhp is the report and classification view of a
+// may-happen-in-parallel analysis: internal/engine runs the pipeline
+// (Slabels fixpoint, constraint generation, solving), and mhp exposes
+// the results the paper reports — label-pair queries, the async-body
+// pair classification of Figure 8 (self / same / diff), race
+// candidates (the analysis's motivating client), and false-positive
+// counting against the exact relation.
 package mhp
 
 import (
@@ -14,20 +15,14 @@ import (
 	"fx10/internal/engine"
 	"fx10/internal/explore"
 	"fx10/internal/intset"
-	"fx10/internal/labels"
 	"fx10/internal/syntax"
 )
 
-// Result is a completed analysis of one program.
-type Result struct {
-	Program *syntax.Program
-	Info    *labels.Info
-	Sys     *constraints.System
-	Sol     *constraints.Solution
-	// M is E(main).M: by Theorem 3, MHP(p) ⊆ M. The rest of the type
-	// environment E is read from Sol (Sol.Env() densifies all of it).
-	M *intset.PairSet
-}
+// Result is a completed analysis of one program: the engine's result,
+// viewed through the report and classification methods below. M is
+// E(main).M (by Theorem 3, MHP(p) ⊆ M); the rest of the type
+// environment E is read from Sol (Sol.Env() densifies all of it).
+type Result engine.Result
 
 // analyzeEngine serves Analyze. Caching is off: Analyze's contract
 // is one fresh pipeline run per call (benchmarks iterate it to
@@ -57,41 +52,9 @@ func MustAnalyze(p *syntax.Program, mode constraints.Mode) *Result {
 	return r
 }
 
-// AnalyzeDelta re-analyzes edited incrementally against base: methods
-// whose content hash is unchanged keep their solved values and only
-// the dirty call-graph closure is re-solved. The returned Result is
-// identical to Analyze(edited, mode) — the least solution is unique —
-// and the DeltaStats reports what was reused. The mode is taken from
-// the base result's system.
-func AnalyzeDelta(base *Result, edited *syntax.Program) (*Result, engine.DeltaStats, error) {
-	eres := &engine.Result{
-		Program: base.Program,
-		Info:    base.Info,
-		Sys:     base.Sys,
-		Sol:     base.Sol,
-		M:       base.M,
-	}
-	res, err := analyzeEngine.AnalyzeDelta(eres, edited)
-	if err != nil {
-		return nil, engine.DeltaStats{}, err
-	}
-	var ds engine.DeltaStats
-	if res.Stats.Delta != nil {
-		ds = *res.Stats.Delta
-	}
-	return FromEngine(res), ds, nil
-}
-
-// FromEngine adapts an engine result to the mhp report API.
-func FromEngine(res *engine.Result) *Result {
-	return &Result{
-		Program: res.Program,
-		Info:    res.Info,
-		Sys:     res.Sys,
-		Sol:     res.Sol,
-		M:       res.M,
-	}
-}
+// FromEngine views an engine result through the mhp report API: a
+// pointer conversion, not a copy.
+func FromEngine(res *engine.Result) *Result { return (*Result)(res) }
 
 // MayHappenInParallel reports whether the analysis says the
 // instructions labeled l1 and l2 may happen in parallel.

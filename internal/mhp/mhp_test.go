@@ -8,7 +8,6 @@ import (
 	"fx10/internal/constraints"
 	"fx10/internal/fixtures"
 	"fx10/internal/parser"
-	"fx10/internal/progen"
 	"fx10/internal/syntax"
 )
 
@@ -331,29 +330,6 @@ func TestReportWithoutCachedEnv(t *testing.T) {
 	rep := bare.Report()
 	if len(rep.Summaries) != 2 {
 		t.Fatalf("summaries = %d", len(rep.Summaries))
-	}
-}
-
-// TestAnalyzeDelta: the mhp-level incremental wrapper must match a
-// from-scratch analysis of the edited program and report reuse.
-func TestAnalyzeDelta(t *testing.T) {
-	p := fixtures.Example22()
-	base := MustAnalyze(p, constraints.ContextSensitive)
-	fi, _ := p.MethodIndex("f")
-	edited := progen.AppendSkip(p, fi)
-	delta, stats, err := AnalyzeDelta(base, edited)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := MustAnalyze(edited, constraints.ContextSensitive)
-	if !delta.M.Equal(scratch.M) {
-		t.Fatal("incremental M differs from scratch")
-	}
-	if !delta.Sol.ValuationEqual(scratch.Sol) {
-		t.Fatal("incremental valuation differs from scratch")
-	}
-	if stats.MethodsTotal != len(edited.Methods) || stats.MethodsReused+stats.MethodsResolved != stats.MethodsTotal {
-		t.Fatalf("inconsistent delta stats %+v", stats)
 	}
 }
 

@@ -162,12 +162,16 @@ func TestReportSummariesMatchDenseEnv(t *testing.T) {
 				checkDenseSummaries(t, wl.Name+"/"+mode.String()+"/"+strategy, FromEngine(res))
 			}
 		}
-		base := MustAnalyze(p, constraints.ContextSensitive)
-		delta, _, err := AnalyzeDelta(base, progen.MutateMethod(p, 0, 1))
+		e := engine.MustNew(engine.Config{CacheSize: -1})
+		base, err := e.Analyze(engine.Job{Name: wl.Name, Program: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkDenseSummaries(t, wl.Name+"/delta", delta)
+		delta, err := e.AnalyzeDelta(base, progen.MutateMethod(p, 0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDenseSummaries(t, wl.Name+"/delta", FromEngine(delta))
 	}
 }
 

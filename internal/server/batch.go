@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"fx10/internal/constraints"
 	"fx10/internal/engine"
 	"fx10/internal/syntax"
 )
@@ -30,9 +31,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	mode, ok := parseModeStr(req.Mode)
-	if !ok {
-		s.writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown mode %q (want cs or ci)", req.Mode))
+	mode, err := constraints.ParseMode(req.Mode)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	if len(req.Programs) == 0 {
@@ -106,7 +107,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		h := p.Hash()
 		out, seen := done[h]
 		if !seen {
-			res, herr := s.solve(ctx, p, mode, fmt.Sprintf("batch[%d]", i))
+			res, herr := s.solve(ctx, s.scratch(p, mode, fmt.Sprintf("batch[%d]", i)))
 			out = outcome{res: res, herr: herr}
 			done[h] = out
 		}

@@ -8,12 +8,13 @@
 //
 //	  - admission: a bounded worker pool with an explicit wait queue;
 //	    a full queue is answered 429 + Retry-After immediately.
-//	  - solve: engine.AnalyzeSafe on the request's own context, inside
-//	    the admission slot the request took — client disconnects,
-//	    deadlines and Close cancel mid-fixpoint via the solver's
-//	    cancellation checkpoints, the handler returns only once the
-//	    engine has, and panics on malformed programs are contained per
-//	    request.
+//	  - solve: one engine call (engine.AnalyzeCtx, or
+//	    engine.AnalyzeDeltaCtx for a session's edit) on the request's
+//	    own context, inside the admission slot the request took —
+//	    client disconnects, deadlines and Close cancel mid-fixpoint via
+//	    the solver's cancellation checkpoints, the handler returns only
+//	    once the engine has, and the engine contains panics on
+//	    malformed programs per request.
 //	  - cache: the engine's program cache makes repeat analyses hits,
 //	    and it is the daemon's one record of an analyzed program:
 //	    /v1/query reads the cached E(main).M without admission or
@@ -227,9 +228,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	mode, ok := parseModeStr(req.Mode)
-	if !ok {
-		s.writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown mode %q (want cs or ci)", req.Mode))
+	mode, err := constraints.ParseMode(req.Mode)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	p, _, perr := parseSourceLang(req.Source, req.Language)
@@ -241,7 +242,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
-	res, herr := s.analyze(ctx, p, mode, r.URL.Path)
+	res, herr := s.analyze(ctx, s.scratch(p, mode, r.URL.Path))
 	if herr != nil {
 		s.writeHandlerError(w, herr)
 		return
@@ -259,9 +260,22 @@ type handlerError struct {
 
 func (e *handlerError) Error() string { return e.msg }
 
-// analyze runs the shared admission → solve → cache path. The slot is
-// released when the engine returns, before the report is built.
-func (s *Server) analyze(ctx context.Context, p *syntax.Program, mode constraints.Mode, what string) (*engine.Result, *handlerError) {
+// engineCall is the one engine call an analysis request makes, on
+// the request's context.
+type engineCall func(context.Context) (*engine.Result, error)
+
+// scratch is the engine call that analyzes p from scratch (or serves
+// it from the program cache).
+func (s *Server) scratch(p *syntax.Program, mode constraints.Mode, what string) engineCall {
+	return func(ctx context.Context) (*engine.Result, error) {
+		return s.eng.AnalyzeCtx(ctx, engine.Job{Name: what, Program: p, Mode: mode})
+	}
+}
+
+// analyze runs the shared admission → solve → cache path of every
+// analysis request. The slot is released when the engine returns,
+// before the report is built.
+func (s *Server) analyze(ctx context.Context, call engineCall) (*engine.Result, *handlerError) {
 	if s.draining.Load() {
 		return nil, &handlerError{status: http.StatusServiceUnavailable, kind: "draining", msg: "server is draining"}
 	}
@@ -270,14 +284,14 @@ func (s *Server) analyze(ctx context.Context, p *syntax.Program, mode constraint
 		return nil, herr
 	}
 	defer release()
-	return s.solve(ctx, p, mode, what)
+	return s.solve(ctx, call)
 }
 
-// solve runs one analysis on the request's context; the caller holds
-// an admission slot until it returns.
-func (s *Server) solve(ctx context.Context, p *syntax.Program, mode constraints.Mode, what string) (*engine.Result, *handlerError) {
+// solve makes one engine call on the request's context; the caller
+// holds an admission slot until it returns.
+func (s *Server) solve(ctx context.Context, call engineCall) (*engine.Result, *handlerError) {
 	t0 := time.Now()
-	res, err := s.eng.AnalyzeSafe(ctx, engine.Job{Name: what, Program: p, Mode: mode})
+	res, err := call(ctx)
 	s.recordSolve(res, err, time.Since(t0))
 	if err != nil {
 		return nil, s.solveError(err)
@@ -397,9 +411,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	mode, ok := parseModeStr(req.Mode)
-	if !ok {
-		s.writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown mode %q (want cs or ci)", req.Mode))
+	mode, err := constraints.ParseMode(req.Mode)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	var hash syntax.ProgramHash
@@ -438,9 +452,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "session must be non-empty")
 		return
 	}
-	mode, ok := parseModeStr(req.Mode)
-	if !ok {
-		s.writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown mode %q (want cs or ci)", req.Mode))
+	mode, err := constraints.ParseMode(req.Mode)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	p, lang, perr := parseSourceLang(req.Source, req.Language)
@@ -474,34 +488,17 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 
-	if sess.base == nil {
-		res, herr := s.analyze(ctx, p, mode, "session:"+req.Session)
-		if herr != nil {
-			s.writeHandlerError(w, herr)
-			return
-		}
-		sess.base = res
-		writeJSON(w, http.StatusOK, DeltaResponse{AnalyzeResponse: s.analyzeResponse(res)})
-		return
+	// A session's first request analyzes from scratch; later ones
+	// re-solve only what changed since the session's base.
+	call := s.scratch(p, mode, "session:"+req.Session)
+	if base := sess.base; base != nil {
+		call = func(ctx context.Context) (*engine.Result, error) { return s.eng.AnalyzeDeltaCtx(ctx, base, p) }
 	}
-
-	// Incremental path: admission applies as to any solve (a delta is
-	// just a smaller one).
-	release, herr := s.admit(ctx)
+	res, herr := s.analyze(ctx, call)
 	if herr != nil {
 		s.writeHandlerError(w, herr)
 		return
 	}
-	defer release()
-
-	t0 := time.Now()
-	res, err := s.eng.AnalyzeDeltaSafe(ctx, sess.base, p)
-	s.recordSolve(res, err, time.Since(t0))
-	if err != nil {
-		s.writeHandlerError(w, s.solveError(err))
-		return
-	}
-
 	sess.base = res
 	writeJSON(w, http.StatusOK, DeltaResponse{
 		AnalyzeResponse: s.analyzeResponse(res),
@@ -574,16 +571,6 @@ func parseSourceLang(source, language string) (*syntax.Program, string, *handler
 		return nil, lang, &handlerError{status: http.StatusUnprocessableEntity, kind: "parse", msg: err.Error()}
 	}
 	return p, lang, nil
-}
-
-func parseModeStr(s string) (constraints.Mode, bool) {
-	switch s {
-	case "", "cs", "sensitive", "context-sensitive":
-		return constraints.ContextSensitive, true
-	case "ci", "insensitive", "context-insensitive":
-		return constraints.ContextInsensitive, true
-	}
-	return 0, false
 }
 
 func (s *Server) writeHandlerError(w http.ResponseWriter, e *handlerError) {

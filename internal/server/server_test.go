@@ -663,6 +663,21 @@ func TestDeltaSession(t *testing.T) {
 			t.Errorf("delta %d: incremental report differs from full analyze", i)
 		}
 	}
+
+	// A second session opened on the program s1's last delta left in
+	// the cache is served from that entry, and as a session's first
+	// response it carries no delta stats.
+	status, data, _ = postJSON(t, ts.Client(), ts.URL+"/v1/delta", DeltaRequest{Session: "s2", Source: syntax.Print(cur)})
+	if status != http.StatusOK {
+		t.Fatalf("second session: %d: %s", status, data)
+	}
+	var second DeltaResponse
+	if err := json.Unmarshal(data, &second); err != nil {
+		t.Fatal(err)
+	}
+	if !second.Cached || second.Delta != nil {
+		t.Errorf("second session's first response: cached %v, delta stats %+v; want a hit with none", second.Cached, second.Delta)
+	}
 }
 
 func TestDrain(t *testing.T) {
