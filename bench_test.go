@@ -363,12 +363,13 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkServerQuery measures the daemon's two cache-served requests
-// on plasma, the largest paper program, through the server's handler
-// without a network: a /v1/query verdict read from the engine's
-// program cache, and a repeated /v1/analyze, a program-cache hit that
-// still builds and encodes the whole report. Together they are
-// hot-mixed's steady state.
+// BenchmarkServerQuery measures the daemon's cache-served requests
+// through the server's handler without a network: on plasma, the
+// largest paper program, a /v1/query verdict read from the engine's
+// program cache and a repeated /v1/analyze, a program-cache hit that
+// copies the report the engine encoded on the first response (the
+// two are hot-mixed's steady state); and a repeated /v1/batch of the
+// 13 paper programs, whose slots copy their reports the same way.
 func BenchmarkServerQuery(b *testing.B) {
 	wl, err := workloads.Get("plasma")
 	if err != nil {
@@ -408,10 +409,19 @@ func BenchmarkServerQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var corpus server.BatchRequest
+	for _, w := range workloads.All() {
+		corpus.Programs = append(corpus.Programs, server.BatchProgram{Name: w.Name, Source: syntax.Print(w.Program())})
+	}
+	batch, err := json.Marshal(corpus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	post(b, "/v1/batch", batch)
 	for _, req := range []struct {
 		name, path string
 		body       []byte
-	}{{"query", "/v1/query", query}, {"analyze", "/v1/analyze", analyze}} {
+	}{{"query", "/v1/query", query}, {"analyze", "/v1/analyze", analyze}, {"batch", "/v1/batch", batch}} {
 		b.Run(req.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

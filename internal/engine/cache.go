@@ -23,20 +23,21 @@ type cacheKey struct {
 }
 
 // resultCache is a mutex-guarded LRU keyed by cacheKey, bounded both
-// in entries and in the bytes its results retain (Result.retainedBytes):
-// a put evicts least recently used entries until both bounds hold,
-// except that the entry just put always stays. An entry is the sealed
-// *Result of the run that populated it, E(main).M and that run's Stats
-// included; nothing writes to it once stored, so a hit copies it and
-// nothing is re-extracted per request. The corpus pool and the
-// daemon's handlers hit it from many goroutines; a plain map with a
-// lock is enough because a lookup holds the lock only for a map access
-// and a list move.
+// in entries and in the bytes its results retain (Result.retainedBytes,
+// plus the encoded report once Encoded fills it): a put or a charge
+// evicts least recently used entries until both bounds hold, except
+// that the last entry always stays. An entry is the sealed *Result of
+// the run that populated it, E(main).M and that run's Stats included;
+// nothing but its once-filled report slot is written once stored, so
+// a hit copies it and nothing is re-extracted per request. The corpus
+// pool and the daemon's handlers hit it from many goroutines; a plain
+// map with a lock is enough because a lookup holds the lock only for a
+// map access and a list move.
 type resultCache struct {
 	mu       sync.Mutex
 	cap      int
 	maxBytes int
-	bytes    int        // retainedBytes summed over entries
+	bytes    int        // cacheEntry.bytes summed over entries
 	order    *list.List // front = most recently used; values are cacheKey
 	entries  map[cacheKey]*cacheEntry
 }
@@ -44,7 +45,7 @@ type resultCache struct {
 type cacheEntry struct {
 	val   *Result
 	elem  *list.Element
-	bytes int
+	bytes int // retainedBytes, plus the encoded report once charged
 }
 
 func newResultCache(capacity, maxBytes int) *resultCache {
@@ -79,6 +80,27 @@ func (c *resultCache) put(k cacheKey, v *Result) {
 	e := &cacheEntry{val: v, elem: c.order.PushFront(k), bytes: v.retainedBytes()}
 	c.entries[k] = e
 	c.bytes += e.bytes
+	c.evict()
+}
+
+// charge adds n encoded-report bytes to the entry for k if that entry
+// still holds the result whose slot was filled, then evicts least
+// recently used entries while the cache is over its bounds.
+func (c *resultCache) charge(k cacheKey, slot *encodedReport, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[k]
+	if !ok || e.val.report != slot {
+		return
+	}
+	e.bytes += n
+	c.bytes += n
+	c.evict()
+}
+
+// evict drops least recently used entries until both bounds hold or
+// one entry is left. The caller holds mu.
+func (c *resultCache) evict() {
 	for len(c.entries) > c.cap || (c.bytes > c.maxBytes && len(c.entries) > 1) {
 		oldest := c.order.Remove(c.order.Back()).(cacheKey)
 		c.bytes -= c.entries[oldest].bytes

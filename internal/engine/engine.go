@@ -14,7 +14,8 @@
 //   - a program cache: a content-hash-keyed LRU over solved Results,
 //     bounded in entries and in retained bytes, serving repeated
 //     analyses of identical programs and, through Cached, reads of a
-//     program analyzed earlier;
+//     program analyzed earlier; through Encoded it also keeps each
+//     solved program's report, encoded once by the caller's encoder;
 //   - method-granular incremental analysis: AnalyzeDelta is the same
 //     pipeline with a delta solve step, which diffs the edited program
 //     against a base result by method content hash and re-solves only
@@ -55,18 +56,21 @@ type Config struct {
 	// default (1024); negative disables caching (every request
 	// re-solves — what timing-sensitive callers like the figure tables
 	// and benchmarks want). Whatever the entry bound, the cache keeps
-	// at most cacheBytes of results (Result.retainedBytes), so many
-	// small programs fit but few large ones do.
+	// at most cacheBytes of results (Result.retainedBytes, plus
+	// encoded reports), so many small programs fit but few large ones
+	// do.
 	CacheSize int
 }
 
 const (
 	defaultCacheSize = 1024
-	// cacheBytes bounds what the program cache's results retain. The
-	// 13 paper programs retain 45 KB (mapreduce) to 6.1 MB (plasma)
-	// each and a 3000-label program about 13 MB, so the default holds
-	// 1024 small programs, about 150 of the paper mix, or about ten
-	// 3000-label programs.
+	// cacheBytes bounds what the program cache's results retain,
+	// encoded reports included. The 13 paper programs retain 45 KB
+	// (mapreduce) to 6.1 MB (plasma) each and a 3000-label program
+	// about 13 MB, so the default holds 1024 small programs, about 150
+	// of the paper mix, or about ten 3000-label programs. The daemon's
+	// indented reports add 349 KiB (mg), 189 KiB (plasma) and about
+	// 565 KiB (3000 labels).
 	cacheBytes = 128 << 20
 	// labelBytes is what a solved program retains per label beyond its
 	// solution and M: the program, its label info and its constraint
@@ -140,10 +144,12 @@ type Job struct {
 	Mode constraints.Mode
 }
 
-// Result is one completed analysis. It is immutable once returned:
-// the Result a solve returns is the one the program cache stores, and
-// a cache hit is a copy that shares everything but Stats — treat all
-// of it as read-only.
+// Result is one completed analysis. It is immutable once returned,
+// with one exception: its encoded-report slot, filled once by the
+// first Encoded call. The Result a solve returns is the one the
+// program cache stores, and a cache hit is a copy that shares
+// everything but Stats, the slot included — treat all of it as
+// read-only.
 type Result struct {
 	// Program, Info, Sys and Sol are the pipeline's intermediate
 	// products. Program is the one the maps of Sys are keyed by: on a
@@ -164,6 +170,15 @@ type Result struct {
 	M *intset.PairSet
 	// Stats is where the time went; it is the only per-request part.
 	Stats Stats
+
+	// report is the slot Encoded fills, nil on a Result the pipeline
+	// did not build; a pointer, so that copies share it.
+	report *encodedReport
+}
+
+type encodedReport struct {
+	once  sync.Once
+	bytes []byte
 }
 
 // Analyze runs the pipeline for one job: cache lookup, then, on a
@@ -208,7 +223,8 @@ type solveStep func(ctx context.Context, sys *constraints.System) (*constraints.
 // The scratch and the delta solve reach the same least solution
 // (Theorems 5–6), so either may populate the cache for the other.
 // The result is complete, Stats included, before it is cached: other
-// goroutines read cached entries, so nothing writes to it afterwards.
+// goroutines read cached entries, so nothing but Encoded's once-filled
+// slot is written afterwards.
 func (e *Engine) pipeline(ctx context.Context, start time.Time, parse time.Duration, p *syntax.Program, mode constraints.Mode, solve solveStep) (*Result, error) {
 	var key cacheKey
 	if e.cache != nil {
@@ -249,7 +265,7 @@ func (e *Engine) pipeline(ctx context.Context, start time.Time, parse time.Durat
 	stats.FootprintBytes = sol.FootprintBytes
 	stats.Delta = delta
 
-	res := &Result{Program: p, Info: info, Sys: sys, Sol: sol, Stats: stats}
+	res := &Result{Program: p, Info: info, Sys: sys, Sol: sol, Stats: stats, report: &encodedReport{}}
 	res.seal()
 	res.Stats.Total = time.Since(start)
 	e.cachePut(key, res)
@@ -268,7 +284,9 @@ func (r *Result) seal() {
 // retainedBytes estimates the memory a sealed result keeps alive: the
 // solution's footprint, M's bit matrix, and labelBytes per label for
 // the program, its label info and its constraint system. Bags a delta
-// result shares with its base are counted in both.
+// result shares with its base are counted in both. The encoded report
+// is not there yet when the result is cached; Encoded charges it to
+// the entry when it is filled.
 func (r *Result) retainedBytes() int {
 	return r.Stats.FootprintBytes + r.M.MemoryFootprint() + labelBytes*r.Program.NumLabels()
 }
@@ -298,6 +316,34 @@ func (e *Engine) Cached(hash syntax.ProgramHash, mode constraints.Mode) (*Result
 		return nil, false
 	}
 	return e.cache.get(cacheKey{hash, mode})
+}
+
+// Encoded returns res's report as encode renders it, calling encode
+// once per solved result: the bytes are kept in a slot that the cache
+// entry, its hits, Cached and any other copy of res share. The
+// engine does not know the report type, so the caller supplies the
+// encoder; every caller of one Engine must supply the same one. The
+// first fill charges the bytes it keeps (their capacity) to res's cache
+// entry, which counts them toward the cache's byte bound; a result
+// whose entry has been evicted or replaced charges nothing. The
+// returned bytes must not be modified.
+func (e *Engine) Encoded(res *Result, encode func(*Result) []byte) []byte {
+	slot := res.report
+	if slot == nil {
+		return encode(res)
+	}
+	slot.once.Do(func() {
+		slot.bytes = encode(res)
+		if e.cache != nil {
+			e.cache.charge(cacheKey{res.Program.Hash(), res.Sys.Mode}, slot, cap(slot.bytes))
+		}
+	})
+	if slot.bytes == nil {
+		// encode panicked during the fill; fail the same way again
+		// rather than serve an empty report.
+		return encode(res)
+	}
+	return slot.bytes
 }
 
 func (e *Engine) cacheGet(key cacheKey) (*Result, bool) {

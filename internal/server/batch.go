@@ -55,7 +55,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// other N-1 reports. Each program parses under its own language
 	// (falling back to the batch-wide one), so a mixed X10/Go corpus
 	// is one batch.
-	results := make([]BatchResult, len(req.Programs))
+	results := make([]batchResultJSON, len(req.Programs))
 	parsed := make([]*syntax.Program, len(req.Programs))
 	anyValid := false
 	for i, bp := range req.Programs {
@@ -74,7 +74,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if !anyValid {
 		// Nothing to solve; skip admission entirely.
-		writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+		writeAnalyses(w, batchJSON{results}, nil, true)
 		return
 	}
 
@@ -100,6 +100,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		herr *handlerError
 	}
 	done := make(map[syntax.ProgramHash]outcome)
+	var reports [][]byte
 	for i, p := range parsed {
 		if p == nil {
 			continue // parse error already recorded
@@ -115,8 +116,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i].Error = &ErrorDetail{Kind: out.herr.kind, Message: out.herr.msg}
 			continue
 		}
-		resp := s.analyzeResponse(out.res)
-		results[i].Analysis = &resp
+		a, rep := s.analysis(out.res)
+		results[i].Analysis = &a
+		reports = append(reports, rep)
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+	writeAnalyses(w, batchJSON{results}, reports, true)
 }

@@ -34,8 +34,9 @@ var fuzzStatuses = map[int]bool{
 
 // FuzzHandlers posts an arbitrary body to one of the request-decoding
 // endpoints. No body may panic the server; the status must be one the
-// API documents for client input; the body must be JSON, and any
-// non-200 body an ErrorResponse with a kind.
+// API documents for client input; the body must be JSON, a 200 from
+// an analysis endpoint exactly its wire type's encoding
+// (checkWireBytes), and any non-200 body an ErrorResponse with a kind.
 func FuzzHandlers(f *testing.F) {
 	mapreduce, err := workloads.Get("mapreduce")
 	if err != nil {
@@ -68,6 +69,8 @@ func FuzzHandlers(f *testing.F) {
 	hash := ex21.Hash()
 	seed(2, QueryRequest{ProgramHash: hex.EncodeToString(hash[:]), A: "S11", B: "S12"})
 	seed(1, BatchRequest{Programs: []BatchProgram{{Name: "ex21", Source: fixtures.Example21Source}, {Name: "bad", Source: "void main() {"}}})
+	seed(1, BatchRequest{Programs: []BatchProgram{{Name: "ex22", Source: fixtures.Example22Source}, {Name: "again", Source: fixtures.Example22Source}}})
+	seed(1, BatchRequest{Programs: []BatchProgram{{Name: `"report": {}`, Source: fixtures.Example21Source}}, Mode: "ci"})
 
 	s, err := New(Config{Workers: 1, RequestTimeout: 2 * time.Second, MaxSourceBytes: 64 << 10})
 	if err != nil {
@@ -87,6 +90,9 @@ func FuzzHandlers(f *testing.F) {
 			t.Fatalf("%s: response is not JSON: %s", path, rec.Body)
 		}
 		if rec.Code == http.StatusOK {
+			if err := checkWireBytes(path, rec.Body.Bytes()); err != nil {
+				t.Fatalf("%v\nbody: %s", err, body)
+			}
 			return
 		}
 		var er ErrorResponse

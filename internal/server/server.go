@@ -4,7 +4,7 @@
 //
 // Request path:
 //
-//		admission → solve → cache
+//		admission → solve → cache → respond
 //
 //	  - admission: a bounded worker pool with an explicit wait queue;
 //	    a full queue is answered 429 + Retry-After immediately.
@@ -19,6 +19,9 @@
 //	    and it is the daemon's one record of an analyzed program:
 //	    /v1/query reads the cached E(main).M without admission or
 //	    solving, and answers 404 once the program has been evicted.
+//	  - respond: the first response for a solved program encodes its
+//	    report once (engine.Encoded); every analysis response copies
+//	    those bytes into its envelope (writeAnalyses).
 //
 // Endpoints: POST /v1/analyze, POST /v1/batch, POST /v1/query,
 // POST /v1/delta, GET /healthz, GET /metrics. See api.go for wire
@@ -26,6 +29,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -247,7 +251,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeHandlerError(w, herr)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.analyzeResponse(res))
+	a, rep := s.analysis(res)
+	writeAnalyses(w, a, [][]byte{rep}, false)
 }
 
 // handlerError pairs an HTTP status with an ErrorDetail.
@@ -386,20 +391,6 @@ func (s *Server) observeSolve(d time.Duration) {
 	}
 }
 
-func (s *Server) analyzeResponse(res *engine.Result) AnalyzeResponse {
-	rep := mhp.FromEngine(res).Report()
-	solveMs := float64(res.Stats.Solve.Nanoseconds()) / 1e6
-	if res.Stats.CacheHit {
-		solveMs = 0
-	}
-	return AnalyzeResponse{
-		ProgramHash: rep.ProgramHash,
-		Cached:      res.Stats.CacheHit,
-		SolveMs:     solveMs,
-		Report:      rep,
-	}
-}
-
 // handleQuery serves MHP verdicts from the engine's program cache: no
 // parsing, no solving, no admission — the cheap path the cache exists
 // for. The cache holds the programs most recently analyzed or queried,
@@ -500,10 +491,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.base = res
-	writeJSON(w, http.StatusOK, DeltaResponse{
-		AnalyzeResponse: s.analyzeResponse(res),
-		Delta:           deltaStatsFrom(res.Stats.Delta),
-	})
+	a, rep := s.analysis(res)
+	writeAnalyses(w, deltaJSON{a, deltaStatsFrom(res.Stats.Delta)}, [][]byte{rep}, false)
 }
 
 // readJSON decodes a POST body with limits, writing the error
@@ -587,7 +576,90 @@ func (s *Server) writeError(w http.ResponseWriter, status int, kind, msg string)
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	_ = newEncoder(w).Encode(v)
+}
+
+// newEncoder is the encoder every response body is written with: two
+// spaces of indentation per level.
+func newEncoder(w io.Writer) *json.Encoder {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	return enc
+}
+
+// analysisJSON, deltaJSON, batchJSON and batchResultJSON mirror
+// AnalyzeResponse, DeltaResponse, BatchResponse and BatchResult with
+// each report left as the placeholder {}, which writeAnalyses fills.
+type analysisJSON struct {
+	ProgramHash string          `json:"programHash"`
+	Cached      bool            `json:"cached"`
+	SolveMs     float64         `json:"solveMs"`
+	Report      json.RawMessage `json:"report"`
+}
+
+type deltaJSON struct {
+	analysisJSON
+	Delta *DeltaStats `json:"delta,omitempty"`
+}
+
+type batchJSON struct {
+	Results []batchResultJSON `json:"results"`
+}
+
+type batchResultJSON struct {
+	Name     string        `json:"name,omitempty"`
+	Error    *ErrorDetail  `json:"error,omitempty"`
+	Analysis *analysisJSON `json:"analysis,omitempty"`
+}
+
+// placeholder is a report's place in an encoded mirror. Inside a JSON
+// string every quote is escaped, so it cannot match a name or an
+// error message.
+var placeholder = []byte(`"report": {}`)
+
+// batchPad indents a report for a batch slot, three levels deeper
+// (results, slot, analysis) than in an /v1/analyze body.
+var batchPad = []byte("\n      ")
+
+// analysis returns res's response with a placeholder report, and the
+// report's bytes, which the engine keeps once encoded.
+func (s *Server) analysis(res *engine.Result) (analysisJSON, []byte) {
+	hash := res.Program.Hash()
+	a := analysisJSON{ProgramHash: hex.EncodeToString(hash[:]), Cached: res.Stats.CacheHit, Report: json.RawMessage("{}")}
+	if !res.Stats.CacheHit {
+		a.SolveMs = float64(res.Stats.Solve.Nanoseconds()) / 1e6
+	}
+	return a, s.eng.Encoded(res, encodeReport)
+}
+
+// encodeReport renders res's report as it sits in an /v1/analyze body,
+// one level deep.
+func encodeReport(res *engine.Result) []byte {
+	b, err := json.MarshalIndent(mhp.FromEngine(res).Report(), "  ", "  ")
+	if err != nil {
+		panic(err) // a report is plain data
+	}
+	return b
+}
+
+// writeAnalyses writes a 200 of mirror with reports[i] in its i-th
+// placeholder: byte for byte what writeJSON writes for the wire type,
+// without rebuilding or re-indenting a report. A batch indents each
+// report for its slot.
+func writeAnalyses(w http.ResponseWriter, mirror any, reports [][]byte, batch bool) {
+	var buf bytes.Buffer
+	_ = newEncoder(&buf).Encode(mirror)
+	body := buf.Bytes()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	for _, rep := range reports {
+		at := bytes.Index(body, placeholder) + len(placeholder) - len("{}")
+		_, _ = w.Write(body[:at])
+		if batch {
+			rep = bytes.ReplaceAll(rep, batchPad[:1], batchPad)
+		}
+		_, _ = w.Write(rep)
+		body = body[at+len("{}"):]
+	}
+	_, _ = w.Write(body)
 }
