@@ -153,7 +153,8 @@ func TestSolverSection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("benchjson not written: %v", err)
 	}
-	for _, frag := range []string{`"strategy": "topo"`, `"benchmark": "mg"`, `"ns_per_op"`, `"evaluations"`, `"allocs_per_op"`, `"num_cpu"`, `"gomaxprocs"`, `"footprint_bytes"`, `"benchmark": "huge3000"`} {
+	for _, frag := range []string{`"strategy": "topo"`, `"benchmark": "mg"`, `"ns_per_op"`, `"evaluations"`, `"allocs_per_op"`, `"num_cpu"`, `"gomaxprocs"`, `"footprint_bytes"`, `"benchmark": "huge3000"`,
+		`"generate_ns_per_op"`, `"generate_bytes_per_op"`, `"generate_allocs_per_op"`, `"commit"`, `"dirty"`} {
 		if !strings.Contains(string(data), frag) {
 			t.Fatalf("benchjson missing %q:\n%s", frag, data)
 		}

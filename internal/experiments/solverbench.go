@@ -49,6 +49,14 @@ type SolverBenchRow struct {
 	// FootprintBytes is Solution.FootprintBytes: the memory retained
 	// by the solved valuation (the space column of Figure 8).
 	FootprintBytes int `json:"footprint_bytes"`
+	// The generate columns measure labels.Compute plus Generate on a
+	// fresh labels.Info, which is what a cache miss pays before it
+	// solves: best-of-reps wall time, then heap bytes and allocations
+	// per run. They do not depend on the strategy, so a benchmark's
+	// rows carry the same values.
+	GenerateNsPerOp     int64 `json:"generate_ns_per_op"`
+	GenerateBytesPerOp  int64 `json:"generate_bytes_per_op"`
+	GenerateAllocsPerOp int64 `json:"generate_allocs_per_op"`
 }
 
 // SolverBench is the full sweep plus the environment it ran in.
@@ -72,8 +80,13 @@ func RunSolverBench(reps int) (SolverBench, error) {
 	}
 	add := func(name string, p *syntax.Program) {
 		sys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
+		gen := measureOp(reps, func() {
+			constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
+		})
 		for _, alg := range SolverBenchStrategies {
-			bench.Rows = append(bench.Rows, measureSolver(name, alg, sys, reps))
+			row := measureSolver(name, alg, sys, reps)
+			row.GenerateNsPerOp, row.GenerateBytesPerOp, row.GenerateAllocsPerOp = gen.ns, gen.bytes, gen.allocs
+			bench.Rows = append(bench.Rows, row)
 		}
 	}
 	for _, wl := range workloads.All() {
@@ -89,58 +102,67 @@ func RunSolverBench(reps int) (SolverBench, error) {
 func measureSolver(benchmark string, alg constraints.Algorithm, sys *constraints.System, reps int) SolverBenchRow {
 	// Warm-up solve; its (deterministic) counters fill the row.
 	warm := sys.Solve(alg)
-	row := SolverBenchRow{
+	m := measureOp(reps, func() { sys.Solve(alg) })
+	return SolverBenchRow{
 		Benchmark:      benchmark,
 		Strategy:       alg.String(),
+		NsPerOp:        m.ns,
 		Evaluations:    warm.Evaluations,
 		Passes:         warm.IterL1 + warm.IterL2,
+		AllocsPerOp:    m.allocs,
+		BytesPerOp:     m.bytes,
 		FootprintBytes: warm.FootprintBytes,
 	}
+}
 
-	// Size the inner loop so each rep runs ≥ ~2ms: single solves on
-	// the small benchmarks are microseconds, below timer noise.
+// perOp is one operation's cost: best-of-reps wall time, and heap
+// bytes and allocations.
+type perOp struct{ ns, bytes, allocs int64 }
+
+// measureOp times op reps times over an inner loop sized so each rep
+// runs ≥ ~2ms (single solves on the small benchmarks are
+// microseconds, below timer noise), keeping the fastest rep, then
+// counts its allocations over a loop of its own so the timing reps
+// stay unperturbed by ReadMemStats.
+func measureOp(reps int, op func()) perOp {
+	t0 := time.Now()
+	op()
 	iters := 1
-	if d := warm.Duration; d > 0 {
+	if d := time.Since(t0); d > 0 {
 		iters = int(2 * time.Millisecond / d)
 	}
-	if iters < 1 {
-		iters = 1
-	}
-	if iters > 512 {
-		iters = 512
-	}
+	iters = min(max(iters, 1), 512)
 
 	best := time.Duration(0)
 	for rep := 0; rep < reps; rep++ {
 		t0 := time.Now()
 		for i := 0; i < iters; i++ {
-			sys.Solve(alg)
+			op()
 		}
 		if d := time.Since(t0); rep == 0 || d < best {
 			best = d
 		}
 	}
-	row.NsPerOp = best.Nanoseconds() / int64(iters)
 
-	// Allocation profile, measured over its own loop so the timing
-	// reps above stay unperturbed by ReadMemStats.
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < iters; i++ {
-		sys.Solve(alg)
+		op()
 	}
 	runtime.ReadMemStats(&ms1)
-	row.AllocsPerOp = int64(ms1.Mallocs-ms0.Mallocs) / int64(iters)
-	row.BytesPerOp = int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(iters)
-	return row
+	return perOp{
+		ns:     best.Nanoseconds() / int64(iters),
+		bytes:  int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(iters),
+		allocs: int64(ms1.Mallocs-ms0.Mallocs) / int64(iters),
+	}
 }
 
 // FormatSolverBench renders the sweep as an aligned table, one row
 // per (benchmark, strategy).
 func FormatSolverBench(bench SolverBench) string {
 	var b strings.Builder
-	tw := newTable(&b, "benchmark", "strategy", "ns/op", "evals", "passes", "allocs/op", "B/op", "footprint B")
+	tw := newTable(&b, "benchmark", "strategy", "ns/op", "evals", "passes", "allocs/op", "B/op", "footprint B", "gen ns/op", "gen B/op", "gen allocs/op")
 	for _, r := range bench.Rows {
 		tw.row(r.Benchmark, r.Strategy,
 			fmt.Sprint(r.NsPerOp),
@@ -148,9 +170,12 @@ func FormatSolverBench(bench SolverBench) string {
 			fmt.Sprint(r.Passes),
 			fmt.Sprint(r.AllocsPerOp),
 			fmt.Sprint(r.BytesPerOp),
-			fmt.Sprint(r.FootprintBytes))
+			fmt.Sprint(r.FootprintBytes),
+			fmt.Sprint(r.GenerateNsPerOp),
+			fmt.Sprint(r.GenerateBytesPerOp),
+			fmt.Sprint(r.GenerateAllocsPerOp))
 	}
 	tw.flush()
-	fmt.Fprintf(&b, "(%s, best of %d reps; evals for topo, passes for phased)\n", bench.Host.Describe(), bench.Reps)
+	fmt.Fprintf(&b, "(%s, best of %d reps; evals for topo, passes for phased; gen = labels + Generate on a fresh info)\n", bench.Host.Describe(), bench.Reps)
 	return b.String()
 }

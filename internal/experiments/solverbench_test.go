@@ -25,10 +25,19 @@ func TestRunSolverBench(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", got, want)
 	}
 	evals := map[[2]string]int64{}
+	gen := map[string][2]int64{}
 	for _, r := range bench.Rows {
 		if r.NsPerOp <= 0 {
 			t.Errorf("%s/%s: non-positive ns/op %d", r.Benchmark, r.Strategy, r.NsPerOp)
 		}
+		if r.GenerateNsPerOp <= 0 || r.GenerateAllocsPerOp <= 0 {
+			t.Errorf("%s/%s: generate columns %d ns, %d allocs", r.Benchmark, r.Strategy, r.GenerateNsPerOp, r.GenerateAllocsPerOp)
+		}
+		g := [2]int64{r.GenerateNsPerOp, r.GenerateBytesPerOp}
+		if prev, ok := gen[r.Benchmark]; ok && prev != g {
+			t.Errorf("%s: strategy rows carry different generate columns %v and %v", r.Benchmark, prev, g)
+		}
+		gen[r.Benchmark] = g
 		switch r.Strategy {
 		case "phased":
 			if r.Passes == 0 {
