@@ -87,8 +87,8 @@ func TestExample21Level1Solution(t *testing.T) {
 	check := func(varName string, want ...string) {
 		t.Helper()
 		var v SetVar = -1
-		for i, n := range sys.SetVarNames {
-			if n == varName {
+		for i := 0; i < sys.NumSetVars(); i++ {
+			if sys.SetVarName(SetVar(i)) == varName {
 				v = SetVar(i)
 			}
 		}
@@ -297,7 +297,7 @@ func TestStmtAccessors(t *testing.T) {
 	if sol.StmtM(body).Empty() {
 		t.Fatalf("m of main body empty")
 	}
-	if sol.PairLen(sys.StmtM[body]) != sol.StmtM(body).Len() {
+	if sol.PairLen(sys.StmtM[body.Instr.Label()]) != sol.StmtM(body).Len() {
 		t.Fatalf("PairLen inconsistent with dense conversion")
 	}
 }

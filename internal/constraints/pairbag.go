@@ -78,17 +78,26 @@ func unionLen(a, b pairBag) int {
 	return n + len(a) - i + len(b) - j
 }
 
-// crossSym adds (A × B) ∪ (B × A) and reports change, skipping pairs
-// the phase analysis proves ordered: when phase[i] and phase[j] are
-// both known and different, the single clock serializes them and they
-// can never run in parallel. phase is nil for clock-free programs
-// (no filtering). This is the ONE place pairs enter the level-2
-// system — level 2 is otherwise pure union — so filtering here makes
-// every solving strategy (and the delta solver) compute exactly the
+// cross adds the cross term ct, whose variable operand's value in
+// setVals is final, and reports change, skipping pairs the phase
+// analysis proves ordered: when phase[i] and phase[j] are both known
+// and different, the single clock serializes them and they can never
+// run in parallel. phase is nil for clock-free programs (no
+// filtering). This is the ONE place pairs enter the level-2 system —
+// level 2 is otherwise pure union — so filtering here makes every
+// solving strategy (and the delta solver) compute exactly the
 // phase-refined least solution, preserving cross-strategy
-// bit-identity.
-//
-// The product is emitted in key order, row i of it being B when
+// bit-identity. An Lcross term carries its label instead of a
+// singleton set, so it costs no dense set.
+func (b *pairBag) cross(ct *CrossTerm, setVals []*intset.Set, phase []int32) bool {
+	if ct.Kind == KLcross {
+		return b.crossLabel(int(ct.Label), setVals[ct.Var], phase)
+	}
+	return b.crossSym(ct.Const, setVals[ct.Var], phase)
+}
+
+// crossSym adds (A × B) ∪ (B × A) under cross's phase filter. The
+// product is emitted in key order, row i of it being B when
 // i ∈ A \ B, A when i ∈ B \ A and A ∪ B when i ∈ A ∩ B, then merged.
 func (b *pairBag) crossSym(a, bb *intset.Set, phase []int32) bool {
 	if a.Empty() || bb.Empty() {
@@ -112,15 +121,53 @@ func (b *pairBag) crossSym(a, bb *intset.Set, phase []int32) bool {
 			pi = phase[i]
 		}
 		for _, j := range row {
-			if pi >= 0 {
-				if pj := phase[j]; pj >= 0 && pj != pi {
-					continue // provably ordered by the clock
-				}
+			if phaseOK(phase, pi, j) { // else provably ordered by the clock
+				prod = append(prod, pairKey(i, j))
 			}
-			prod = append(prod, pairKey(i, j))
 		}
 	}
 	return b.unionWith(prod)
+}
+
+// crossLabel adds Lcross(l, B) = ({l} × B) ∪ (B × {l}) and reports
+// change, under cross's phase filter. In key order that is (j, l)
+// for j ∈ B below l, then row l (which is B whether or not l ∈ B),
+// then (j, l) for j ∈ B above l: at most 2·|B| keys.
+func (b *pairBag) crossLabel(l int, bb *intset.Set, phase []int32) bool {
+	if bb.Empty() {
+		return false
+	}
+	pl := int32(-1)
+	if phase != nil {
+		pl = phase[l]
+	}
+	prod := make(pairBag, 0, 2*bb.Len())
+	bb.Each(func(j int) {
+		if j < l && phaseOK(phase, pl, j) {
+			prod = append(prod, pairKey(j, l))
+		}
+	})
+	bb.Each(func(j int) {
+		if phaseOK(phase, pl, j) {
+			prod = append(prod, pairKey(l, j))
+		}
+	})
+	bb.Each(func(j int) {
+		if j > l && phaseOK(phase, pl, j) {
+			prod = append(prod, pairKey(j, l))
+		}
+	})
+	return b.unionWith(prod)
+}
+
+// phaseOK reports whether label j may pair with a label of phase code
+// pi: unless both phases are known and differ.
+func phaseOK(phase []int32, pi int32, j int) bool {
+	if pi < 0 {
+		return true
+	}
+	pj := phase[j]
+	return pj < 0 || pj == pi
 }
 
 // remapBag translates every pair of src through remap, reporting false

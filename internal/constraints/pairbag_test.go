@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fx10/internal/intset"
+	"fx10/internal/syntax"
 )
 
 // checkBag fails unless b is a sorted, duplicate-free run holding
@@ -44,8 +45,8 @@ func randomSet(rng *rand.Rand, n int) *intset.Set {
 }
 
 // TestPairBagMatchesPairSet checks every bag operation against
-// intset.PairSet: random unions, crossSym with and without a phase
-// vector, and monotone and non-monotone remaps. Inputs must come out
+// intset.PairSet: random unions, crossSym and crossLabel with and
+// without a phase vector, and monotone and non-monotone remaps. Inputs must come out
 // unchanged, since solved bags are shared.
 func TestPairBagMatchesPairSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -75,10 +76,13 @@ func TestPairBagMatchesPairSet(t *testing.T) {
 				phase[i] = int32(rng.Intn(4)) - 1 // -1 is an unknown phase
 			}
 		}
+		unordered := func(i, j int) bool {
+			return phase == nil || phase[i] < 0 || phase[j] < 0 || phase[i] == phase[j]
+		}
 		want := yo.Clone()
 		a.Each(func(i int) {
 			bb.Each(func(j int) {
-				if phase == nil || phase[i] < 0 || phase[j] < 0 || phase[i] == phase[j] {
+				if unordered(i, j) {
 					want.AddSym(i, j)
 				}
 			})
@@ -91,6 +95,30 @@ func TestPairBagMatchesPairSet(t *testing.T) {
 		checkBag(t, "crossSym", c, want)
 		if !slices.Equal(y, y0) {
 			t.Fatal("crossSym modified its receiver's old run")
+		}
+
+		// crossLabel(l, B) is symcross({l}, B), and cross dispatches an
+		// Lcross term to it.
+		l := rng.Intn(n)
+		sym := intset.NewPairs(n)
+		sym.CrossSym(intset.Of(n, l), bb)
+		want = yo.Clone()
+		sym.Each(func(i, j int) {
+			if unordered(i, j) {
+				want.Add(i, j)
+			}
+		})
+		c = y
+		changed = c.crossLabel(l, bb, phase)
+		if changed != !want.Equal(yo) {
+			t.Fatalf("crossLabel reported change %v, oracle %v", changed, !want.Equal(yo))
+		}
+		checkBag(t, "crossLabel", c, want)
+		c = y
+		c.cross(&CrossTerm{Kind: KLcross, Label: syntax.Label(l), Var: 0}, []*intset.Set{bb}, phase)
+		checkBag(t, "cross(Lcross)", c, want)
+		if !slices.Equal(y, y0) {
+			t.Fatal("crossLabel modified its receiver's old run")
 		}
 
 		// A monotone remap (an injection that keeps label order), then

@@ -6,7 +6,7 @@ import "fx10/internal/intset"
 // barrier remove from the main method's MHP relation?
 //
 // The solvers drop a pair the moment it would enter a pair variable
-// (pairBag.crossSym), so the pruned pairs are never materialized during
+// (pairBag.cross), so the pruned pairs are never materialized during
 // solving and no strategy-dependent counter exists. They are instead
 // reconstructed exactly from the least solution: level-1 values are
 // unaffected by the pruning (no set constraint reads a pair variable),
@@ -33,14 +33,14 @@ func (sol *Solution) ClockPrunedMainPairs() *intset.PairSet {
 	// L2 constraints indexed by left-hand side, for the reachability
 	// walk. Every pair variable has at most one defining constraint
 	// today, but nothing below depends on that.
-	byLHS := make([][]int32, len(s.PairVarNames))
+	byLHS := make([][]int32, s.NumPairVars())
 	for ci := range s.L2s {
 		lhs := s.L2s[ci].LHS
 		byLHS[lhs] = append(byLHS[lhs], int32(ci))
 	}
 
 	root := s.MethodM[s.P.MainIndex]
-	seen := make([]bool, len(s.PairVarNames))
+	seen := make([]bool, s.NumPairVars())
 	seen[root] = true
 	stack := []PairVar{root}
 	for len(stack) > 0 {
@@ -48,9 +48,10 @@ func (sol *Solution) ClockPrunedMainPairs() *intset.PairSet {
 		stack = stack[:len(stack)-1]
 		for _, ci := range byLHS[v] {
 			c := &s.L2s[ci]
-			for _, ct := range c.Crosses {
+			for k := range c.Crosses {
+				ct := &c.Crosses[k]
 				val := sol.setVals[ct.Var]
-				ct.Const.Each(func(i int) {
+				ct.eachConst(func(i int) {
 					pi := code[i]
 					if pi < 0 {
 						return

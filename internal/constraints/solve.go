@@ -111,8 +111,8 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 	n := s.P.NumLabels()
 	sol := &Solution{
 		sys:         s,
-		setVals:     make([]*intset.Set, len(s.SetVarNames)),
-		pairVals:    make([]pairBag, len(s.PairVarNames)),
+		setVals:     make([]*intset.Set, s.NumSetVars()),
+		pairVals:    make([]pairBag, s.NumPairVars()),
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)
@@ -222,8 +222,8 @@ func (sol *Solution) solveL2() {
 	for _, c := range sol.sys.L2s {
 		sol.checkCancel()
 		lhs := &sol.pairVals[c.LHS]
-		for _, ct := range c.Crosses {
-			lhs.crossSym(ct.Const, sol.setVals[ct.Var], sol.sys.PhaseCode)
+		for k := range c.Crosses {
+			lhs.cross(&c.Crosses[k], sol.setVals, sol.sys.PhaseCode)
 		}
 	}
 	for {
@@ -249,14 +249,18 @@ func (sol *Solution) PairValue(v PairVar) *intset.PairSet {
 func (sol *Solution) PairLen(v PairVar) int { return len(sol.pairVals[v]) }
 
 // StmtR returns the solved r_s for a statement node.
-func (sol *Solution) StmtR(st *syntax.Stmt) *intset.Set { return sol.setVals[sol.sys.StmtR[st]] }
+func (sol *Solution) StmtR(st *syntax.Stmt) *intset.Set {
+	return sol.setVals[sol.sys.StmtR[st.Instr.Label()]]
+}
 
 // StmtO returns the solved o_s for a statement node.
-func (sol *Solution) StmtO(st *syntax.Stmt) *intset.Set { return sol.setVals[sol.sys.StmtO[st]] }
+func (sol *Solution) StmtO(st *syntax.Stmt) *intset.Set {
+	return sol.setVals[sol.sys.StmtO[st.Instr.Label()]]
+}
 
 // StmtM returns the solved m_s for a statement node (fresh dense set).
 func (sol *Solution) StmtM(st *syntax.Stmt) *intset.PairSet {
-	return sol.PairValue(sol.sys.StmtM[st])
+	return sol.PairValue(sol.sys.StmtM[st.Instr.Label()])
 }
 
 // MethodSummary returns the solved (mᵢ, oᵢ) for a method as a type

@@ -209,8 +209,8 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 	}
 	sol := &Solution{
 		sys:         s,
-		setVals:     make([]*intset.Set, len(s.SetVarNames)),
-		pairVals:    make([]pairBag, len(s.PairVarNames)),
+		setVals:     make([]*intset.Set, s.NumSetVars()),
+		pairVals:    make([]pairBag, s.NumPairVars()),
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"fx10/internal/clocks"
 	"fx10/internal/intset"
@@ -69,7 +70,8 @@ type PairVar int
 type CrossKind int
 
 const (
-	// KLcross is Lcross(l, v): the constant is the singleton {l}.
+	// KLcross is Lcross(l, v): the constant is the singleton {l},
+	// carried as the term's Label.
 	KLcross CrossKind = iota
 	// KScross is Scross_p(s, v): the constant is Slabels_p(s).
 	KScross
@@ -78,13 +80,33 @@ const (
 	KSymcross
 )
 
-// CrossTerm is symcross(Const, value of Var): every cross term in the
-// generated constraints has one constant and one variable operand.
+// CrossTerm is symcross(constant, value of Var): every cross term in
+// the generated constraints has one constant and one variable operand.
+// An Lcross term's constant is {Label} and its Const is nil; the pair
+// solvers emit its row and column directly (pairBag.crossLabel). An
+// Scross term carries Slabels of the statement whose first instruction
+// is Label, and a symcross term Slabels of method Method's body.
 type CrossTerm struct {
-	Kind  CrossKind
-	Name  string // display text for the constant operand
-	Const *intset.Set
-	Var   SetVar
+	Kind   CrossKind
+	Label  syntax.Label
+	Method MethodID
+	Const  *intset.Set
+	Var    SetVar
+}
+
+// constEmpty reports whether the term's constant operand is empty.
+func (ct *CrossTerm) constEmpty() bool {
+	return ct.Kind != KLcross && (ct.Const == nil || ct.Const.Empty())
+}
+
+// eachConst calls f on every label of the term's constant operand, in
+// increasing order.
+func (ct *CrossTerm) eachConst(f func(int)) {
+	if ct.Kind == KLcross {
+		f(int(ct.Label))
+	} else if ct.Const != nil {
+		ct.Const.Each(f)
+	}
 }
 
 // L1 is a level-1 constraint LHS = Const ∪ Vars[0] ∪ Vars[1] ∪ ….
@@ -112,23 +134,25 @@ type L2 struct {
 	Pairs   []PairVar
 }
 
-// System is a generated constraint system.
+// System is a generated constraint system. It is a few flat arrays,
+// each sized once by Generate: the constraints, whose operand slices
+// are cut from shared backing arrays, and the variable tables below.
+// Variable names exist only for printing (SetVarName, PairVarName).
 type System struct {
 	P    *syntax.Program
 	Info *labels.Info
 	Mode Mode
 
-	SetVarNames  []string
-	PairVarNames []string
-
 	L1s     []L1
 	Subsets []Subset
 	L2s     []L2
 
-	// Per-statement variables, keyed by statement (suffix) node.
-	StmtR map[*syntax.Stmt]SetVar
-	StmtO map[*syntax.Stmt]SetVar
-	StmtM map[*syntax.Stmt]PairVar
+	// Per-statement variables, indexed by the label of the statement's
+	// (suffix's) first instruction. Validate attaches every label to
+	// exactly one instruction, so each label names one statement node.
+	StmtR []SetVar
+	StmtO []SetVar
+	StmtM []PairVar
 
 	// Per-method variables, indexed like Program.Methods.
 	MethodO []SetVar
@@ -145,7 +169,8 @@ type System struct {
 	// methods' closure. SetVarsOf/PairVarsOf give each method's
 	// variables in ascending index order, which is deterministic in
 	// the method's body structure — the correspondence delta seeding
-	// relies on.
+	// relies on. Generate records each owner as it allocates the
+	// variable, so the owner tables also count the variables.
 	SetVarOwner  []MethodID // owner of each SetVar
 	PairVarOwner []MethodID // owner of each PairVar
 	Calls        *CallGraph
@@ -154,7 +179,7 @@ type System struct {
 	// Generate iff the program uses clocks (Section 8); nil otherwise.
 	// PhaseCode is its flattened form (clocks.PhaseInfo.Codes): one
 	// int32 per label, the concrete phase for Known labels and -1 for
-	// ⊥/⊤. The solvers consult it in crossSym — two labels with
+	// ⊥/⊤. The solvers consult it in pairBag.cross — two labels with
 	// non-negative different codes are barrier-ordered, so their pair
 	// never enters the level-2 system.
 	Phases    *clocks.PhaseInfo
@@ -162,6 +187,11 @@ type System struct {
 
 	methodSetVars  [][]SetVar
 	methodPairVars [][]PairVar
+
+	// The variable names, built on first use (see buildNames).
+	namesOnce sync.Once
+	setNames  []string
+	pairNames []string
 }
 
 // Counts returns the constraint counts reported in Figure 6: the
@@ -173,10 +203,10 @@ func (s *System) Counts() (slabels, l1, l2 int) {
 }
 
 // NumSetVars returns the number of level-1 variables.
-func (s *System) NumSetVars() int { return len(s.SetVarNames) }
+func (s *System) NumSetVars() int { return len(s.SetVarOwner) }
 
 // NumPairVars returns the number of level-2 variables.
-func (s *System) NumPairVars() int { return len(s.PairVarNames) }
+func (s *System) NumPairVars() int { return len(s.PairVarOwner) }
 
 // SetVarsOf returns method mi's set variables in ascending variable
 // order (shared slice; do not mutate).
@@ -186,36 +216,63 @@ func (s *System) SetVarsOf(mi MethodID) []SetVar { return s.methodSetVars[mi] }
 // order (shared slice; do not mutate).
 func (s *System) PairVarsOf(mi MethodID) []PairVar { return s.methodPairVars[mi] }
 
-// buildPartition derives the ownership tables and the call-graph
-// layer after generation: a statement variable belongs to the method
-// whose body contains the statement, a summary variable (oᵢ/mᵢ/rᵢ)
-// to the method it summarizes.
-func (s *System) buildPartition() {
-	p := s.P
-	s.SetVarOwner = make([]MethodID, len(s.SetVarNames))
-	s.PairVarOwner = make([]MethodID, len(s.PairVarNames))
-	for i := range p.Methods {
-		s.SetVarOwner[s.MethodO[i]] = i
-		s.PairVarOwner[s.MethodM[i]] = i
-		if s.MethodR != nil {
-			s.SetVarOwner[s.MethodR[i]] = i
+// varsByOwner groups variables 0..len(owner)-1 by owning method, each
+// group ascending, in one counting pass over one backing array.
+func varsByOwner[V ~int](owner []MethodID, methods int) [][]V {
+	off := make([]int, methods+1)
+	for _, mi := range owner {
+		off[mi+1]++
+	}
+	for mi := 1; mi <= methods; mi++ {
+		off[mi] += off[mi-1]
+	}
+	all := make([]V, len(owner))
+	pos := append([]int(nil), off[:methods]...)
+	for v, mi := range owner {
+		all[pos[mi]] = V(v)
+		pos[mi]++
+	}
+	out := make([][]V, methods)
+	for mi := range out {
+		out[mi] = all[off[mi]:off[mi+1]:off[mi+1]]
+	}
+	return out
+}
+
+// SetVarName returns set variable v's display name, as Figure 5
+// writes it: r_/o_ and a label or method name.
+func (s *System) SetVarName(v SetVar) string {
+	s.buildNames()
+	return s.setNames[v]
+}
+
+// PairVarName returns pair variable v's display name (m_ and a label
+// or method name).
+func (s *System) PairVarName(v PairVar) string {
+	s.buildNames()
+	return s.pairNames[v]
+}
+
+// buildNames builds both name tables once. Only printing and tests
+// read them, so a system that is only solved never builds them.
+func (s *System) buildNames() {
+	s.namesOnce.Do(func() {
+		s.setNames = make([]string, s.NumSetVars())
+		s.pairNames = make([]string, s.NumPairVars())
+		for i, m := range s.P.Methods {
+			s.setNames[s.MethodO[i]] = "o_" + m.Name
+			s.pairNames[s.MethodM[i]] = "m_" + m.Name
+			if s.MethodR != nil {
+				s.setNames[s.MethodR[i]] = "r_" + m.Name
+			}
 		}
-	}
-	for st, v := range s.StmtR {
-		mi := p.Labels[st.Instr.Label()].Method
-		s.SetVarOwner[v] = mi
-		s.SetVarOwner[s.StmtO[st]] = mi
-		s.PairVarOwner[s.StmtM[st]] = mi
-	}
-	s.methodSetVars = make([][]SetVar, len(p.Methods))
-	for v, mi := range s.SetVarOwner {
-		s.methodSetVars[mi] = append(s.methodSetVars[mi], SetVar(v))
-	}
-	s.methodPairVars = make([][]PairVar, len(p.Methods))
-	for v, mi := range s.PairVarOwner {
-		s.methodPairVars[mi] = append(s.methodPairVars[mi], PairVar(v))
-	}
-	s.Calls = NewCallGraph(p)
+		for l := range s.StmtR {
+			name := s.P.LabelName(syntax.Label(l))
+			s.setNames[s.StmtR[l]] = "r_" + name
+			s.setNames[s.StmtO[l]] = "o_" + name
+			s.pairNames[s.StmtM[l]] = "m_" + name
+		}
+	})
 }
 
 // labelSetString renders a constant label set with display names.
@@ -233,13 +290,13 @@ func (s *System) labelSetString(set *intset.Set) string {
 func (s *System) String() string {
 	var b strings.Builder
 	for _, c := range s.L1s {
-		fmt.Fprintf(&b, "%s = %s\n", s.SetVarNames[c.LHS], s.l1RHSString(c))
+		fmt.Fprintf(&b, "%s = %s\n", s.SetVarName(c.LHS), s.l1RHSString(c))
 	}
 	for _, c := range s.Subsets {
-		fmt.Fprintf(&b, "%s ⊆ %s\n", s.SetVarNames[c.Sub], s.SetVarNames[c.Sup])
+		fmt.Fprintf(&b, "%s ⊆ %s\n", s.SetVarName(c.Sub), s.SetVarName(c.Sup))
 	}
 	for _, c := range s.L2s {
-		fmt.Fprintf(&b, "%s = %s\n", s.PairVarNames[c.LHS], s.l2RHSString(c))
+		fmt.Fprintf(&b, "%s = %s\n", s.PairVarName(c.LHS), s.l2RHSString(c))
 	}
 	return b.String()
 }
@@ -250,7 +307,7 @@ func (s *System) l1RHSString(c L1) string {
 		parts = append(parts, s.labelSetString(c.Const))
 	}
 	for _, v := range c.Vars {
-		parts = append(parts, s.SetVarNames[v])
+		parts = append(parts, s.SetVarName(v))
 	}
 	if len(parts) == 0 {
 		return "{}"
@@ -263,15 +320,15 @@ func (s *System) l2RHSString(c L2) string {
 	for _, ct := range c.Crosses {
 		switch ct.Kind {
 		case KLcross:
-			parts = append(parts, fmt.Sprintf("Lcross(%s, %s)", ct.Name, s.SetVarNames[ct.Var]))
+			parts = append(parts, fmt.Sprintf("Lcross(%s, %s)", s.P.LabelName(ct.Label), s.SetVarName(ct.Var)))
 		case KScross:
-			parts = append(parts, fmt.Sprintf("Scross(%s, %s)", ct.Name, s.SetVarNames[ct.Var]))
+			parts = append(parts, fmt.Sprintf("Scross(%s, %s)", s.P.LabelName(ct.Label), s.SetVarName(ct.Var)))
 		default:
-			parts = append(parts, fmt.Sprintf("symcross(%s, %s)", ct.Name, s.SetVarNames[ct.Var]))
+			parts = append(parts, fmt.Sprintf("symcross(Slabels(%s), %s)", s.P.Methods[ct.Method].Name, s.SetVarName(ct.Var)))
 		}
 	}
 	for _, v := range c.Pairs {
-		parts = append(parts, s.PairVarNames[v])
+		parts = append(parts, s.PairVarName(v))
 	}
 	if len(parts) == 0 {
 		return "{}"

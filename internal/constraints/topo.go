@@ -136,7 +136,7 @@ func memberCSR(comp []int32, ncomp int32) graphCSR {
 // subSrc.edges[subSrc.off[v]:subSrc.off[v+1]]), and g is the
 // dependency graph with edges source → LHS.
 func (s *System) l1Graph() (lhsL1 []int32, subSrc, g graphCSR) {
-	nv := len(s.SetVarNames)
+	nv := s.NumSetVars()
 	lhsL1 = make([]int32, nv)
 	for i := range lhsL1 {
 		lhsL1[i] = -1
@@ -218,7 +218,7 @@ func keptComps(keep []bool, owner []MethodID, comp []int32, ncomp int32) (kept [
 // keep is the per-method keep mask described at the top of the file.
 func (sol *Solution) solveTopoL1(keep []bool) {
 	s := sol.sys
-	nv := len(s.SetVarNames)
+	nv := s.NumSetVars()
 	if nv == 0 {
 		return
 	}
@@ -359,7 +359,7 @@ func (s *System) l1SingleInflow(m int32, cid int32, comp []int32, lhsL1 []int32,
 // keep mask described at the top of the file.
 func (sol *Solution) solveTopoL2(keep []bool) {
 	s := sol.sys
-	np := len(s.PairVarNames)
+	np := s.NumPairVars()
 	if np == 0 {
 		return
 	}
@@ -398,7 +398,7 @@ func (sol *Solution) solveTopoL2(keep []bool) {
 // final by the time level-2 runs, so cross terms contribute no
 // edges).
 func (s *System) l2Graph() (lhsL2 []int32, g graphCSR) {
-	np := len(s.PairVarNames)
+	np := s.NumPairVars()
 	lhsL2 = make([]int32, np)
 	for i := range lhsL2 {
 		lhsL2[i] = -1
@@ -441,8 +441,8 @@ func (sol *Solution) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, bags
 		sol.Evaluations++
 		sol.checkCancel()
 		c := &s.L2s[ci]
-		for _, ct := range c.Crosses {
-			bag.crossSym(ct.Const, sol.setVals[ct.Var], s.PhaseCode)
+		for k := range c.Crosses {
+			bag.cross(&c.Crosses[k], sol.setVals, s.PhaseCode)
 		}
 		for _, v := range c.Pairs {
 			if comp[v] != cid {
@@ -464,8 +464,8 @@ func (s *System) l2SingleInflow(m int32, cid int32, comp []int32, lhsL2 []int32,
 		return 0, false
 	}
 	c := &s.L2s[ci]
-	for _, ct := range c.Crosses {
-		if ct.Const != nil && !ct.Const.Empty() && !setVals[ct.Var].Empty() {
+	for k := range c.Crosses {
+		if ct := &c.Crosses[k]; !ct.constEmpty() && !setVals[ct.Var].Empty() {
 			return 0, false
 		}
 	}

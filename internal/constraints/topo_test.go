@@ -103,18 +103,18 @@ func TestTopoAliasingPointerDistinct(t *testing.T) {
 			for v := 0; v < sys.NumSetVars(); v++ {
 				s := topo.SetValue(SetVar(v))
 				if s == nil {
-					t.Fatalf("%v: set variable %s has nil value", mode, sys.SetVarNames[v])
+					t.Fatalf("%v: set variable %s has nil value", mode, sys.SetVarName(SetVar(v)))
 				}
 				if prev, dup := ptrs[s]; dup {
 					t.Fatalf("%v: set variables %s and %s share one *Set",
-						mode, sys.SetVarNames[prev], sys.SetVarNames[v])
+						mode, sys.SetVarName(prev), sys.SetVarName(SetVar(v)))
 				}
 				ptrs[s] = SetVar(v)
 			}
 			// Densified pair values are fresh per call.
 			for v := 0; v < sys.NumPairVars(); v++ {
 				if topo.PairValue(PairVar(v)) == topo.PairValue(PairVar(v)) {
-					t.Fatalf("%v: PairValue(%s) returned a shared pair set", mode, sys.PairVarNames[v])
+					t.Fatalf("%v: PairValue(%s) returned a shared pair set", mode, sys.PairVarName(PairVar(v)))
 				}
 			}
 		}
