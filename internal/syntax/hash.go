@@ -52,7 +52,7 @@ type hashMemo struct {
 // every lookup.
 func (p *Program) Hash() ProgramHash {
 	p.hashes.progOnce.Do(func() {
-		p.hashes.prog = sha256.Sum256([]byte(Print(p)))
+		p.hashes.prog = sha256.Sum256(appendProgram(make([]byte, 0, 32*len(p.Labels)+64), p))
 	})
 	return p.hashes.prog
 }

@@ -2,76 +2,112 @@ package syntax
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Print renders the program in the concrete syntax accepted by
 // internal/parser, with every label written explicitly so the result
 // round-trips (modulo auto-generated label names, which are preserved
 // verbatim).
-func Print(p *Program) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "array %d;\n\n", p.ArrayLen)
+func Print(p *Program) string { return string(appendProgram(nil, p)) }
+
+// appendProgram appends Print's text to b. Program.Hash sums these
+// bytes, so it neither formats through fmt nor copies a string.
+func appendProgram(b []byte, p *Program) []byte {
+	b = append(b, "array "...)
+	b = strconv.AppendInt(b, int64(p.ArrayLen), 10)
+	b = append(b, ";\n\n"...)
 	for mi, m := range p.Methods {
 		if mi > 0 {
-			b.WriteByte('\n')
+			b = append(b, '\n')
 		}
-		fmt.Fprintf(&b, "void %s() {\n", m.Name)
-		printStmt(&b, p, m.Body, 1)
-		b.WriteString("}\n")
+		b = append(b, "void "...)
+		b = append(b, m.Name...)
+		b = append(b, "() {\n"...)
+		b = appendStmt(b, p, m.Body, 1)
+		b = append(b, "}\n"...)
 	}
-	return b.String()
+	return b
 }
 
 // PrintStmt renders one statement in concrete syntax at the given
 // indent depth. Useful for diagnostics and tree display.
 func PrintStmt(p *Program, s *Stmt) string {
-	var b strings.Builder
-	printStmt(&b, p, s, 0)
-	return b.String()
+	return string(appendStmt(nil, p, s, 0))
 }
 
-func printStmt(b *strings.Builder, p *Program, s *Stmt, depth int) {
+func appendStmt(b []byte, p *Program, s *Stmt, depth int) []byte {
 	for cur := s; cur != nil; cur = cur.Next {
-		printInstr(b, p, cur.Instr, depth)
+		b = appendInstr(b, p, cur.Instr, depth)
 	}
+	return b
 }
 
-func printInstr(b *strings.Builder, p *Program, i Instr, depth int) {
-	ind := strings.Repeat("  ", depth)
-	lbl := p.LabelName(i.Label())
+func appendIndent(b []byte, depth int) []byte {
+	for ; depth > 0; depth-- {
+		b = append(b, "  "...)
+	}
+	return b
+}
+
+// appendBody appends " {", the nested statement and the closing brace.
+func appendBody(b []byte, p *Program, body *Stmt, depth int) []byte {
+	b = append(b, " {\n"...)
+	b = appendStmt(b, p, body, depth+1)
+	b = appendIndent(b, depth)
+	return append(b, "}\n"...)
+}
+
+func appendInstr(b []byte, p *Program, i Instr, depth int) []byte {
+	b = appendIndent(b, depth)
+	b = append(b, p.LabelName(i.Label())...)
+	b = append(b, ": "...)
 	switch i := i.(type) {
 	case *Skip:
-		fmt.Fprintf(b, "%s%s: skip;\n", ind, lbl)
+		b = append(b, "skip;\n"...)
 	case *Assign:
-		fmt.Fprintf(b, "%s%s: a[%d] = %s;\n", ind, lbl, i.D, i.Rhs)
+		b = append(b, "a["...)
+		b = strconv.AppendInt(b, int64(i.D), 10)
+		b = append(b, "] = "...)
+		switch e := i.Rhs.(type) {
+		case Const:
+			b = strconv.AppendInt(b, e.C, 10)
+		case Plus:
+			b = append(b, "a["...)
+			b = strconv.AppendInt(b, int64(e.D), 10)
+			b = append(b, "] + 1"...)
+		default:
+			b = fmt.Appendf(b, "%s", e)
+		}
+		b = append(b, ";\n"...)
 	case *While:
-		fmt.Fprintf(b, "%s%s: while (a[%d] != 0) {\n", ind, lbl, i.D)
-		printStmt(b, p, i.Body, depth+1)
-		fmt.Fprintf(b, "%s}\n", ind)
+		b = append(b, "while (a["...)
+		b = strconv.AppendInt(b, int64(i.D), 10)
+		b = append(b, "] != 0)"...)
+		b = appendBody(b, p, i.Body, depth)
 	case *Async:
-		kw := "async"
 		if i.Clocked {
-			kw = "clocked async"
+			b = append(b, "clocked "...)
 		}
+		b = append(b, "async"...)
 		if i.Place != 0 {
-			fmt.Fprintf(b, "%s%s: %s at (%d) {\n", ind, lbl, kw, i.Place)
-		} else {
-			fmt.Fprintf(b, "%s%s: %s {\n", ind, lbl, kw)
+			b = append(b, " at ("...)
+			b = strconv.AppendInt(b, int64(i.Place), 10)
+			b = append(b, ')')
 		}
-		printStmt(b, p, i.Body, depth+1)
-		fmt.Fprintf(b, "%s}\n", ind)
+		b = appendBody(b, p, i.Body, depth)
 	case *Finish:
-		fmt.Fprintf(b, "%s%s: finish {\n", ind, lbl)
-		printStmt(b, p, i.Body, depth+1)
-		fmt.Fprintf(b, "%s}\n", ind)
+		b = append(b, "finish"...)
+		b = appendBody(b, p, i.Body, depth)
 	case *Call:
-		fmt.Fprintf(b, "%s%s: %s();\n", ind, lbl, i.Name)
+		b = append(b, i.Name...)
+		b = append(b, "();\n"...)
 	case *Next:
-		fmt.Fprintf(b, "%s%s: next;\n", ind, lbl)
+		b = append(b, "next;\n"...)
 	default:
-		fmt.Fprintf(b, "%s%s: ???;\n", ind, lbl)
+		b = append(b, "???;\n"...)
 	}
+	return b
 }
 
 // InstrString renders a single instruction on one line (bodies
