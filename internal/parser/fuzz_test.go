@@ -22,6 +22,8 @@ func FuzzParse(f *testing.F) {
 		"void main() { X: }", "void main() { a[] = 1; }",
 		"void main() { /* ", "void main() { // x", "}{", "!!",
 		"void main() { S: S: skip; }",
+		"void main() { Lé: skip; } void résumé() { skip; }",
+		"void main() { L\xc3: skip; L©: skip; }",
 	}
 	for _, s := range seeds {
 		f.Add(s)

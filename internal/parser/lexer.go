@@ -27,6 +27,7 @@ package parser
 import (
 	"fmt"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind enumerates lexical token kinds.
@@ -114,16 +115,33 @@ func (lx *lexer) peekByte() byte {
 	return lx.src[lx.pos]
 }
 
-func (lx *lexer) advance() byte {
+// peekRune returns the character at the current position and its
+// encoded size: the byte itself when it is ASCII, else the UTF-8
+// rune it starts, or utf8.RuneError with size 1 for an invalid byte.
+func (lx *lexer) peekRune() (rune, int) {
+	if c := lx.peekByte(); c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(lx.src[lx.pos:])
+}
+
+// advance consumes one character (a whole UTF-8 rune, or one invalid
+// byte); columns count characters.
+func (lx *lexer) advance() {
 	c := lx.src[lx.pos]
-	lx.pos++
-	if c == '\n' {
+	switch {
+	case c >= utf8.RuneSelf:
+		_, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
+		lx.pos += size
+		lx.col++
+	case c == '\n':
+		lx.pos++
 		lx.line++
 		lx.col = 1
-	} else {
+	default:
+		lx.pos++
 		lx.col++
 	}
-	return c
 }
 
 // skipSpace consumes whitespace and comments; it reports an error for
@@ -162,13 +180,25 @@ func (lx *lexer) skipSpace() error {
 	return nil
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
+// Identifiers follow Go's rule: a letter or '_', then letters, digits
+// or '_'. ASCII is decided byte-wise; other characters by Unicode
+// category.
+func isIdentStart(r rune) bool {
+	if r < utf8.RuneSelf {
+		return r == '_' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z'
+	}
+	return unicode.IsLetter(r)
 }
 
-func isIdentCont(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+func isIdentCont(r rune) bool {
+	if r < utf8.RuneSelf {
+		return isIdentStart(r) || isDigit(r)
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
+
+// isDigit accepts the ASCII digits an integer literal is made of.
+func isDigit(r rune) bool { return '0' <= r && r <= '9' }
 
 // next scans the next token.
 func (lx *lexer) next() (token, error) {
@@ -179,11 +209,14 @@ func (lx *lexer) next() (token, error) {
 	if lx.pos >= len(lx.src) {
 		return token{kind: tokEOF, line: line, col: col}, nil
 	}
-	c := lx.peekByte()
+	r, size := lx.peekRune()
+	start := lx.pos
 	switch {
-	case isIdentStart(c):
-		start := lx.pos
-		for lx.pos < len(lx.src) && isIdentCont(lx.peekByte()) {
+	case isIdentStart(r):
+		for lx.pos < len(lx.src) {
+			if r, _ := lx.peekRune(); !isIdentCont(r) {
+				break
+			}
 			lx.advance()
 		}
 		text := lx.src[start:lx.pos]
@@ -192,14 +225,15 @@ func (lx *lexer) next() (token, error) {
 			kind = tokKeyword
 		}
 		return token{kind: kind, text: text, line: line, col: col}, nil
-	case unicode.IsDigit(rune(c)):
-		start := lx.pos
-		for lx.pos < len(lx.src) && unicode.IsDigit(rune(lx.peekByte())) {
+	case isDigit(r):
+		for lx.pos < len(lx.src) && isDigit(rune(lx.peekByte())) {
 			lx.advance()
 		}
 		return token{kind: tokInt, text: lx.src[start:lx.pos], line: line, col: col}, nil
+	case r == utf8.RuneError && size == 1:
+		return token{}, lx.errf(line, col, "invalid UTF-8 byte %#x", lx.src[start])
 	}
-	start := lx.pos
+	c := lx.peekByte()
 	lx.advance()
 	if k := punct[c]; k != tokEOF {
 		return token{kind: k, text: lx.src[start:lx.pos], line: line, col: col}, nil
@@ -211,7 +245,7 @@ func (lx *lexer) next() (token, error) {
 		}
 		return token{}, lx.errf(line, col, "unexpected character '!'")
 	}
-	return token{}, lx.errf(line, col, "unexpected character %q", string(c))
+	return token{}, lx.errf(line, col, "unexpected character %q", lx.src[start:lx.pos])
 }
 
 // lexAll scans the whole input, for tests.

@@ -143,14 +143,21 @@ void main() {
 }
 
 func TestRoundTripPrintParse(t *testing.T) {
-	p := MustParse(example22)
-	printed := syntax.Print(p)
-	q, err := Parse(printed)
-	if err != nil {
-		t.Fatalf("reparse of Print output failed: %v\n%s", err, printed)
-	}
-	if syntax.Print(q) != printed {
-		t.Fatalf("Print/Parse not a fixpoint:\n--- first ---\n%s\n--- second ---\n%s", printed, syntax.Print(q))
+	for _, src := range []string{
+		example22,
+		// Non-ASCII identifiers, which the lexer decodes as UTF-8.
+		"void main() { Lé: skip; }",
+		"void main() { résumé(); } void résumé() { Ω1: a[0] = 1; }",
+	} {
+		p := MustParse(src)
+		printed := syntax.Print(p)
+		q, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("reparse of Print output failed: %v\n%s", err, printed)
+		}
+		if syntax.Print(q) != printed {
+			t.Fatalf("Print/Parse not a fixpoint:\n--- first ---\n%s\n--- second ---\n%s", printed, syntax.Print(q))
+		}
 	}
 }
 
@@ -172,6 +179,12 @@ func TestParseErrors(t *testing.T) {
 		{"duplicate label", `void main() { X: skip; X: skip; }`, "label"},
 		{"eof in block", `void main() { skip;`, "unexpected end of input"},
 		{"keyword as callee", `void main() { while(); }`, "expected"},
+		// A non-letter after an identifier is named whole, not by its
+		// second byte.
+		{"non-letter character", `void main() { L©: skip; }`, `1:16: unexpected character "©"`},
+		{"invalid UTF-8", "void main() { L\xc3: skip; }", "1:16: invalid UTF-8 byte 0xc3"},
+		// Columns count characters: the '$' is the 18th.
+		{"column after é", `void main() { é: $ }`, `1:18: unexpected character "$"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
