@@ -34,21 +34,15 @@ import (
 func Generate(in *labels.Info, mode Mode) *System {
 	p := in.Program()
 	n, nm := p.NumLabels(), len(p.Methods)
-	nset, npair, nsub := 2*n+nm, n+nm, 0
+	nset, npair := 2*n+nm, n+nm
 	if mode == ContextInsensitive {
 		nset += nm
-		for l := range p.Labels {
-			if p.Labels[l].Kind == syntax.KindCall {
-				nsub++
-			}
-		}
 	}
 	s := &System{
 		P:            p,
 		Info:         in,
 		Mode:         mode,
 		L1s:          make([]L1, 0, nset),
-		Subsets:      make([]Subset, 0, nsub),
 		L2s:          make([]L2, 0, npair),
 		StmtR:        make([]SetVar, n),
 		StmtO:        make([]SetVar, n),

@@ -74,8 +74,10 @@ const (
 	cacheBytes = 128 << 20
 	// labelBytes is what a solved program retains per label beyond its
 	// solution and M: the program, its label info and its constraint
-	// system. Measured 840–1380 B across the paper programs and a
-	// 3000-label program.
+	// system. Measured 684–826 B on mapreduce, mg, plasma and a
+	// 3000-label program. The estimate stays at 1 KiB: a smaller one
+	// would let the cache hold more entries, which spends the heap a
+	// workload that never hits the cache would otherwise save.
 	labelBytes = 1 << 10
 )
 
@@ -152,8 +154,8 @@ type Job struct {
 // read-only.
 type Result struct {
 	// Program, Info, Sys and Sol are the pipeline's intermediate
-	// products. Program is the one the maps of Sys are keyed by: on a
-	// cache hit it is the populating run's, content-identical to the
+	// products. Program is the one Sys was generated from: on a cache
+	// hit it is the populating run's, content-identical to the
 	// caller's but possibly another value. Per-method summaries are
 	// read from Sol without densifying (Sol.PairLen, Sol.SetValue);
 	// Sol.Env() builds the whole type environment E with ⊢ p : E when
