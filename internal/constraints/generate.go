@@ -200,9 +200,7 @@ func (g *generator) l2(lhs PairVar, crosses []CrossTerm, pairs ...PairVar) {
 }
 
 // lcross builds the Lcross(l, v) cross term.
-func lcross(l syntax.Label, v SetVar) CrossTerm {
-	return CrossTerm{Kind: KLcross, Label: l, Var: v}
-}
+func lcross(l syntax.Label, v SetVar) CrossTerm { return CrossTerm{Kind: KLcross, Label: l, Var: v} }
 
 // scross builds the Scross(s, v) cross term for a statement.
 func (g *generator) scross(body *syntax.Stmt, v SetVar) CrossTerm {

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"fx10/internal/intset"
+	"fx10/internal/syntax"
 )
 
 // pairBag is a sparse set of ordered label pairs, used for the m
@@ -116,10 +117,7 @@ func (b *pairBag) crossSym(a, bb *intset.Set, phase []int32) bool {
 		case !inA:
 			row = as
 		}
-		pi := int32(-1)
-		if phase != nil {
-			pi = phase[i]
-		}
+		pi := phaseAt(phase, syntax.Label(i))
 		for _, j := range row {
 			if phaseOK(phase, pi, j) { // else provably ordered by the clock
 				prod = append(prod, pairKey(i, j))
@@ -135,12 +133,9 @@ func (b *pairBag) crossSym(a, bb *intset.Set, phase []int32) bool {
 // then (j, l) for j ∈ B above l: at most 2·|B| keys.
 func (b *pairBag) crossLabel(l int, bb *intset.Set, phase []int32) bool {
 	if bb.Empty() {
-		return false
+		return false // O(1) on the cached count; no word to scan
 	}
-	pl := int32(-1)
-	if phase != nil {
-		pl = phase[l]
-	}
+	pl := phaseAt(phase, syntax.Label(l))
 	prod := make(pairBag, 0, 2*bb.Len())
 	bb.Each(func(j int) {
 		if j < l && phaseOK(phase, pl, j) {
@@ -163,11 +158,7 @@ func (b *pairBag) crossLabel(l int, bb *intset.Set, phase []int32) bool {
 // phaseOK reports whether label j may pair with a label of phase code
 // pi: unless both phases are known and differ.
 func phaseOK(phase []int32, pi int32, j int) bool {
-	if pi < 0 {
-		return true
-	}
-	pj := phase[j]
-	return pj < 0 || pj == pi
+	return pi < 0 || phase[j] < 0 || phase[j] == pi
 }
 
 // remapBag translates every pair of src through remap, reporting false

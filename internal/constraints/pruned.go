@@ -48,8 +48,7 @@ func (sol *Solution) ClockPrunedMainPairs() *intset.PairSet {
 		stack = stack[:len(stack)-1]
 		for _, ci := range byLHS[v] {
 			c := &s.L2s[ci]
-			for k := range c.Crosses {
-				ct := &c.Crosses[k]
+			for _, ct := range c.Crosses {
 				val := sol.setVals[ct.Var]
 				ct.eachConst(func(i int) {
 					pi := code[i]

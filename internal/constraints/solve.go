@@ -222,8 +222,8 @@ func (sol *Solution) solveL2() {
 	for _, c := range sol.sys.L2s {
 		sol.checkCancel()
 		lhs := &sol.pairVals[c.LHS]
-		for k := range c.Crosses {
-			lhs.cross(&c.Crosses[k], sol.setVals, sol.sys.PhaseCode)
+		for _, ct := range c.Crosses {
+			lhs.cross(&ct, sol.setVals, sol.sys.PhaseCode)
 		}
 	}
 	for {

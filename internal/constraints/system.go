@@ -82,10 +82,8 @@ const (
 
 // CrossTerm is symcross(constant, value of Var): every cross term in
 // the generated constraints has one constant and one variable operand.
-// An Lcross term's constant is {Label} and its Const is nil; the pair
-// solvers emit its row and column directly (pairBag.crossLabel). An
-// Scross term carries Slabels of the statement whose first instruction
-// is Label, and a symcross term Slabels of method Method's body.
+// Const is nil for Lcross, whose constant is {Label}; Scross records
+// its statement's first label, and symcross its callee's Method.
 type CrossTerm struct {
 	Kind   CrossKind
 	Label  syntax.Label
@@ -217,7 +215,8 @@ func (s *System) SetVarsOf(mi MethodID) []SetVar { return s.methodSetVars[mi] }
 func (s *System) PairVarsOf(mi MethodID) []PairVar { return s.methodPairVars[mi] }
 
 // varsByOwner groups variables 0..len(owner)-1 by owning method, each
-// group ascending, in one counting pass over one backing array.
+// group ascending, all cut from one backing array sized by a counting
+// pass.
 func varsByOwner[V ~int](owner []MethodID, methods int) [][]V {
 	off := make([]int, methods+1)
 	for _, mi := range owner {
@@ -226,15 +225,12 @@ func varsByOwner[V ~int](owner []MethodID, methods int) [][]V {
 	for mi := 1; mi <= methods; mi++ {
 		off[mi] += off[mi-1]
 	}
-	all := make([]V, len(owner))
-	pos := append([]int(nil), off[:methods]...)
-	for v, mi := range owner {
-		all[pos[mi]] = V(v)
-		pos[mi]++
-	}
-	out := make([][]V, methods)
+	all, out := make([]V, len(owner)), make([][]V, methods)
 	for mi := range out {
-		out[mi] = all[off[mi]:off[mi+1]:off[mi+1]]
+		out[mi] = all[off[mi]:off[mi]:off[mi+1]]
+	}
+	for v, mi := range owner {
+		out[mi] = append(out[mi], V(v))
 	}
 	return out
 }

@@ -441,8 +441,8 @@ func (sol *Solution) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, bags
 		sol.Evaluations++
 		sol.checkCancel()
 		c := &s.L2s[ci]
-		for k := range c.Crosses {
-			bag.cross(&c.Crosses[k], sol.setVals, s.PhaseCode)
+		for _, ct := range c.Crosses {
+			bag.cross(&ct, sol.setVals, s.PhaseCode)
 		}
 		for _, v := range c.Pairs {
 			if comp[v] != cid {
@@ -464,8 +464,8 @@ func (s *System) l2SingleInflow(m int32, cid int32, comp []int32, lhsL2 []int32,
 		return 0, false
 	}
 	c := &s.L2s[ci]
-	for k := range c.Crosses {
-		if ct := &c.Crosses[k]; !ct.constEmpty() && !setVals[ct.Var].Empty() {
+	for _, ct := range c.Crosses {
+		if !ct.constEmpty() && !setVals[ct.Var].Empty() {
 			return 0, false
 		}
 	}

@@ -40,13 +40,9 @@ func CurrentHost() Host {
 	}
 }
 
-// gitCommit reads the checked-out commit when the figure runs at the
-// root of a git work tree (as `make solverbench` does); anywhere else
-// it reports "unknown".
+// gitCommit reads the checked-out commit and whether tracked files
+// differ from it; outside a git work tree it reports "unknown".
 func gitCommit() (string, bool) {
-	if _, err := os.Stat(".git"); err != nil {
-		return "unknown", false
-	}
 	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
 	if err != nil {
 		return "unknown", false

@@ -49,11 +49,9 @@ type SolverBenchRow struct {
 	// FootprintBytes is Solution.FootprintBytes: the memory retained
 	// by the solved valuation (the space column of Figure 8).
 	FootprintBytes int `json:"footprint_bytes"`
-	// The generate columns measure labels.Compute plus Generate on a
-	// fresh labels.Info, which is what a cache miss pays before it
-	// solves: best-of-reps wall time, then heap bytes and allocations
-	// per run. They do not depend on the strategy, so a benchmark's
-	// rows carry the same values.
+	// The generate columns are what a cache miss pays before it solves
+	// (labels.Compute plus Generate on a fresh info), the same in both
+	// of a benchmark's strategy rows.
 	GenerateNsPerOp     int64 `json:"generate_ns_per_op"`
 	GenerateBytesPerOp  int64 `json:"generate_bytes_per_op"`
 	GenerateAllocsPerOp int64 `json:"generate_allocs_per_op"`
@@ -80,9 +78,7 @@ func RunSolverBench(reps int) (SolverBench, error) {
 	}
 	add := func(name string, p *syntax.Program) {
 		sys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
-		gen := measureOp(reps, func() {
-			constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
-		})
+		gen := measureOp(reps, func() { constraints.Generate(labels.Compute(p), constraints.ContextSensitive) })
 		for _, alg := range SolverBenchStrategies {
 			row := measureSolver(name, alg, sys, reps)
 			row.GenerateNsPerOp, row.GenerateBytesPerOp, row.GenerateAllocsPerOp = gen.ns, gen.bytes, gen.allocs

@@ -115,9 +115,8 @@ func (lx *lexer) peekByte() byte {
 	return lx.src[lx.pos]
 }
 
-// peekRune returns the character at the current position and its
-// encoded size: the byte itself when it is ASCII, else the UTF-8
-// rune it starts, or utf8.RuneError with size 1 for an invalid byte.
+// peekRune returns the character at pos and its size: a byte when
+// ASCII, else a UTF-8 rune, or utf8.RuneError and 1 for an invalid byte.
 func (lx *lexer) peekRune() (rune, int) {
 	if c := lx.peekByte(); c < utf8.RuneSelf {
 		return rune(c), 1
@@ -128,20 +127,14 @@ func (lx *lexer) peekRune() (rune, int) {
 // advance consumes one character (a whole UTF-8 rune, or one invalid
 // byte); columns count characters.
 func (lx *lexer) advance() {
-	c := lx.src[lx.pos]
-	switch {
-	case c >= utf8.RuneSelf:
-		_, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
-		lx.pos += size
-		lx.col++
-	case c == '\n':
-		lx.pos++
+	_, size := lx.peekRune()
+	if lx.src[lx.pos] == '\n' {
 		lx.line++
 		lx.col = 1
-	default:
-		lx.pos++
+	} else {
 		lx.col++
 	}
+	lx.pos += size
 }
 
 // skipSpace consumes whitespace and comments; it reports an error for
@@ -181,24 +174,10 @@ func (lx *lexer) skipSpace() error {
 }
 
 // Identifiers follow Go's rule: a letter or '_', then letters, digits
-// or '_'. ASCII is decided byte-wise; other characters by Unicode
-// category.
-func isIdentStart(r rune) bool {
-	if r < utf8.RuneSelf {
-		return r == '_' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z'
-	}
-	return unicode.IsLetter(r)
-}
-
-func isIdentCont(r rune) bool {
-	if r < utf8.RuneSelf {
-		return isIdentStart(r) || isDigit(r)
-	}
-	return unicode.IsLetter(r) || unicode.IsDigit(r)
-}
-
-// isDigit accepts the ASCII digits an integer literal is made of.
-func isDigit(r rune) bool { return '0' <= r && r <= '9' }
+// or '_'. Integer literals are ASCII digits.
+func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
+func isIdentCont(r rune) bool  { return isIdentStart(r) || unicode.IsDigit(r) }
+func isDigit(r rune) bool      { return '0' <= r && r <= '9' }
 
 // next scans the next token.
 func (lx *lexer) next() (token, error) {

@@ -14,17 +14,13 @@ func Print(p *Program) string { return string(appendProgram(nil, p)) }
 // appendProgram appends Print's text to b. Program.Hash sums these
 // bytes, so it neither formats through fmt nor copies a string.
 func appendProgram(b []byte, p *Program) []byte {
-	b = append(b, "array "...)
-	b = strconv.AppendInt(b, int64(p.ArrayLen), 10)
+	b = strconv.AppendInt(append(b, "array "...), int64(p.ArrayLen), 10)
 	b = append(b, ";\n\n"...)
 	for mi, m := range p.Methods {
 		if mi > 0 {
 			b = append(b, '\n')
 		}
-		b = append(b, "void "...)
-		b = append(b, m.Name...)
-		b = append(b, "() {\n"...)
-		b = appendStmt(b, p, m.Body, 1)
+		b = appendStmt(cat(b, "void ", m.Name, "() {\n"), p, m.Body, 1)
 		b = append(b, "}\n"...)
 	}
 	return b
@@ -43,6 +39,14 @@ func appendStmt(b []byte, p *Program, s *Stmt, depth int) []byte {
 	return b
 }
 
+// cat appends strings to b.
+func cat(b []byte, parts ...string) []byte {
+	for _, s := range parts {
+		b = append(b, s...)
+	}
+	return b
+}
+
 func appendIndent(b []byte, depth int) []byte {
 	for ; depth > 0; depth-- {
 		b = append(b, "  "...)
@@ -50,64 +54,53 @@ func appendIndent(b []byte, depth int) []byte {
 	return b
 }
 
+// appendIndex appends the array access a[d].
+func appendIndex(b []byte, d int) []byte {
+	return append(strconv.AppendInt(append(b, "a["...), int64(d), 10), ']')
+}
+
 // appendBody appends " {", the nested statement and the closing brace.
 func appendBody(b []byte, p *Program, body *Stmt, depth int) []byte {
-	b = append(b, " {\n"...)
-	b = appendStmt(b, p, body, depth+1)
-	b = appendIndent(b, depth)
-	return append(b, "}\n"...)
+	b = appendStmt(append(b, " {\n"...), p, body, depth+1)
+	return append(appendIndent(b, depth), "}\n"...)
 }
 
 func appendInstr(b []byte, p *Program, i Instr, depth int) []byte {
-	b = appendIndent(b, depth)
-	b = append(b, p.LabelName(i.Label())...)
-	b = append(b, ": "...)
+	b = cat(appendIndent(b, depth), p.LabelName(i.Label()), ": ")
 	switch i := i.(type) {
 	case *Skip:
-		b = append(b, "skip;\n"...)
+		return append(b, "skip;\n"...)
 	case *Assign:
-		b = append(b, "a["...)
-		b = strconv.AppendInt(b, int64(i.D), 10)
-		b = append(b, "] = "...)
+		b = append(appendIndex(b, i.D), " = "...)
 		switch e := i.Rhs.(type) {
 		case Const:
 			b = strconv.AppendInt(b, e.C, 10)
 		case Plus:
-			b = append(b, "a["...)
-			b = strconv.AppendInt(b, int64(e.D), 10)
-			b = append(b, "] + 1"...)
+			b = append(appendIndex(b, e.D), " + 1"...)
 		default:
 			b = fmt.Appendf(b, "%s", e)
 		}
-		b = append(b, ";\n"...)
+		return append(b, ";\n"...)
 	case *While:
-		b = append(b, "while (a["...)
-		b = strconv.AppendInt(b, int64(i.D), 10)
-		b = append(b, "] != 0)"...)
-		b = appendBody(b, p, i.Body, depth)
+		b = append(appendIndex(append(b, "while ("...), i.D), " != 0)"...)
+		return appendBody(b, p, i.Body, depth)
 	case *Async:
 		if i.Clocked {
 			b = append(b, "clocked "...)
 		}
 		b = append(b, "async"...)
 		if i.Place != 0 {
-			b = append(b, " at ("...)
-			b = strconv.AppendInt(b, int64(i.Place), 10)
-			b = append(b, ')')
+			b = append(strconv.AppendInt(append(b, " at ("...), int64(i.Place), 10), ')')
 		}
-		b = appendBody(b, p, i.Body, depth)
+		return appendBody(b, p, i.Body, depth)
 	case *Finish:
-		b = append(b, "finish"...)
-		b = appendBody(b, p, i.Body, depth)
+		return appendBody(append(b, "finish"...), p, i.Body, depth)
 	case *Call:
-		b = append(b, i.Name...)
-		b = append(b, "();\n"...)
+		return cat(b, i.Name, "();\n")
 	case *Next:
-		b = append(b, "next;\n"...)
-	default:
-		b = append(b, "???;\n"...)
+		return append(b, "next;\n"...)
 	}
-	return b
+	return append(b, "???;\n"...)
 }
 
 // InstrString renders a single instruction on one line (bodies
