@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"fx10/internal/constraints"
 	"fx10/internal/labels"
@@ -168,31 +167,10 @@ func countUnordered(sol *constraints.Solution) int {
 	return n
 }
 
-// timeSolve is the best-of-reps solve time over an adaptively sized
-// inner loop, as in measureSolver.
+// timeSolve is the best-of-reps solve time (measureOp, as in
+// measureSolver).
 func timeSolve(sys *constraints.System, reps int) int64 {
-	warm := sys.Solve(constraints.Phased)
-	iters := 1
-	if d := warm.Duration; d > 0 {
-		iters = int(2 * time.Millisecond / d)
-	}
-	if iters < 1 {
-		iters = 1
-	}
-	if iters > 512 {
-		iters = 512
-	}
-	best := time.Duration(0)
-	for rep := 0; rep < reps; rep++ {
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			sys.Solve(constraints.Phased)
-		}
-		if d := time.Since(t0); rep == 0 || d < best {
-			best = d
-		}
-	}
-	return best.Nanoseconds() / int64(iters)
+	return measureOp(reps, func() { sys.Solve(constraints.Phased) }).ns
 }
 
 // FormatClockedBench renders the sweep as an aligned table.

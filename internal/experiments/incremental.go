@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"fx10/internal/constraints"
 	"fx10/internal/engine"
@@ -129,72 +128,34 @@ func measureIncremental(e *engine.Engine, name string, p *syntax.Program, reps i
 	row.AvgConstraintsReevaluated /= float64(len(edits))
 
 	// Timing passes: one op = one edited-program re-analysis, swept
-	// over all edits; best of reps, inner loop sized so each rep runs
-	// ≥ ~2ms (go-test style).
-	deltaOp := func() error {
-		for _, ed := range edits {
-			if _, err := e.AnalyzeDelta(base, ed); err != nil {
-				return err
+	// over all edits and timed by measureOp. The correctness pass
+	// above ran every edit, so an error here is kept and returned.
+	var opErr error
+	sweep := func(analyze func(*syntax.Program) error) int64 {
+		ns := measureOp(reps, func() {
+			for _, ed := range edits {
+				if err := analyze(ed); err != nil && opErr == nil {
+					opErr = err
+				}
 			}
-		}
-		return nil
+		}).ns
+		return ns / int64(len(edits))
 	}
-	scratchOp := func() error {
-		for _, ed := range edits {
-			if _, err := e.Analyze(engine.Job{Name: name, Program: ed, Mode: constraints.ContextSensitive}); err != nil {
-				return err
-			}
-		}
-		return nil
+	row.DeltaNsPerOp = sweep(func(ed *syntax.Program) error {
+		_, err := e.AnalyzeDelta(base, ed)
+		return err
+	})
+	row.ScratchNsPerOp = sweep(func(ed *syntax.Program) error {
+		_, err := e.Analyze(engine.Job{Name: name, Program: ed, Mode: constraints.ContextSensitive})
+		return err
+	})
+	if opErr != nil {
+		return row, opErr
 	}
-	dNs, err := bestSweep(deltaOp, len(edits), reps)
-	if err != nil {
-		return row, err
-	}
-	sNs, err := bestSweep(scratchOp, len(edits), reps)
-	if err != nil {
-		return row, err
-	}
-	row.DeltaNsPerOp, row.ScratchNsPerOp = dNs, sNs
-	if dNs > 0 {
-		row.Speedup = float64(sNs) / float64(dNs)
+	if row.DeltaNsPerOp > 0 {
+		row.Speedup = float64(row.ScratchNsPerOp) / float64(row.DeltaNsPerOp)
 	}
 	return row, nil
-}
-
-// bestSweep times op (a sweep of n edits) go-test style and returns
-// the best-of-reps per-edit nanoseconds. Each rep's inner loop is
-// sized to run ≥ ~10ms so single-shot scheduler noise cannot decide
-// the comparison between two sweeps of a few hundred microseconds.
-func bestSweep(op func() error, n, reps int) (int64, error) {
-	t0 := time.Now()
-	if err := op(); err != nil {
-		return 0, err
-	}
-	warm := time.Since(t0)
-	iters := 1
-	if warm > 0 {
-		iters = int(10 * time.Millisecond / warm)
-	}
-	if iters < 1 {
-		iters = 1
-	}
-	if iters > 256 {
-		iters = 256
-	}
-	best := time.Duration(0)
-	for rep := 0; rep < reps; rep++ {
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := op(); err != nil {
-				return 0, err
-			}
-		}
-		if d := time.Since(t0); rep == 0 || d < best {
-			best = d
-		}
-	}
-	return best.Nanoseconds() / int64(iters) / int64(n), nil
 }
 
 // FormatIncremental renders the sweep as an aligned table, one row per

@@ -115,11 +115,13 @@ func measureSolver(benchmark string, alg constraints.Algorithm, sys *constraints
 // bytes and allocations.
 type perOp struct{ ns, bytes, allocs int64 }
 
-// measureOp times op reps times over an inner loop sized so each rep
-// runs ≥ ~2ms (single solves on the small benchmarks are
-// microseconds, below timer noise), keeping the fastest rep, then
-// counts its allocations over a loop of its own so the timing reps
-// stay unperturbed by ReadMemStats.
+// measureOp is the one timing loop of the committed figures. It times
+// op reps times over an inner loop sized so each rep runs at least 5
+// operations and ≥ ~2ms (single solves on the small benchmarks are
+// microseconds, below timer noise; a huge solve timed once per rep
+// lets one scheduler hiccup decide the row), keeping the fastest rep,
+// then counts its allocations over a loop of its own so the timing
+// reps stay unperturbed by ReadMemStats.
 func measureOp(reps int, op func()) perOp {
 	t0 := time.Now()
 	op()
@@ -127,7 +129,7 @@ func measureOp(reps int, op func()) perOp {
 	if d := time.Since(t0); d > 0 {
 		iters = int(2 * time.Millisecond / d)
 	}
-	iters = min(max(iters, 1), 512)
+	iters = min(max(iters, 5), 512)
 
 	best := time.Duration(0)
 	for rep := 0; rep < reps; rep++ {
