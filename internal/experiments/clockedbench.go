@@ -170,7 +170,7 @@ func countUnordered(sol *constraints.Solution) int {
 // timeSolve is the best-of-reps solve time (measureOp, as in
 // measureSolver).
 func timeSolve(sys *constraints.System, reps int) int64 {
-	return measureOp(reps, func() { sys.Solve(constraints.Phased) }).ns
+	return measureOp(reps, 1, func() { sys.Solve(constraints.Phased) }).ns
 }
 
 // FormatClockedBench renders the sweep as an aligned table.

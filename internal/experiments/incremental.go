@@ -132,14 +132,13 @@ func measureIncremental(e *engine.Engine, name string, p *syntax.Program, reps i
 	// above ran every edit, so an error here is kept and returned.
 	var opErr error
 	sweep := func(analyze func(*syntax.Program) error) int64 {
-		ns := measureOp(reps, func() {
+		return measureOp(reps, len(edits), func() {
 			for _, ed := range edits {
 				if err := analyze(ed); err != nil && opErr == nil {
 					opErr = err
 				}
 			}
 		}).ns
-		return ns / int64(len(edits))
 	}
 	row.DeltaNsPerOp = sweep(func(ed *syntax.Program) error {
 		_, err := e.AnalyzeDelta(base, ed)

@@ -78,7 +78,7 @@ func RunSolverBench(reps int) (SolverBench, error) {
 	}
 	add := func(name string, p *syntax.Program) {
 		sys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
-		gen := measureOp(reps, func() { constraints.Generate(labels.Compute(p), constraints.ContextSensitive) })
+		gen := measureOp(reps, 1, func() { constraints.Generate(labels.Compute(p), constraints.ContextSensitive) })
 		for _, alg := range SolverBenchStrategies {
 			row := measureSolver(name, alg, sys, reps)
 			row.GenerateNsPerOp, row.GenerateBytesPerOp, row.GenerateAllocsPerOp = gen.ns, gen.bytes, gen.allocs
@@ -98,7 +98,7 @@ func RunSolverBench(reps int) (SolverBench, error) {
 func measureSolver(benchmark string, alg constraints.Algorithm, sys *constraints.System, reps int) SolverBenchRow {
 	// Warm-up solve; its (deterministic) counters fill the row.
 	warm := sys.Solve(alg)
-	m := measureOp(reps, func() { sys.Solve(alg) })
+	m := measureOp(reps, 1, func() { sys.Solve(alg) })
 	return SolverBenchRow{
 		Benchmark:      benchmark,
 		Strategy:       alg.String(),
@@ -115,21 +115,22 @@ func measureSolver(benchmark string, alg constraints.Algorithm, sys *constraints
 // bytes and allocations.
 type perOp struct{ ns, bytes, allocs int64 }
 
-// measureOp is the one timing loop of the committed figures. It times
-// op reps times over an inner loop sized so each rep runs at least 5
-// operations and ≥ ~2ms (single solves on the small benchmarks are
-// microseconds, below timer noise; a huge solve timed once per rep
+// measureOp is the one timing loop of the committed figures. One call
+// of op performs ops operations (one solve, or a sweep of ops edits).
+// It times op reps times over an inner loop sized so each rep runs at
+// least 5 operations and ≥ ~2ms (single solves on the small benchmarks
+// are microseconds, below timer noise; a huge solve timed once per rep
 // lets one scheduler hiccup decide the row), keeping the fastest rep,
 // then counts its allocations over a loop of its own so the timing
-// reps stay unperturbed by ReadMemStats.
-func measureOp(reps int, op func()) perOp {
+// reps stay unperturbed by ReadMemStats. The result is per operation.
+func measureOp(reps, ops int, op func()) perOp {
 	t0 := time.Now()
 	op()
 	iters := 1
 	if d := time.Since(t0); d > 0 {
 		iters = int(2 * time.Millisecond / d)
 	}
-	iters = min(max(iters, 5), 512)
+	iters = min(max(iters, (5+ops-1)/ops), 512)
 
 	best := time.Duration(0)
 	for rep := 0; rep < reps; rep++ {
@@ -149,10 +150,11 @@ func measureOp(reps int, op func()) perOp {
 		op()
 	}
 	runtime.ReadMemStats(&ms1)
+	n := int64(iters * ops)
 	return perOp{
-		ns:     best.Nanoseconds() / int64(iters),
-		bytes:  int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(iters),
-		allocs: int64(ms1.Mallocs-ms0.Mallocs) / int64(iters),
+		ns:     best.Nanoseconds() / n,
+		bytes:  int64(ms1.TotalAlloc-ms0.TotalAlloc) / n,
+		allocs: int64(ms1.Mallocs-ms0.Mallocs) / n,
 	}
 }
 
