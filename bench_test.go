@@ -253,8 +253,12 @@ void main() {
 	}
 }
 
-// BenchmarkPairSetCrossSym measures the symcross kernel that
-// dominates level-2 solving.
+// BenchmarkPairSetCrossSym measures the dense symcross kernel. The
+// solvers emit cross terms into sparse pair bags instead; CrossSym
+// serves parallel(T) in the explorers (the clocked one included) and
+// the type-system reference. Every iteration sweeps both products'
+// words; after the first the pairs are all present, so nothing is
+// allocated or added.
 func BenchmarkPairSetCrossSym(b *testing.B) {
 	const n = 2048
 	a := intset.New(n)

@@ -17,11 +17,13 @@ import (
 // so a sorted run costs 8 bytes per pair, one allocation per bag and
 // linear merges. Final results are converted to dense intset.PairSet.
 //
-// A bag is immutable once it is stored in a Solution: topo aliases
-// one bag across a copy-elided chain of variables and SolveDelta
-// shares bags across Solutions. Every operation below that changes a
-// bag therefore points it at a new (or another stored) run and never
-// writes into, or appends onto, the old one.
+// A bag, like a set, is immutable once it is stored in a Solution:
+// topo gives every variable of a component, and of a copy-elided chain
+// aliasing it, the component's one set or bag, and SolveDelta shares
+// bags across Solutions (it copies seeded sets into sets of its own).
+// Every operation below that changes a bag therefore points it at a
+// new (or another stored) run and never writes into, or appends onto,
+// the old one.
 type pairBag []uint64
 
 func pairKey(i, j int) uint64 {

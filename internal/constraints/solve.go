@@ -79,7 +79,7 @@ type Solution struct {
 
 	// FootprintBytes is the memory retained by the solved valuation
 	// itself: dense set words plus 8 bytes per pair-bag slot, each
-	// shared bag counted once.
+	// shared set and bag counted once.
 	FootprintBytes int
 }
 
@@ -116,9 +116,9 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)
-	// The topo solver allocates its own valuation (one slab for all
-	// set variables, aliased pair bags); the phased solver starts from
-	// an explicit bottom valuation (a nil bag is empty).
+	// The topo solver allocates its own valuation (one set and one bag
+	// per component, shared by its variables); the phased solver
+	// starts from an explicit bottom valuation (a nil bag is empty).
 	if alg == Phased {
 		for i := range sol.setVals {
 			sol.setVals[i] = intset.New(n)
@@ -143,12 +143,15 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 }
 
 // footprint sets FootprintBytes to the memory the valuation retains:
-// the dense set words, and 8 bytes per slot of each pair bag's
-// capacity, counted once per distinct bag however many variables (or
-// Solutions) share it.
+// each set's words and slice header, and 8 bytes per slot of each pair
+// bag's capacity, counted once per distinct set or bag however many
+// variables (or Solutions) share it.
 func (sol *Solution) footprint() {
-	n := sol.sys.P.NumLabels()
-	sol.FootprintBytes = len(sol.setVals) * ((n+63)/64*8 + 24)
+	sets := make(map[*intset.Set]struct{})
+	for _, v := range sol.setVals {
+		sets[v] = struct{}{}
+	}
+	sol.FootprintBytes = len(sets) * ((sol.sys.P.NumLabels()+63)/64*8 + 24)
 	seen := make(map[*uint64]bool)
 	for _, b := range sol.pairVals {
 		if cap(b) == 0 {
@@ -248,12 +251,14 @@ func (sol *Solution) PairValue(v PairVar) *intset.PairSet {
 // without densifying it.
 func (sol *Solution) PairLen(v PairVar) int { return len(sol.pairVals[v]) }
 
-// StmtR returns the solved r_s for a statement node.
+// StmtR returns the solved r_s for a statement node (shared; do not
+// mutate).
 func (sol *Solution) StmtR(st *syntax.Stmt) *intset.Set {
 	return sol.setVals[sol.sys.StmtR[st.Instr.Label()]]
 }
 
-// StmtO returns the solved o_s for a statement node.
+// StmtO returns the solved o_s for a statement node (shared; do not
+// mutate).
 func (sol *Solution) StmtO(st *syntax.Stmt) *intset.Set {
 	return sol.setVals[sol.sys.StmtO[st.Instr.Label()]]
 }

@@ -16,12 +16,18 @@ package constraints
 // O(passes × constraints) re-evaluations to one evaluation per
 // constraint plus a linear Tarjan pass.
 //
+// Both levels store one value per evaluated component, a set at level
+// 1 and a pair bag at level 2, and every variable of the component,
+// and of a copy-elided chain aliasing it, holds that value. The least
+// solution is unique (Theorems 5–6), so no variable needs a private
+// copy; a stored value is never mutated (see pairbag.go).
+//
 // Both levels take a per-method keep mask, nil for a solve from
 // scratch. SolveDelta passes the methods outside its dirty closure:
 // their variables arrive seeded with their least values, so a
 // component whose members all belong to kept methods takes its seeded
-// value and is neither evaluated nor re-materialized. Every other
-// component is solved as usual, reading kept values as final inputs.
+// value and is not evaluated. Every other component is solved as
+// usual, reading kept values as final inputs.
 
 import (
 	"fx10/internal/intset"
@@ -191,13 +197,12 @@ func (s *System) l1Graph() (lhsL1 []int32, subSrc, g graphCSR) {
 }
 
 // keptComps marks the components whose members all belong to methods
-// keep marks, and counts the variables they hold. It returns nil when
-// keep is nil (a solve from scratch).
-func keptComps(keep []bool, owner []MethodID, comp []int32, ncomp int32) (kept []bool, nkept int) {
+// keep marks. It returns nil when keep is nil (a solve from scratch).
+func keptComps(keep []bool, owner []MethodID, comp []int32, ncomp int32) []bool {
 	if keep == nil {
-		return nil, 0
+		return nil
 	}
-	kept = make([]bool, ncomp)
+	kept := make([]bool, ncomp)
 	for c := range kept {
 		kept[c] = true
 	}
@@ -206,12 +211,7 @@ func keptComps(keep []bool, owner []MethodID, comp []int32, ncomp int32) (kept [
 			kept[c] = false
 		}
 	}
-	for _, c := range comp {
-		if kept[c] {
-			nkept++
-		}
-	}
-	return kept, nkept
+	return kept
 }
 
 // solveTopoL1 computes the level-1 least solution by SCC condensation.
@@ -222,26 +222,13 @@ func (sol *Solution) solveTopoL1(keep []bool) {
 	if nv == 0 {
 		return
 	}
-	n := s.P.NumLabels()
 
 	lhsL1, subSrc, g := s.l1Graph()
 	comp, ncomp := tarjanSCC(nv, g)
 	members := memberCSR(comp, ncomp)
-	kept, nkept := keptComps(keep, s.SetVarOwner, comp, ncomp)
+	kept := keptComps(keep, s.SetVarOwner, comp, ncomp)
 
-	// One final Set per solved variable, all drawn from a single slab:
-	// the materialization below gives every variable a
-	// pointer-distinct set, so callers never observe the internal
-	// aliasing.
-	slab := intset.NewBatch(n, nv-nkept)
-	nextSet := 0
-
-	vals := make([]*intset.Set, ncomp) // component value (maybe aliased)
-	owner := make([]int32, ncomp)      // var that owns vals, -1 if aliased
-	for cid := range owner {
-		owner[cid] = -1
-	}
-
+	vals := make([]*intset.Set, ncomp)
 	for cid := ncomp - 1; cid >= 0; cid-- {
 		ms := members.edges[members.off[cid]:members.off[cid+1]]
 		if kept != nil && kept[cid] {
@@ -257,37 +244,21 @@ func (sol *Solution) solveTopoL1(keep []bool) {
 				continue
 			}
 		}
-		val := slab[nextSet]
-		nextSet++
-		sol.evalL1Comp(cid, ms, comp, lhsL1, subSrc, vals, val)
-		vals[cid] = val
-		owner[cid] = ms[0]
+		vals[cid] = sol.evalL1Comp(cid, ms, comp, lhsL1, subSrc, vals)
 	}
 
-	// Materialize: the owning variable keeps the component's set;
-	// every other variable (SCC co-members and copy-elided aliases)
-	// gets its own copy from the slab.
 	for v := 0; v < nv; v++ {
-		cid := comp[v]
-		if kept != nil && kept[cid] {
-			continue
+		if kept == nil || !kept[comp[v]] {
+			sol.setVals[v] = vals[comp[v]]
 		}
-		if owner[cid] == int32(v) {
-			sol.setVals[v] = vals[cid]
-			continue
-		}
-		cp := slab[nextSet]
-		nextSet++
-		cp.CopyFrom(vals[cid])
-		sol.setVals[v] = cp
 	}
 }
 
-// evalL1Comp evaluates every level-1 constraint of one component
-// against the (final) values of its predecessor components,
-// accumulating into val.
-func (sol *Solution) evalL1Comp(cid int32, ms []int32, comp, lhsL1 []int32, subSrc graphCSR, vals []*intset.Set, val *intset.Set) {
+// evalL1Comp builds one component's set from its constants and the
+// (final) sets of its predecessor components.
+func (sol *Solution) evalL1Comp(cid int32, ms []int32, comp, lhsL1 []int32, subSrc graphCSR, vals []*intset.Set) *intset.Set {
 	s := sol.sys
+	val := intset.New(s.P.NumLabels())
 	for _, m := range ms {
 		if ci := lhsL1[m]; ci >= 0 {
 			sol.Evaluations++
@@ -310,6 +281,7 @@ func (sol *Solution) evalL1Comp(cid int32, ms []int32, comp, lhsL1 []int32, subS
 			}
 		}
 	}
+	return val
 }
 
 // l1SingleInflow reports whether set variable m (a singleton
@@ -352,11 +324,9 @@ func (s *System) l1SingleInflow(m int32, cid int32, comp []int32, lhsL1 []int32,
 
 // solveTopoL2 computes the level-2 least solution by SCC condensation.
 // Level-1 is final, so every cross term is a constant; the graph is
-// over pair variables only. Pair values are sparse bags, and here the
-// aliasing is kept (bags are immutable once stored, and PairValue
-// densifies a copy), so a copy-elided chain of m variables shares one
-// bag instead of duplicating it per variable. keep is the per-method
-// keep mask described at the top of the file.
+// over pair variables only. Pair values are sparse bags, shared like
+// level 1's sets. keep is the per-method keep mask described at the
+// top of the file.
 func (sol *Solution) solveTopoL2(keep []bool) {
 	s := sol.sys
 	np := s.NumPairVars()
@@ -367,7 +337,7 @@ func (sol *Solution) solveTopoL2(keep []bool) {
 	lhsL2, g := s.l2Graph()
 	comp, ncomp := tarjanSCC(np, g)
 	members := memberCSR(comp, ncomp)
-	kept, _ := keptComps(keep, s.PairVarOwner, comp, ncomp)
+	kept := keptComps(keep, s.PairVarOwner, comp, ncomp)
 
 	bags := make([]pairBag, ncomp)
 	for cid := ncomp - 1; cid >= 0; cid-- {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fx10/internal/fixtures"
+	"fx10/internal/intset"
 	"fx10/internal/labels"
 	"fx10/internal/parser"
 	"fx10/internal/progen"
@@ -83,38 +84,56 @@ func TestTopoEvaluationsAtMostWorklist(t *testing.T) {
 	}
 }
 
-// TestTopoAliasingPointerDistinct checks that the SCC collapse and
-// copy elision stay internal: the materialized valuation hands every
-// set variable its own Set, so no sharing is visible to callers even
-// though whole alias chains were solved as one value. (Pair variables
-// are never exposed by reference — PairValue densifies a fresh copy —
-// so aliased bags are unobservable by construction; the set side is
-// where accidental sharing could leak.)
-func TestTopoAliasingPointerDistinct(t *testing.T) {
+// TestTopoSharesComponentSets pins how a solution stores set values.
+// Under topo a copy-elided variable holds its source's set: on
+// Example 2.1, r_S1 = r_S0 (S1 is the body of the finish S0) is one
+// *Set, while phased gives each variable a set of its own. Under both
+// strategies FootprintBytes counts each distinct set and bag once, and
+// a densified pair value is fresh on every call.
+func TestTopoSharesComponentSets(t *testing.T) {
+	p := fixtures.Example21()
+	sys := Generate(labels.Compute(p), ContextSensitive)
+	r := func(name string) SetVar {
+		l, ok := p.LabelByName(name)
+		if !ok {
+			t.Fatalf("label %s not found", name)
+		}
+		return sys.StmtR[l]
+	}
+	topo, phased := sys.Solve(Topo), sys.Solve(Phased)
+	if topo.SetValue(r("S1")) != topo.SetValue(r("S0")) {
+		t.Error("topo: r_S1 and r_S0 hold two sets, want the one set they share")
+	}
+	if phased.SetValue(r("S1")) == phased.SetValue(r("S0")) {
+		t.Error("phased: r_S1 and r_S0 share one set, want one each")
+	}
+
 	for _, src := range []string{fixtures.Example21Source, fixtures.Example22Source, recursiveSource} {
 		p := parser.MustParse(src)
 		for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
 			sys := Generate(labels.Compute(p), mode)
-			topo := sys.Solve(Topo)
-			if !topo.ValuationEqual(sys.Solve(Phased)) {
-				t.Fatalf("%v: topo valuation differs from phased", mode)
-			}
-			ptrs := map[interface{}]SetVar{}
-			for v := 0; v < sys.NumSetVars(); v++ {
-				s := topo.SetValue(SetVar(v))
-				if s == nil {
-					t.Fatalf("%v: set variable %s has nil value", mode, sys.SetVarName(SetVar(v)))
+			for _, alg := range []Algorithm{Topo, Phased} {
+				sol := sys.Solve(alg)
+				sets := map[*intset.Set]bool{}
+				for _, v := range sol.setVals {
+					sets[v] = true
 				}
-				if prev, dup := ptrs[s]; dup {
-					t.Fatalf("%v: set variables %s and %s share one *Set",
-						mode, sys.SetVarName(prev), sys.SetVarName(SetVar(v)))
+				want := len(sets) * ((p.NumLabels()+63)/64*8 + 24)
+				bags := map[*uint64]bool{}
+				for _, b := range sol.pairVals {
+					if cap(b) > 0 && !bags[&b[:1][0]] {
+						bags[&b[:1][0]] = true
+						want += 8 * cap(b)
+					}
 				}
-				ptrs[s] = SetVar(v)
-			}
-			// Densified pair values are fresh per call.
-			for v := 0; v < sys.NumPairVars(); v++ {
-				if topo.PairValue(PairVar(v)) == topo.PairValue(PairVar(v)) {
-					t.Fatalf("%v: PairValue(%s) returned a shared pair set", mode, sys.PairVarName(PairVar(v)))
+				if sol.FootprintBytes != want {
+					t.Errorf("%v %v: FootprintBytes = %d, want %d (%d distinct sets, %d distinct bags)",
+						mode, alg, sol.FootprintBytes, want, len(sets), len(bags))
+				}
+				for v := 0; v < sys.NumPairVars(); v++ {
+					if sol.PairValue(PairVar(v)) == sol.PairValue(PairVar(v)) {
+						t.Fatalf("%v %v: PairValue(%s) returned a shared pair set", mode, alg, sys.PairVarName(PairVar(v)))
+					}
 				}
 			}
 		}

@@ -65,16 +65,16 @@ type Config struct {
 const (
 	defaultCacheSize = 1024
 	// cacheBytes bounds what the program cache's results retain,
-	// encoded reports included. The 13 paper programs retain 45 KB
-	// (mapreduce) to 6.1 MB (plasma) each and a 3000-label program
-	// about 13 MB, so the default holds 1024 small programs, about 150
-	// of the paper mix, or about ten 3000-label programs. The daemon's
-	// indented reports add 349 KiB (mg), 189 KiB (plasma) and about
-	// 565 KiB (3000 labels).
+	// encoded reports included. The 13 paper programs are charged
+	// 42 KB (mapreduce) to 4.4 MB (plasma) each and a 3000-label
+	// program 9.5–10.2 MB, so the default holds 1024 small programs,
+	// about 165 of the paper mix, or about twelve 3000-label programs.
+	// The daemon's indented reports add 349 KiB (mg), 189 KiB (plasma)
+	// and about 565 KiB (3000 labels).
 	cacheBytes = 128 << 20
 	// labelBytes is what a solved program retains per label beyond its
 	// solution and M: the program, its label info and its constraint
-	// system. Measured 684–826 B on mapreduce, mg, plasma and a
+	// system. Measured 532–648 B on mapreduce, mg, plasma and a
 	// 3000-label program. The estimate stays at 1 KiB: a smaller one
 	// would let the cache hold more entries, which spends the heap a
 	// workload that never hits the cache would otherwise save.

@@ -19,15 +19,6 @@ type PairSet struct {
 	w     int      // words per row
 	words []uint64 // n rows of w words, row-major
 	count int      // cached population count (ordered pairs)
-
-	// CrossSym memo: the operands of the last CrossSym call and their
-	// generations. Pair sets only grow (Clear is the one removal and
-	// invalidates the memo), so once symcross(A, B) has been folded in,
-	// repeating it with unchanged operands provably adds nothing and is
-	// skipped without touching the bit matrix.
-	memoOK       bool
-	lastA, lastB *Set
-	genA, genB   uint32
 }
 
 // NewPairs returns an empty pair set over {0,…,n-1} × {0,…,n-1}.
@@ -37,30 +28,6 @@ func NewPairs(n int) *PairSet {
 	}
 	w := wordsFor(n)
 	return &PairSet{n: n, w: w, words: make([]uint64, n*w)}
-}
-
-// NewPairsBatch returns k independent empty pair sets over
-// {0,…,n-1} × {0,…,n-1} backed by a single slab allocation — the
-// pair-set analog of NewBatch. A caller that materializes many pair
-// sets at once (cloning a type environment, a solver worker filling
-// its arena) allocates 3 objects instead of 2k; the sets are
-// otherwise ordinary and never observably shared.
-func NewPairsBatch(n, k int) []*PairSet {
-	if n < 0 {
-		panic(fmt.Sprintf("intset: negative universe size %d", n))
-	}
-	if k <= 0 {
-		return nil
-	}
-	w := wordsFor(n)
-	slab := make([]uint64, k*n*w)
-	sets := make([]PairSet, k)
-	out := make([]*PairSet, k)
-	for i := range sets {
-		sets[i] = PairSet{n: n, w: w, words: slab[i*n*w : (i+1)*n*w : (i+1)*n*w]}
-		out[i] = &sets[i]
-	}
-	return out
 }
 
 // Universe returns the per-coordinate universe size.
@@ -109,24 +76,18 @@ func (p *PairSet) Has(i, j int) bool {
 
 // CrossSym adds symcross(A, B) = (A × B) ∪ (B × A) to the set and
 // reports whether the set changed. A and B must share the pair set's
-// universe. This is the workhorse of the analysis: each Lcross, Scross
-// and Tcross in the paper is a CrossSym with particular arguments.
+// universe. Each Lcross, Scross and Tcross in the paper is a
+// CrossSym with particular arguments; the solvers emit them into
+// sparse pair bags instead, so CrossSym serves parallel(T) in the
+// explorers and the type system.
 //
-// Two fast paths skip the O(|A|·n/64 + |B|·n/64) word sweep entirely:
-// an empty operand makes both products empty, and operands that are
-// pointer- and generation-identical to the previous CrossSym call on
-// this pair set have already been folded in (pair sets only grow, so
-// the earlier fold still covers the product).
+// An empty operand makes both products empty and skips the
+// O(|A|·n/64 + |B|·n/64) word sweep entirely.
 func (p *PairSet) CrossSym(a, b *Set) bool {
 	if a.n != p.n || b.n != p.n {
 		panic(fmt.Sprintf("intset: CrossSym universe mismatch (%d, %d, %d)", a.n, b.n, p.n))
 	}
 	if a.count == 0 || b.count == 0 {
-		return false
-	}
-	if p.memoOK &&
-		((p.lastA == a && p.genA == a.gen && p.lastB == b && p.genB == b.gen) ||
-			(p.lastA == b && p.genA == b.gen && p.lastB == a && p.genB == a.gen)) {
 		return false
 	}
 	changed := false
@@ -154,7 +115,6 @@ func (p *PairSet) CrossSym(a, b *Set) bool {
 			}
 		}
 	})
-	p.memoOK, p.lastA, p.genA, p.lastB, p.genB = true, a, a.gen, b, b.gen
 	return changed
 }
 
@@ -186,32 +146,6 @@ func (p *PairSet) Clone() *PairSet {
 	c := &PairSet{n: p.n, w: p.w, words: make([]uint64, len(p.words)), count: p.count}
 	copy(c.words, p.words)
 	return c
-}
-
-// CopyFrom overwrites p with the contents of q — the Clone-into-arena
-// fast path: a single word copy into already-allocated (typically
-// NewPairsBatch slab) storage. The pair sets must share a universe
-// size. The CrossSym memo is invalidated: overwriting may shrink the
-// set, so earlier folds no longer prove anything.
-func (p *PairSet) CopyFrom(q *PairSet) {
-	if p.n != q.n {
-		panic(fmt.Sprintf("intset: mismatched pair universes %d and %d", p.n, q.n))
-	}
-	copy(p.words, q.words)
-	p.count = q.count
-	p.memoOK, p.lastA, p.lastB = false, nil, nil
-}
-
-// Clear removes all pairs and invalidates the CrossSym memo.
-func (p *PairSet) Clear() {
-	p.memoOK, p.lastA, p.lastB = false, nil, nil
-	if p.count == 0 {
-		return
-	}
-	for i := range p.words {
-		p.words[i] = 0
-	}
-	p.count = 0
 }
 
 // Len returns the number of ordered pairs in the set (O(1): the

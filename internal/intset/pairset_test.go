@@ -144,10 +144,6 @@ func TestPairCloneClearEach(t *testing.T) {
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("Each = %v, want %v", got, want)
 	}
-	p.Clear()
-	if !p.Empty() {
-		t.Fatalf("Clear left pairs")
-	}
 }
 
 func TestPairRow(t *testing.T) {

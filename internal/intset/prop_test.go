@@ -105,8 +105,8 @@ func TestPairSetPropertyModel(t *testing.T) {
 				if got != want {
 					t.Fatalf("n=%d round=%d: self CrossSym changed=%v, model=%v", n, round, got, want)
 				}
-				// Repeating the identical call must hit the memo fast
-				// path and report no change.
+				// Repeating the identical call adds nothing and must
+				// report no change.
 				if p.CrossSym(a, a) {
 					t.Fatalf("n=%d round=%d: repeated self CrossSym reported change", n, round)
 				}
@@ -127,8 +127,8 @@ func TestPairSetPropertyModel(t *testing.T) {
 				if got != want {
 					t.Fatalf("n=%d round=%d: UnionWith changed=%v, model=%v", n, round, got, want)
 				}
-			case 4: // cross, mutate an operand, cross again: the memo
-				// must observe the generation bump and redo the work.
+			case 4: // cross, mutate an operand, cross again: the
+				// repeat must add the mutated operand's new pairs.
 				p.CrossSym(a, b)
 				model.crossSym(aElems, bElems)
 				e := rng.Intn(n)
@@ -146,40 +146,6 @@ func TestPairSetPropertyModel(t *testing.T) {
 	}
 }
 
-// TestPairSetCrossSymMemoInvalidation pins the memo's correctness
-// conditions one by one: a repeat call is elided, a generation bump
-// re-enables it, operand order is symmetric, and Clear invalidates.
-func TestPairSetCrossSymMemoInvalidation(t *testing.T) {
-	const n = 70
-	a := Of(n, 1, 5, 64)
-	b := Of(n, 2, 69)
-	p := NewPairs(n)
-
-	if !p.CrossSym(a, b) {
-		t.Fatal("first CrossSym reported no change")
-	}
-	if p.CrossSym(a, b) {
-		t.Fatal("identical repeat CrossSym reported change")
-	}
-	if p.CrossSym(b, a) {
-		t.Fatal("swapped-operand repeat CrossSym reported change")
-	}
-	a.Add(7)
-	if !p.CrossSym(a, b) {
-		t.Fatal("CrossSym after operand mutation reported no change")
-	}
-	if !p.Has(7, 2) || !p.Has(2, 7) {
-		t.Fatal("pairs from mutated operand missing")
-	}
-	p.Clear()
-	if p.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", p.Len())
-	}
-	if !p.CrossSym(a, b) {
-		t.Fatal("CrossSym after Clear hit a stale memo")
-	}
-}
-
 // TestSetCountInvariants checks the incrementally-maintained
 // population count against recomputation across every mutating op.
 func TestSetCountInvariants(t *testing.T) {
@@ -193,7 +159,7 @@ func TestSetCountInvariants(t *testing.T) {
 		s := New(n)
 		o, _ := randomSet(rng, n, 0.4)
 		for i := 0; i < 300; i++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0:
 				s.Add(rng.Intn(n))
 			case 1:
@@ -203,8 +169,6 @@ func TestSetCountInvariants(t *testing.T) {
 			case 3:
 				s.IntersectWith(o)
 			case 4:
-				s.DifferenceWith(o)
-			case 5:
 				s.Clear()
 			}
 			if s.Len() != recount(s) {
@@ -239,24 +203,4 @@ func TestNewBatch(t *testing.T) {
 	if NewBatch(4, 0) != nil {
 		t.Fatal("NewBatch(n, 0) != nil")
 	}
-}
-
-// TestPairSetPool checks Get/Put recycling returns empty sets of the
-// right universe.
-func TestPairSetPool(t *testing.T) {
-	pool := NewPairSetPool()
-	p := pool.Get(32)
-	if p.Universe() != 32 || p.Len() != 0 {
-		t.Fatalf("Get(32): universe %d len %d", p.Universe(), p.Len())
-	}
-	p.AddSym(1, 2)
-	pool.Put(p)
-	q := pool.Get(32)
-	if q.Len() != 0 {
-		t.Fatalf("recycled pair set not cleared: %v", q)
-	}
-	if r := pool.Get(8); r.Universe() != 8 {
-		t.Fatalf("Get(8) universe %d", r.Universe())
-	}
-	pool.Put(nil) // must not panic
 }

@@ -29,18 +29,13 @@ func wordsFor(n int) int {
 
 // Set is a dense bit-vector set over the universe {0, …, n-1}.
 //
-// Two derived quantities are maintained incrementally: count, the
-// population count (making Len and Empty O(1) and enabling the
-// empty-operand and already-full fast paths of UnionWith and
-// PairSet.CrossSym), and gen, a generation counter bumped on every
-// content change. gen is the dirty bit of the cross-product memo:
-// PairSet.CrossSym remembers the (pointer, gen) of its last operands,
-// and an unchanged generation proves a repeat call cannot add pairs.
+// The population count is maintained incrementally, making Len and
+// Empty O(1) and enabling the empty-operand and already-full fast
+// paths of UnionWith and PairSet.CrossSym.
 type Set struct {
 	n     int
 	words []uint64
-	count int    // cached population count
-	gen   uint32 // bumped whenever the contents change
+	count int // cached population count
 }
 
 // New returns an empty set over the universe {0, …, n-1}.
@@ -106,7 +101,6 @@ func (s *Set) Add(e int) bool {
 	}
 	s.words[w] = nw
 	s.count++
-	s.gen++
 	return true
 }
 
@@ -121,7 +115,6 @@ func (s *Set) Remove(e int) bool {
 	}
 	s.words[w] = nw
 	s.count--
-	s.gen++
 	return true
 }
 
@@ -152,9 +145,6 @@ func (s *Set) UnionWith(t *Set) bool {
 			changed = true
 		}
 	}
-	if changed {
-		s.gen++
-	}
 	return changed
 }
 
@@ -171,32 +161,6 @@ func (s *Set) IntersectWith(t *Set) bool {
 			s.count -= bits.OnesCount64(old &^ nw)
 			changed = true
 		}
-	}
-	if changed {
-		s.gen++
-	}
-	return changed
-}
-
-// DifferenceWith removes every element of t from s and reports whether
-// s changed.
-func (s *Set) DifferenceWith(t *Set) bool {
-	s.sameUniverse(t)
-	if t.count == 0 || s.count == 0 {
-		return false
-	}
-	changed := false
-	for i, w := range t.words {
-		old := s.words[i]
-		nw := old &^ w
-		if nw != old {
-			s.words[i] = nw
-			s.count -= bits.OnesCount64(old &^ nw)
-			changed = true
-		}
-	}
-	if changed {
-		s.gen++
 	}
 	return changed
 }
@@ -220,7 +184,6 @@ func (s *Set) CopyFrom(t *Set) {
 	s.sameUniverse(t)
 	copy(s.words, t.words)
 	s.count = t.count
-	s.gen++
 }
 
 // CopyFromFit overwrites s with the contents of t, which may have a
@@ -253,7 +216,6 @@ func (s *Set) CopyFromFit(t *Set) bool {
 		}
 	}
 	s.count = t.count
-	s.gen++
 	return true
 }
 
@@ -266,7 +228,6 @@ func (s *Set) Clear() {
 		s.words[i] = 0
 	}
 	s.count = 0
-	s.gen++
 }
 
 // Len returns the number of elements in the set (O(1): the population

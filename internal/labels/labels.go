@@ -6,21 +6,18 @@
 // method call's Slabels includes the callee body's Slabels (equation
 // (21)) and methods may be mutually recursive, Slabels is computed as
 // a least fixpoint over per-method label sets; statement-level sets
-// are then derived (and memoized) on demand.
+// are then derived on demand.
 package labels
 
 import (
-	"sync"
-
 	"fx10/internal/intset"
 	"fx10/internal/syntax"
 	"fx10/internal/tree"
 )
 
 // Info holds the computed Slabels fixpoint for one program and serves
-// all helper-function queries. The sets returned by its methods are
-// owned by Info and must not be mutated by callers; clone before
-// modifying.
+// all helper-function queries. It is read-only once Compute returns,
+// so concurrent readers need no lock.
 type Info struct {
 	p *syntax.Program
 	// method[i] is Slabels_p(s_i) for the body s_i of method i.
@@ -29,11 +26,6 @@ type Info struct {
 	// stabilize the per-method sets (≥ 1; the final no-change pass is
 	// counted, matching how the paper's solver reports iterations).
 	Iterations int
-	// memoMu guards memo: one Info may be shared by concurrent
-	// readers (internal/engine hands cached analyses to many
-	// goroutines), and Slabels fills the memo lazily.
-	memoMu sync.Mutex
-	memo   map[*syntax.Stmt]*intset.Set
 }
 
 // Compute builds the Slabels fixpoint for p.
@@ -41,7 +33,6 @@ func Compute(p *syntax.Program) *Info {
 	in := &Info{
 		p:      p,
 		method: make([]*intset.Set, len(p.Methods)),
-		memo:   make(map[*syntax.Stmt]*intset.Set),
 	}
 	n := p.NumLabels()
 	for i := range in.method {
@@ -95,17 +86,11 @@ func (in *Info) addSlabels(dst *intset.Set, s *syntax.Stmt) {
 func (in *Info) MethodLabels(mi int) *intset.Set { return in.method[mi] }
 
 // Slabels returns Slabels_p(s): the labels of statements that may be
-// executed during execution of s (equations (15)–(21)). The result is
-// memoized and shared; do not mutate.
+// executed during execution of s (equations (15)–(21)). The caller
+// owns the result.
 func (in *Info) Slabels(s *syntax.Stmt) *intset.Set {
-	in.memoMu.Lock()
-	defer in.memoMu.Unlock()
-	if got, ok := in.memo[s]; ok {
-		return got
-	}
 	out := intset.New(in.p.NumLabels())
 	in.addSlabels(out, s)
-	in.memo[s] = out
 	return out
 }
 

@@ -76,10 +76,14 @@ func TestSlabelsStatement(t *testing.T) {
 		t.Fatalf("async S1 not found")
 	}
 	wantNames(t, p, in.Slabels(body), "S13", "S5", "S6", "S7", "S8", "S11", "S12")
-	// Memoization returns the identical set.
-	if in.Slabels(body) != in.Slabels(body) {
-		t.Fatalf("Slabels not memoized")
+	// Each call builds a set the caller owns: repeats are equal, and
+	// mutating one does not change what the next call returns.
+	got := in.Slabels(body)
+	if !got.Equal(in.Slabels(body)) {
+		t.Fatalf("Slabels not deterministic")
 	}
+	got.Clear()
+	wantNames(t, p, in.Slabels(body), "S13", "S5", "S6", "S7", "S8", "S11", "S12")
 }
 
 // Lemma 7.11: Slabels(s1 . s2) = Slabels(s1) ∪ Slabels(s2).
