@@ -152,8 +152,8 @@ func measureClocked(name string, p *syntax.Program, reps int) (ClockedBenchRow, 
 		return row, fmt.Errorf("clocked bench: %s: clock-aware has MORE pairs than clock-blind (%d > %d)",
 			name, row.AwarePairs, row.BlindPairs)
 	}
-	row.AwareNs = timeSolve(aware, reps)
-	row.BlindNs = timeSolve(blind, reps)
+	row.AwareNs = measureOp(reps, 1, func() { aware.Solve(constraints.Phased) }).ns
+	row.BlindNs = measureOp(reps, 1, func() { blind.Solve(constraints.Phased) }).ns
 	return row, nil
 }
 
@@ -165,12 +165,6 @@ func countUnordered(sol *constraints.Solution) int {
 		}
 	})
 	return n
-}
-
-// timeSolve is the best-of-reps solve time (measureOp, as in
-// measureSolver).
-func timeSolve(sys *constraints.System, reps int) int64 {
-	return measureOp(reps, 1, func() { sys.Solve(constraints.Phased) }).ns
 }
 
 // FormatClockedBench renders the sweep as an aligned table.

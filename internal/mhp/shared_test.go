@@ -17,11 +17,13 @@ import (
 // TestCachedResultSharedReaders reads one cached engine.Result from
 // eight goroutines at once, through every path that reaches its solved
 // sets and its labels.Info: the report, the type environment, the
-// clock-pruned pairs and the Slabels of every async body. Solved sets
-// are shared between variables and labels.Info has no lock, so under
-// -race this checks that both are safe to share read-only. Afterwards
-// the valuation must still equal a fresh phased solve: no reader
-// mutated a shared set.
+// clock-pruned pairs, and the Slabels of every async, while and finish
+// body and of every method body (Generate asks for only some of
+// these, so a lazily filled cache in Info would be written here).
+// Solved sets are shared between variables and labels.Info has no
+// lock, so under -race this checks that both are safe to share
+// read-only. Afterwards the valuation must still equal a fresh phased
+// solve: no reader mutated a shared set.
 func TestCachedResultSharedReaders(t *testing.T) {
 	wl, err := workloads.Get("plasma")
 	if err != nil {
@@ -61,8 +63,13 @@ func TestCachedResultSharedReaders(t *testing.T) {
 					}
 					r.Sol.Env()
 					r.Sol.ClockPrunedMainPairs()
-					for _, a := range r.Program.AsyncLabels() {
-						r.Info.Slabels(syntax.Body(r.Program.Labels[a].Instr))
+					for _, li := range r.Program.Labels {
+						if b := syntax.Body(li.Instr); b != nil {
+							r.Info.Slabels(b)
+						}
+					}
+					for _, m := range r.Program.Methods {
+						r.Info.Slabels(m.Body)
 					}
 				}()
 			}
