@@ -290,18 +290,20 @@ func BenchmarkSolverTopo(b *testing.B) {
 }
 
 // reportSink keeps BenchmarkReportHuge's result live.
-var reportSink mhp.Report
+var reportSink []byte
 
-// BenchmarkReportHuge measures mhp.Report on a solved 3000-label
-// huge-tier program (context-sensitive): the report layer every
-// huge analysis pays after solving, and every cache hit on it.
+// BenchmarkReportHuge measures the report bytes the daemon keeps for a
+// solved 3000-label huge-tier program (context-sensitive): the report
+// layer every huge analysis pays once after solving, before the
+// program cache serves the bytes to every later request.
 func BenchmarkReportHuge(b *testing.B) {
 	r := mhp.MustAnalyze(progen.GenerateHuge(0, progen.Huge(3000)), constraints.ContextSensitive)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reportSink = r.Report()
+		reportSink = r.ReportJSON("  ")
 	}
+	b.SetBytes(int64(len(reportSink)))
 }
 
 // BenchmarkEngineCorpus measures analyzing the whole 13-benchmark
@@ -432,6 +434,62 @@ func BenchmarkServerQuery(b *testing.B) {
 				post(b, req.path, req.body)
 			}
 		})
+	}
+}
+
+// BenchmarkServeAnalyzeCold measures the daemon's cold path through
+// its handler, without a network, as the cold-corpus workload drives
+// it: each iteration posts the 13 paper programs to /v1/analyze, each
+// made unique by an unreachable method numbered by the iteration, so
+// every request parses, solves and encodes its report.
+func BenchmarkServeAnalyzeCold(b *testing.B) {
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	var sources []string
+	for _, wl := range workloads.All() {
+		sources = append(sources, syntax.Print(wl.Program()))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range sources {
+			body, err := json.Marshal(server.AnalyzeRequest{
+				Source: fmt.Sprintf("%s\nvoid benchM%d() {\n  benchL%d: skip;\n}\n", src, i+1, i+1),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	}
+}
+
+// BenchmarkParseCorpus measures the FX10 parser in MB/s over the
+// printed sources of the 13 paper programs.
+func BenchmarkParseCorpus(b *testing.B) {
+	var sources []string
+	size := 0
+	for _, wl := range workloads.All() {
+		src := syntax.Print(wl.Program())
+		sources = append(sources, src)
+		size += len(src)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range sources {
+			if _, err := parser.Parse(src); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -339,7 +339,11 @@ void main() {
 	if _, ok := phaseOf(t, pi, p, "V").IsKnown(); ok {
 		t.Fatalf("phase(V) should be unknown")
 	}
-	// Inside and after a barrier-passing loop: unknown.
+	// The loop, and everything inside and after it, is unknown: the
+	// loop test runs again after each barrier.
+	if _, ok := phaseOf(t, pi, p, "W").IsKnown(); ok {
+		t.Fatalf("phase(W) should be unknown")
+	}
 	if _, ok := phaseOf(t, pi, p, "L").IsKnown(); ok {
 		t.Fatalf("phase(L) should be unknown")
 	}

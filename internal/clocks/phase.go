@@ -254,11 +254,16 @@ func (pi *PhaseInfo) walk(s *syntax.Stmt, cur Phase) bool {
 			// A barrier-free body keeps the whole loop in the
 			// incoming phase (the clock cannot advance while this
 			// registered activity is between barriers); a body that
-			// passes barriers makes the phase trip-count-dependent.
+			// passes barriers makes the phase trip-count-dependent,
+			// the loop's own label included: its test runs again
+			// after each pass through the body.
 			bodyDelta := pi.stmtDelta(i.Body)
 			inside := cur
 			if !bodyDelta.fixed || bodyDelta.n != 0 {
 				inside = Unknown
+				if pi.setLabel(i.L, Unknown) {
+					changed = true
+				}
 			}
 			if pi.walk(i.Body, inside) {
 				changed = true

@@ -140,3 +140,40 @@ func TestSolverPruningEqualsPostHocRefine(t *testing.T) {
 		}
 	}
 }
+
+// A loop whose body passes a barrier runs its test again at every
+// later phase, so the loop's own label has no static phase. Here the
+// loop test L runs again after N: next, at phase 1, while the clocked
+// async is at R: the exact relation of the complete exploration has
+// (R, L), and the phase-aware static relation must too (exact ⊆
+// static, Theorem 2 under phase pruning).
+func TestClockedLoopTestInStaticRelation(t *testing.T) {
+	p := parser.MustParse(`
+array 4;
+
+void main() {
+  I: a[0] = 1;
+  A: clocked async { W: a[1] = 1; AN: next; R: a[2] = 1; }
+  L: while (a[0] != 0) { N: next; Z: a[0] = 0; }
+  D: a[3] = 1;
+}
+`)
+	exact := clocks.Explore(p, nil, 100_000)
+	if !exact.Complete {
+		t.Fatal("exploration incomplete")
+	}
+	r, _ := p.LabelByName("R")
+	l, _ := p.LabelByName("L")
+	if !exact.MHP.Has(int(r), int(l)) {
+		t.Fatal("exact relation lacks (R, L); the reproducer no longer reaches it")
+	}
+	for _, mode := range []constraints.Mode{constraints.ContextSensitive, constraints.ContextInsensitive} {
+		static := constraints.Generate(labels.Compute(p), mode).Solve(constraints.Phased).MainM()
+		if !exact.MHP.SubsetOf(static) {
+			t.Errorf("%s: exact relation ⊄ static relation; static has (R, L): %v", mode, static.Has(int(r), int(l)))
+		}
+	}
+	if _, ok := clocks.ComputePhases(p).PhaseOf(l).IsKnown(); ok {
+		t.Error("phase(L) is known; the loop test runs at every phase its body reaches")
+	}
+}

@@ -292,3 +292,13 @@ func (sol *Solution) Env() types.Env {
 func (sol *Solution) MainM() *intset.PairSet {
 	return sol.PairValue(sol.sys.MethodM[sol.sys.P.MainIndex])
 }
+
+// EachMainPair calls f for every ordered pair of the main method's m
+// variable, rows ascending and each row's columns ascending: the
+// pairs and the order MainM().Each gives, read from the solved run
+// without densifying it.
+func (sol *Solution) EachMainPair(f func(i, j int)) {
+	for _, k := range sol.pairVals[sol.sys.MethodM[sol.sys.P.MainIndex]] {
+		f(int(k>>32), int(uint32(k)))
+	}
+}

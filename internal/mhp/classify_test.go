@@ -75,7 +75,7 @@ func refRaceCandidates(p *syntax.Program, m *intset.PairSet) []RaceCandidate {
 			if !m.Has(int(a.label), int(b.label)) {
 				continue
 			}
-			for _, idx := range raceIndices(a, b) {
+			for _, idx := range refRaceIndices(a, b) {
 				out = append(out, RaceCandidate{
 					L1: a.label, L2: b.label, Index: idx.index, WriteWrite: idx.ww,
 				})
@@ -94,13 +94,75 @@ func refRaceCandidates(p *syntax.Program, m *intset.PairSet) []RaceCandidate {
 	return out
 }
 
-// checkClassification compares both classifiers with their references
-// on relation m over p, reporting the first difference.
-func checkClassification(t *testing.T, what string, p *syntax.Program, m *intset.PairSet) {
+// refRaceIndices is raceIndices' map-based original: the indices a
+// and b both write, then those one writes and the other reads, each
+// once, sorted.
+func refRaceIndices(a, b access) []raceIdx {
+	list := func(i int) []int {
+		if i < 0 {
+			return nil
+		}
+		return []int{i}
+	}
+	seen := map[int]raceIdx{}
+	for _, wa := range list(a.write) {
+		for _, wb := range list(b.write) {
+			if wa == wb {
+				seen[wa] = raceIdx{index: wa, ww: true}
+			}
+		}
+	}
+	for _, pair := range [][2]access{{a, b}, {b, a}} {
+		for _, w := range list(pair[0].write) {
+			for _, r := range list(pair[1].read) {
+				if _, ok := seen[w]; !ok && w == r {
+					seen[w] = raceIdx{index: w}
+				}
+			}
+		}
+	}
+	var out []raceIdx
+	for _, v := range seen {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].index < out[j].index })
+	return out
+}
+
+// TestRaceIndicesMatchReference checks raceIndices against its
+// original on every pair of accesses over three indices.
+func TestRaceIndicesMatchReference(t *testing.T) {
+	var all []access
+	for w := -1; w < 3; w++ {
+		for r := -1; r < 3; r++ {
+			all = append(all, access{write: w, read: r})
+		}
+	}
+	for _, a := range all {
+		for _, b := range all {
+			sameSlices(t, fmt.Sprintf("raceIndices(%+v, %+v)", a, b), raceIndices(nil, a, b), refRaceIndices(a, b))
+		}
+	}
+}
+
+// checkClassification compares both classifiers, fed m's pairs by
+// walk, with their references on relation m over p, reporting the
+// first difference.
+func checkClassification(t *testing.T, what string, p *syntax.Program, m *intset.PairSet, walk relation) {
 	t.Helper()
-	sameSlices(t, what+": asyncBodyPairs", asyncBodyPairs(p, m), refAsyncBodyPairs(p, m))
-	r := &Result{Program: p, M: m}
-	sameSlices(t, what+": RaceCandidates", r.RaceCandidates(), refRaceCandidates(p, m))
+	sameSlices(t, what+": asyncBodyPairs", asyncBodyPairs(p, walk), refAsyncBodyPairs(p, m))
+	races := newRaceClassifier(p)
+	walk(races.add)
+	sameSlices(t, what+": RaceCandidates", races.candidates(), refRaceCandidates(p, m))
+}
+
+// checkAnalysis checks the classifiers on an analysis's relation M,
+// walked both densely and as the report writer walks it, through
+// main's sorted pair run.
+func checkAnalysis(t *testing.T, what string, p *syntax.Program, r *Result) {
+	t.Helper()
+	checkClassification(t, what, p, r.M, r.M.Each)
+	checkClassification(t, what+" (sparse walk)", p, r.M, r.Sol.EachMainPair)
 }
 
 func sameSlices[T any](t *testing.T, what string, got, want []T) {
@@ -121,23 +183,24 @@ var bothModes = []constraints.Mode{constraints.ContextSensitive, constraints.Con
 
 // TestClassifiersMatchQuadraticReference checks the classifiers
 // against their references on the analysis relation M of the 13 paper
-// programs, 200 generated programs and the huge tier, in both modes.
+// programs, 200 generated programs and the huge tier, in both modes,
+// walking M densely and through the solution's sparse pair run.
 func TestClassifiersMatchQuadraticReference(t *testing.T) {
 	for _, mode := range bothModes {
 		for _, wl := range workloads.All() {
 			p := wl.Program()
-			checkClassification(t, fmt.Sprintf("%s/%s", wl.Name, mode), p, MustAnalyze(p, mode).M)
+			checkAnalysis(t, fmt.Sprintf("%s/%s", wl.Name, mode), p, MustAnalyze(p, mode))
 		}
 		for seed := int64(0); seed < 200; seed++ {
 			p := progen.Generate(seed, progen.Default())
-			checkClassification(t, fmt.Sprintf("progen %d/%s", seed, mode), p, MustAnalyze(p, mode).M)
+			checkAnalysis(t, fmt.Sprintf("progen %d/%s", seed, mode), p, MustAnalyze(p, mode))
 		}
 		for _, n := range []int{3000, 10000} {
 			if n > 3000 && testing.Short() {
 				continue
 			}
 			p := progen.GenerateHuge(0, progen.Huge(n))
-			checkClassification(t, fmt.Sprintf("huge%d/%s", n, mode), p, MustAnalyze(p, mode).M)
+			checkAnalysis(t, fmt.Sprintf("huge%d/%s", n, mode), p, MustAnalyze(p, mode))
 		}
 	}
 }
@@ -163,7 +226,7 @@ func TestClassifiersMatchReferenceOnExplorerRelations(t *testing.T) {
 			r := MustAnalyze(c.p, constraints.ContextSensitive)
 			exact = explore.MHPWithInfo(r.Info, c.p, nil, 1_000_000).MHP
 		}
-		checkClassification(t, c.name+" exact relation", c.p, exact)
+		checkClassification(t, c.name+" exact relation", c.p, exact, exact.Each)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, wl := range workloads.All() {
@@ -173,6 +236,6 @@ func TestClassifiersMatchReferenceOnExplorerRelations(t *testing.T) {
 		for k := 0; k < 4*n; k++ {
 			m.Add(rng.Intn(n), rng.Intn(n))
 		}
-		checkClassification(t, wl.Name+" random ordered relation", p, m)
+		checkClassification(t, wl.Name+" random ordered relation", p, m, m.Each)
 	}
 }

@@ -8,7 +8,8 @@
 package mhp
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"fx10/internal/clocks"
 	"fx10/internal/constraints"
@@ -107,43 +108,69 @@ type AsyncPair struct {
 // body may happen in parallel with some label of B's body. Pairs are
 // returned in (A, B) label order.
 func (r *Result) AsyncBodyPairs() []AsyncPair {
-	return asyncBodyPairs(r.Program, r.M)
+	return asyncBodyPairs(r.Program, r.M.Each)
 }
+
+// relation walks the ordered pairs of a label relation, rows ascending
+// and each row's columns ascending: the order PairSet.Each and
+// constraints.Solution.EachMainPair give.
+type relation func(f func(i, j int))
 
 // asyncBodyPairs is the shared classification core, also used against
 // ground-truth relations, which need not be symmetric. A body is the
 // labels syntactically inside the async — unlike Slabels it does not
 // follow method calls, so two asyncs calling the same helper do not
 // share body labels; this is the body notion the pair counts of
-// Figure 8 are about. The asyncs whose body holds a label are exactly
-// its chain of LabelInfo.AsyncBody links (innermost enclosing async,
-// then that async's, and so on). asyncBodyPairs walks m's pairs once:
-// (l1, l2) ∈ m pairs every async a on l1's chain with every async b on
-// l2's chain for which a is no later than b in label order.
-func asyncBodyPairs(p *syntax.Program, m *intset.PairSet) []AsyncPair {
+// Figure 8 are about.
+func asyncBodyPairs(p *syntax.Program, m relation) []AsyncPair {
+	c := newAsyncClassifier(p)
+	m(c.add)
+	return c.pairs()
+}
+
+// asyncClassifier collects the async-body pairs of a relation from its
+// pairs, one at a time. The asyncs whose body holds a label are
+// exactly its chain of LabelInfo.AsyncBody links (innermost enclosing
+// async, then that async's, and so on): (l1, l2) pairs every async a
+// on l1's chain with every async b on l2's chain for which a is no
+// later than b in label order.
+type asyncClassifier struct {
+	p      *syntax.Program
+	asyncs []syntax.Label
+	idx    []int32 // async label → index in asyncs
+	found  *intset.PairSet
+}
+
+func newAsyncClassifier(p *syntax.Program) *asyncClassifier {
 	asyncs := p.AsyncLabels()
-	idx := make([]int32, p.NumLabels()) // async label → index in asyncs
+	idx := make([]int32, p.NumLabels())
 	for k, a := range asyncs {
 		idx[a] = int32(k)
 	}
-	found := intset.NewPairs(len(asyncs))
-	m.Each(func(l1, l2 int) {
-		for a := p.Labels[l1].AsyncBody; a != syntax.NoLabel; a = p.Labels[a].AsyncBody {
-			for b := p.Labels[l2].AsyncBody; b != syntax.NoLabel; b = p.Labels[b].AsyncBody {
-				if a <= b {
-					found.Add(int(idx[a]), int(idx[b]))
-				}
+	return &asyncClassifier{p: p, asyncs: asyncs, idx: idx, found: intset.NewPairs(len(asyncs))}
+}
+
+func (c *asyncClassifier) add(l1, l2 int) {
+	labels := c.p.Labels
+	for a := labels[l1].AsyncBody; a != syntax.NoLabel; a = labels[a].AsyncBody {
+		for b := labels[l2].AsyncBody; b != syntax.NoLabel; b = labels[b].AsyncBody {
+			if a <= b {
+				c.found.Add(int(c.idx[a]), int(c.idx[b]))
 			}
 		}
-	})
+	}
+}
+
+// pairs returns the pairs found so far in (A, B) label order.
+func (c *asyncClassifier) pairs() []AsyncPair {
 	var out []AsyncPair
-	found.Each(func(i, j int) {
-		a, b := asyncs[i], asyncs[j]
+	c.found.Each(func(i, j int) {
+		a, b := c.asyncs[i], c.asyncs[j]
 		cat := Diff
 		switch {
 		case i == j:
 			cat = Self
-		case p.Labels[a].Method == p.Labels[b].Method:
+		case c.p.Labels[a].Method == c.p.Labels[b].Method:
 			cat = Same
 		}
 		out = append(out, AsyncPair{A: a, B: b, Category: cat})
@@ -181,11 +208,12 @@ type RaceCandidate struct {
 	WriteWrite bool // both sides write
 }
 
-// access describes one instruction's array accesses.
+// access describes one instruction's array accesses: an assignment
+// writes one index and may read one, a while loop reads one. -1 marks
+// no access.
 type access struct {
-	label  syntax.Label
-	reads  []int
-	writes []int
+	label       syntax.Label
+	write, read int
 }
 
 // accesses lists the program's array accesses in EachInstr order.
@@ -194,13 +222,13 @@ func accesses(p *syntax.Program) []access {
 	p.EachInstr(func(_ int, i syntax.Instr) {
 		switch i := i.(type) {
 		case *syntax.Assign:
-			a := access{label: i.L, writes: []int{i.D}}
+			a := access{label: i.L, write: i.D, read: -1}
 			if plus, ok := i.Rhs.(syntax.Plus); ok {
-				a.reads = append(a.reads, plus.D)
+				a.read = plus.D
 			}
 			accs = append(accs, a)
 		case *syntax.While:
-			accs = append(accs, access{label: i.L, reads: []int{i.D}})
+			accs = append(accs, access{label: i.L, write: -1, read: i.D})
 		}
 	})
 	return accs
@@ -208,37 +236,60 @@ func accesses(p *syntax.Program) []access {
 
 // RaceCandidates reports the potential data races implied by M, in
 // deterministic order. This is the "basis for race detectors" client
-// the paper motivates: MHP ∧ same index ∧ a write. It walks M's pairs
-// of accesses once; L1 is the access earlier in EachInstr order.
+// the paper motivates: MHP ∧ same index ∧ a write.
 func (r *Result) RaceCandidates() []RaceCandidate {
-	accs := accesses(r.Program)
-	pos := make([]int32, r.Program.NumLabels()) // label → 1 + index in accs, 0 if none
+	c := newRaceClassifier(r.Program)
+	r.M.Each(c.add)
+	return c.candidates()
+}
+
+// raceClassifier collects the race candidates of a relation from its
+// pairs, one at a time; L1 is the access earlier in EachInstr order.
+type raceClassifier struct {
+	accs []access
+	pos  []int32 // label → 1 + index in accs, 0 if none
+	out  []RaceCandidate
+}
+
+func newRaceClassifier(p *syntax.Program) *raceClassifier {
+	accs := accesses(p)
+	pos := make([]int32, p.NumLabels())
 	for k, a := range accs {
 		pos[a.label] = int32(k + 1)
 	}
-	var out []RaceCandidate
-	r.M.Each(func(l1, l2 int) {
-		i, j := pos[l1]-1, pos[l2]-1
-		if i < 0 || j < i {
-			return
+	return &raceClassifier{accs: accs, pos: pos}
+}
+
+func (c *raceClassifier) add(l1, l2 int) {
+	i, j := c.pos[l1]-1, c.pos[l2]-1
+	if i < 0 || j < i {
+		return
+	}
+	a, b := c.accs[i], c.accs[j]
+	var idx [2]raceIdx
+	for _, x := range raceIndices(idx[:0], a, b) {
+		c.out = append(c.out, RaceCandidate{L1: a.label, L2: b.label, Index: x.index, WriteWrite: x.ww})
+	}
+}
+
+// candidates returns the candidates found so far, sorted by (L1, L2,
+// Index).
+func (c *raceClassifier) candidates() []RaceCandidate {
+	less := func(x, y RaceCandidate) int {
+		if x.L1 != y.L1 {
+			return cmp.Compare(x.L1, y.L1)
 		}
-		a, b := accs[i], accs[j]
-		for _, idx := range raceIndices(a, b) {
-			out = append(out, RaceCandidate{
-				L1: a.label, L2: b.label, Index: idx.index, WriteWrite: idx.ww,
-			})
+		if x.L2 != y.L2 {
+			return cmp.Compare(x.L2, y.L2)
 		}
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].L1 != out[j].L1 {
-			return out[i].L1 < out[j].L1
-		}
-		if out[i].L2 != out[j].L2 {
-			return out[i].L2 < out[j].L2
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out
+		return cmp.Compare(x.Index, y.Index)
+	}
+	// The walk's order is already sorted whenever label order follows
+	// EachInstr order, as it does in parsed programs.
+	if !slices.IsSortedFunc(c.out, less) {
+		slices.SortFunc(c.out, less)
+	}
+	return c.out
 }
 
 type raceIdx struct {
@@ -246,39 +297,32 @@ type raceIdx struct {
 	ww    bool
 }
 
-// raceIndices returns the indices where a and b conflict (write/write
-// or write/read in either direction), deduplicated.
-func raceIndices(a, b access) []raceIdx {
-	seen := map[int]raceIdx{}
-	for _, wa := range a.writes {
-		for _, wb := range b.writes {
-			if wa == wb {
-				seen[wa] = raceIdx{index: wa, ww: true}
-			}
-		}
-		for _, rb := range b.reads {
-			if wa == rb {
-				if _, ok := seen[wa]; !ok {
-					seen[wa] = raceIdx{index: wa}
-				}
-			}
-		}
+// raceIndices appends to dst the indices where a and b conflict, once
+// each and ascending: a write both make, or a write of one that the
+// other reads.
+func raceIndices(dst []raceIdx, a, b access) []raceIdx {
+	if a.write >= 0 && a.write == b.write {
+		// Any other conflict is a read of this same index.
+		return append(dst, raceIdx{index: a.write, ww: true})
 	}
-	for _, wb := range b.writes {
-		for _, ra := range a.reads {
-			if wb == ra {
-				if _, ok := seen[wb]; !ok {
-					seen[wb] = raceIdx{index: wb}
-				}
-			}
-		}
+	x, y := -1, -1
+	if a.write >= 0 && a.write == b.read {
+		x = a.write
 	}
-	var out []raceIdx
-	for _, v := range seen {
-		out = append(out, v)
+	if b.write >= 0 && b.write == a.read {
+		y = b.write
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].index < out[j].index })
-	return out
+	switch {
+	case x < 0 && y < 0:
+		return dst
+	case x < 0 || x == y:
+		return append(dst, raceIdx{index: y})
+	case y < 0:
+		return append(dst, raceIdx{index: x})
+	case x > y:
+		x, y = y, x
+	}
+	return append(dst, raceIdx{index: x}, raceIdx{index: y})
 }
 
 // FalsePositiveReport compares the analysis against the exact
@@ -318,7 +362,7 @@ func (r *Result) CheckFalsePositives(a0 []int64, maxStates int) FalsePositiveRep
 	}
 	rep := FalsePositiveReport{
 		Complete:       complete,
-		ExactPairs:     asyncBodyPairs(r.Program, exactM),
+		ExactPairs:     asyncBodyPairs(r.Program, exactM.Each),
 		InferredPairs:  r.AsyncBodyPairs(),
 		SoundnessHolds: !complete || exactM.SubsetOf(r.M),
 	}

@@ -2,7 +2,6 @@ package mhp
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"io"
 	"sort"
 
@@ -175,9 +174,9 @@ func (r *Result) Report() Report {
 	return rep
 }
 
-// WriteJSON writes the report as indented JSON.
+// WriteJSON writes the report as indented JSON, as a json.Encoder
+// indenting by two spaces writes it.
 func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Report())
+	_, err := w.Write(append(r.ReportJSON(""), '\n'))
+	return err
 }

@@ -26,6 +26,7 @@ package parser
 
 import (
 	"fmt"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -51,10 +52,15 @@ const (
 	tokKeyword // one of the reserved words
 )
 
-var keywords = map[string]bool{
-	"array": true, "void": true, "skip": true, "while": true,
-	"async": true, "finish": true, "at": true, "a": true,
-	"clocked": true, "next": true, "advance": true,
+// keywordKind returns tokKeyword for a reserved word and tokIdent for
+// any other identifier.
+func keywordKind(text string) tokKind {
+	switch text {
+	case "array", "void", "skip", "while", "async", "finish", "at", "a",
+		"clocked", "next", "advance":
+		return tokKeyword
+	}
+	return tokIdent
 }
 
 // punct maps each single-byte punctuation token to its kind; tokEOF
@@ -108,64 +114,31 @@ func (lx *lexer) errf(line, col int, format string, args ...any) error {
 	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (lx *lexer) peekByte() byte {
-	if lx.pos >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos]
-}
-
-// peekRune returns the character at pos and its size: a byte when
-// ASCII, else a UTF-8 rune, or utf8.RuneError and 1 for an invalid byte.
-func (lx *lexer) peekRune() (rune, int) {
-	if c := lx.peekByte(); c < utf8.RuneSelf {
-		return rune(c), 1
-	}
-	return utf8.DecodeRuneInString(lx.src[lx.pos:])
-}
-
-// advance consumes one character (a whole UTF-8 rune, or one invalid
-// byte); columns count characters.
-func (lx *lexer) advance() {
-	_, size := lx.peekRune()
-	if lx.src[lx.pos] == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
-	}
-	lx.pos += size
-}
-
 // skipSpace consumes whitespace and comments; it reports an error for
-// an unterminated block comment.
+// an unterminated block comment. Columns count characters, so a
+// comment's text counts its UTF-8 runes (an invalid byte is one).
 func (lx *lexer) skipSpace() error {
 	for lx.pos < len(lx.src) {
-		c := lx.peekByte()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
-		case c == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/':
-			for lx.pos < len(lx.src) && lx.peekByte() != '\n' {
-				lx.advance()
+		switch c := lx.src[lx.pos]; {
+		case c == '\n':
+			lx.pos++
+			lx.line++
+			lx.col = 1
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.pos++
+			lx.col++
+		case c == '/' && strings.HasPrefix(lx.src[lx.pos:], "//"):
+			end := strings.IndexByte(lx.src[lx.pos:], '\n')
+			if end < 0 {
+				end = len(lx.src) - lx.pos
 			}
-		case c == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '*':
-			startLine, startCol := lx.line, lx.col
-			lx.advance()
-			lx.advance()
-			closed := false
-			for lx.pos+1 < len(lx.src)+1 && lx.pos < len(lx.src) {
-				if lx.peekByte() == '*' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/' {
-					lx.advance()
-					lx.advance()
-					closed = true
-					break
-				}
-				lx.advance()
+			lx.skipTo(lx.pos + end)
+		case c == '/' && strings.HasPrefix(lx.src[lx.pos:], "/*"):
+			end := strings.Index(lx.src[lx.pos+2:], "*/")
+			if end < 0 {
+				return lx.errf(lx.line, lx.col, "unterminated block comment")
 			}
-			if !closed {
-				return lx.errf(startLine, startCol, "unterminated block comment")
-			}
+			lx.skipTo(lx.pos + 2 + end + 2)
 		default:
 			return nil
 		}
@@ -173,11 +146,44 @@ func (lx *lexer) skipSpace() error {
 	return nil
 }
 
+// skipTo moves to byte offset end, past text that may span lines.
+func (lx *lexer) skipTo(end int) {
+	text := lx.src[lx.pos:end]
+	if nl := strings.LastIndexByte(text, '\n'); nl >= 0 {
+		lx.line += strings.Count(text, "\n")
+		lx.col = 1
+		text = text[nl+1:]
+	}
+	lx.col += utf8.RuneCountInString(text)
+	lx.pos = end
+}
+
 // Identifiers follow Go's rule: a letter or '_', then letters, digits
-// or '_'. Integer literals are ASCII digits.
-func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
-func isIdentCont(r rune) bool  { return isIdentStart(r) || unicode.IsDigit(r) }
-func isDigit(r rune) bool      { return '0' <= r && r <= '9' }
+// or '_'. Integer literals are ASCII digits. ASCII input is scanned
+// byte by byte; a non-ASCII character is decoded as a rune.
+func isIdentStart(r rune) bool     { return r == '_' || unicode.IsLetter(r) }
+func isIdentCont(r rune) bool      { return isIdentStart(r) || unicode.IsDigit(r) }
+func isDigit(c byte) bool          { return '0' <= c && c <= '9' }
+func isIdentStartByte(c byte) bool { return 'a' <= c|0x20 && c|0x20 <= 'z' || c == '_' }
+
+// scanIdent consumes the identifier that starts at pos.
+func (lx *lexer) scanIdent() {
+	for lx.pos < len(lx.src) {
+		if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+			if !isIdentStartByte(c) && !isDigit(c) {
+				return
+			}
+			lx.pos++
+		} else {
+			r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
+			if !isIdentCont(r) {
+				return
+			}
+			lx.pos += size
+		}
+		lx.col++
+	}
+}
 
 // next scans the next token.
 func (lx *lexer) next() (token, error) {
@@ -188,38 +194,39 @@ func (lx *lexer) next() (token, error) {
 	if lx.pos >= len(lx.src) {
 		return token{kind: tokEOF, line: line, col: col}, nil
 	}
-	r, size := lx.peekRune()
 	start := lx.pos
+	c := lx.src[start]
 	switch {
-	case isIdentStart(r):
-		for lx.pos < len(lx.src) {
-			if r, _ := lx.peekRune(); !isIdentCont(r) {
-				break
-			}
-			lx.advance()
-		}
+	case isIdentStartByte(c):
+		lx.scanIdent()
 		text := lx.src[start:lx.pos]
-		kind := tokIdent
-		if keywords[text] {
-			kind = tokKeyword
+		return token{kind: keywordKind(text), text: text, line: line, col: col}, nil
+	case isDigit(c):
+		for lx.pos++; lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]); lx.pos++ {
 		}
-		return token{kind: kind, text: text, line: line, col: col}, nil
-	case isDigit(r):
-		for lx.pos < len(lx.src) && isDigit(rune(lx.peekByte())) {
-			lx.advance()
-		}
+		lx.col += lx.pos - start
 		return token{kind: tokInt, text: lx.src[start:lx.pos], line: line, col: col}, nil
-	case r == utf8.RuneError && size == 1:
-		return token{}, lx.errf(line, col, "invalid UTF-8 byte %#x", lx.src[start])
+	case c >= utf8.RuneSelf:
+		r, size := utf8.DecodeRuneInString(lx.src[start:])
+		switch {
+		case isIdentStart(r):
+			lx.scanIdent()
+			text := lx.src[start:lx.pos]
+			return token{kind: keywordKind(text), text: text, line: line, col: col}, nil
+		case r == utf8.RuneError && size == 1:
+			return token{}, lx.errf(line, col, "invalid UTF-8 byte %#x", c)
+		}
+		return token{}, lx.errf(line, col, "unexpected character %q", lx.src[start:start+size])
 	}
-	c := lx.peekByte()
-	lx.advance()
+	lx.pos++
+	lx.col++
 	if k := punct[c]; k != tokEOF {
 		return token{kind: k, text: lx.src[start:lx.pos], line: line, col: col}, nil
 	}
 	if c == '!' {
-		if lx.peekByte() == '=' {
-			lx.advance()
+		if lx.pos < len(lx.src) && lx.src[lx.pos] == '=' {
+			lx.pos++
+			lx.col++
 			return token{kind: tokNotEq, text: "!=", line: line, col: col}, nil
 		}
 		return token{}, lx.errf(line, col, "unexpected character '!'")

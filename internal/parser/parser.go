@@ -3,6 +3,7 @@ package parser
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"fx10/internal/syntax"
 )
@@ -34,6 +35,9 @@ type parser struct {
 	lx  *lexer
 	tok token
 	b   *syntax.Builder
+	// stmts holds the instructions of every block being parsed, the
+	// innermost last; a block takes its own off when it closes.
+	stmts []syntax.Instr
 }
 
 func (p *parser) advance() error {
@@ -92,6 +96,12 @@ func (p *parser) parseProgram() (*syntax.Program, error) {
 		arrayLen = n
 	}
 	p.b = syntax.NewBuilder(arrayLen)
+	// An instruction ends with ';' or opens a block: their count sizes
+	// the label table, give or take the method bodies. A label takes
+	// about 4 bytes of source at the least (`f();`), which bounds the
+	// guess when comments are full of ';'.
+	src := p.lx.src
+	p.b.GrowLabels(min(strings.Count(src, ";")+strings.Count(src, "{"), len(src)/4))
 	sawMethod := false
 	for p.tok.kind != tokEOF {
 		if err := p.parseMethod(); err != nil {
@@ -135,7 +145,7 @@ func (p *parser) parseBlock() (*syntax.Stmt, error) {
 	if _, err := p.expect(tokLBrace, ""); err != nil {
 		return nil, err
 	}
-	var instrs []syntax.Instr
+	base := len(p.stmts)
 	for p.tok.kind != tokRBrace {
 		if p.tok.kind == tokEOF {
 			return nil, p.errf("unexpected end of input in block")
@@ -144,15 +154,17 @@ func (p *parser) parseBlock() (*syntax.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		instrs = append(instrs, i)
+		p.stmts = append(p.stmts, i)
 	}
 	if err := p.advance(); err != nil { // consume '}'
 		return nil, err
 	}
-	if len(instrs) == 0 {
-		instrs = append(instrs, p.b.Skip(""))
+	if len(p.stmts) == base {
+		p.stmts = append(p.stmts, p.b.Skip(""))
 	}
-	return p.b.Stmts(instrs...), nil
+	body := p.b.Stmts(p.stmts[base:]...)
+	p.stmts = p.stmts[:base]
+	return body, nil
 }
 
 // parseStmt parses one optionally labeled instruction.

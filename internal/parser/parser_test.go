@@ -185,6 +185,15 @@ func TestParseErrors(t *testing.T) {
 		{"invalid UTF-8", "void main() { L\xc3: skip; }", "1:16: invalid UTF-8 byte 0xc3"},
 		// Columns count characters: the '$' is the 18th.
 		{"column after é", `void main() { é: $ }`, `1:18: unexpected character "$"`},
+		// A tab is one column, and so is a carriage return; a line
+		// feed starts the next line.
+		{"tabs", "void main() {\n\t\tskip; $ }", `2:9: unexpected character "$"`},
+		{"CRLF", "void main() {\r\n  skip;\r\n  $\r\n}", `3:3: unexpected character "$"`},
+		// A block comment counts its lines, then the characters after
+		// its last line feed.
+		{"multi-line block comment", "void main() { /* one\n two\n é */ skip; $ }", `3:13: unexpected character "$"`},
+		{"unterminated after é", "void é() { /* x\n", "1:12: unterminated block comment"},
+		{"error after non-ASCII identifier", "void résumé() { skip; }\nvoid main() { résumé() }", `2:24: expected ';', found "}"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

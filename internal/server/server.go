@@ -502,7 +502,7 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool 
 		s.writeError(w, http.StatusMethodNotAllowed, "bad_request", "use POST")
 		return false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSourceBytes+1))
+	body, err := readBody(r, s.cfg.MaxSourceBytes)
 	if err != nil {
 		s.writeError(w, statusClientClosedRequest, "canceled", "body read failed")
 		return false
@@ -516,6 +516,36 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool 
 		return false
 	}
 	return true
+}
+
+// readBody reads r's body once and returns at most limit+1 bytes of
+// it, so that a body over the limit shows as longer than the limit.
+// A declared Content-Length sizes the buffer: one allocation, with a
+// byte to spare for reading the end. A chunked body, or one without a
+// length, grows the buffer as io.ReadAll does.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, limit) + 1
+	}
+	buf := make([]byte, 0, size)
+	body := &io.LimitedReader{R: r.Body, N: limit + 1}
+	for {
+		if len(buf) == cap(buf) {
+			if body.N == 0 {
+				return buf, nil
+			}
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // parseSourceLang routes request source to a parser by language: ""
@@ -635,11 +665,7 @@ func (s *Server) analysis(res *engine.Result) (analysisJSON, []byte) {
 // encodeReport renders res's report as it sits in an /v1/analyze body,
 // one level deep.
 func encodeReport(res *engine.Result) []byte {
-	b, err := json.MarshalIndent(mhp.FromEngine(res).Report(), "  ", "  ")
-	if err != nil {
-		panic(err) // a report is plain data
-	}
-	return b
+	return mhp.FromEngine(res).ReportJSON("  ")
 }
 
 // writeAnalyses writes a 200 of mirror with reports[i] in its i-th

@@ -1,6 +1,10 @@
 package syntax
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strconv"
+)
 
 // Builder constructs Programs programmatically, allocating labels as
 // instructions are created. It is used by the parser, the random
@@ -33,11 +37,15 @@ func NewBuilder(arrayLen int) *Builder {
 	return &Builder{arrayLen: arrayLen, byName: map[string]int{}}
 }
 
+// GrowLabels makes room for n more labels, for a caller that can
+// estimate how many instructions it will create.
+func (b *Builder) GrowLabels(n int) { b.labels = slices.Grow(b.labels, n) }
+
 // newLabel allocates a label. An empty name gets an auto-generated
 // display name "L<k>".
 func (b *Builder) newLabel(name string, kind Kind) Label {
 	if name == "" {
-		name = fmt.Sprintf("L%d", b.auto)
+		name = "L" + strconv.Itoa(b.auto)
 		b.auto++
 	}
 	l := Label(len(b.labels))
@@ -109,23 +117,21 @@ func (b *Builder) Call(name, callee string) Instr {
 	return b.setInstr(l, &Call{L: l, Name: callee, Method: -1})
 }
 
-// Stmts chains instructions into a statement sequence. It panics on an
+// Stmts chains instructions into a statement sequence, allocating its
+// nodes together; it keeps no reference to instrs. It panics on an
 // empty argument list: FX10 statements are non-empty.
 func (b *Builder) Stmts(instrs ...Instr) *Stmt {
 	if len(instrs) == 0 {
 		panic("syntax: empty statement sequence")
 	}
-	var head, tail *Stmt
-	for _, i := range instrs {
-		n := &Stmt{Instr: i}
-		if head == nil {
-			head = n
-		} else {
-			tail.Next = n
+	nodes := make([]Stmt, len(instrs))
+	for k, i := range instrs {
+		nodes[k].Instr = i
+		if k > 0 {
+			nodes[k-1].Next = &nodes[k]
 		}
-		tail = n
 	}
-	return head
+	return &nodes[0]
 }
 
 // AddMethod registers a method. Method bodies may reference methods
