@@ -187,7 +187,7 @@ func run(figure string, parallel int, strategy, benchjson string, clockedN int, 
 	}
 	if want["solver"] {
 		section("Solver strategies: 13 benchmarks + huge tier × 2 strategies")
-		bench, err := experiments.RunSolverBench(3)
+		bench, err := experiments.RunSolverBench(21)
 		if err != nil {
 			return err
 		}

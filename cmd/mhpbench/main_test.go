@@ -154,7 +154,8 @@ func TestSolverSection(t *testing.T) {
 		t.Fatalf("benchjson not written: %v", err)
 	}
 	for _, frag := range []string{`"strategy": "topo"`, `"benchmark": "mg"`, `"ns_per_op"`, `"evaluations"`, `"allocs_per_op"`, `"num_cpu"`, `"gomaxprocs"`, `"footprint_bytes"`, `"benchmark": "huge3000"`,
-		`"generate_ns_per_op"`, `"generate_bytes_per_op"`, `"generate_allocs_per_op"`, `"commit"`, `"dirty"`} {
+		`"generate_ns_per_op"`, `"generate_bytes_per_op"`, `"generate_allocs_per_op"`, `"commit"`, `"dirty"`,
+		`"ns_p25"`, `"ns_p75"`, `"unresolved"`} {
 		if !strings.Contains(string(data), frag) {
 			t.Fatalf("benchjson missing %q:\n%s", frag, data)
 		}

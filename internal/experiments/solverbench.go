@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,8 +34,15 @@ var SolverBenchStrategies = []constraints.Algorithm{constraints.Phased, constrai
 type SolverBenchRow struct {
 	Benchmark string `json:"benchmark"`
 	Strategy  string `json:"strategy"`
-	// NsPerOp is the best-of-reps wall time of one Solve.
+	// NsPerOp is the median over the reps of one Solve's wall time,
+	// and NsP25 and NsP75 are its lower and upper quartiles.
 	NsPerOp int64 `json:"ns_per_op"`
+	NsP25   int64 `json:"ns_p25"`
+	NsP75   int64 `json:"ns_p75"`
+	// Unresolved marks a row whose quartile spread (NsP75 − NsP25)
+	// exceeds a fifth of its median: the figure cannot tell a change
+	// of that size from noise on this row.
+	Unresolved bool `json:"unresolved"`
 	// Evaluations is Solution.Evaluations (constraint evaluations;
 	// zero for the pass-based strategies, which count passes instead).
 	Evaluations int64 `json:"evaluations"`
@@ -65,9 +73,11 @@ type SolverBench struct {
 }
 
 // RunSolverBench measures every strategy on every benchmark and on
-// the huge tier (context-sensitive, as in Figure 8). Each (benchmark,
-// strategy) cell is timed reps times over an adaptively sized inner
-// loop and the fastest rep wins, go-test style.
+// the huge tier (context-sensitive, as in Figure 8). Solve times are
+// taken rep-major: each of the reps visits every (benchmark, strategy)
+// row once, starting one row later than the rep before, so drift in
+// the host's speed lands on all rows alike. Every rep's time is kept,
+// and each row reports their median and quartiles.
 func RunSolverBench(reps int) (SolverBench, error) {
 	if reps < 1 {
 		reps = 1
@@ -76,13 +86,14 @@ func RunSolverBench(reps int) (SolverBench, error) {
 		Host: CurrentHost(),
 		Reps: reps,
 	}
+	var cells []solverCell
 	add := func(name string, p *syntax.Program) {
 		sys := constraints.Generate(labels.Compute(p), constraints.ContextSensitive)
 		gen := measureOp(reps, 1, func() { constraints.Generate(labels.Compute(p), constraints.ContextSensitive) })
 		for _, alg := range SolverBenchStrategies {
-			row := measureSolver(name, alg, sys, reps)
-			row.GenerateNsPerOp, row.GenerateBytesPerOp, row.GenerateAllocsPerOp = gen.ns, gen.bytes, gen.allocs
-			bench.Rows = append(bench.Rows, row)
+			c := newSolverCell(name, alg, sys)
+			c.row.GenerateNsPerOp, c.row.GenerateBytesPerOp, c.row.GenerateAllocsPerOp = gen.ns, gen.bytes, gen.allocs
+			cells = append(cells, c)
 		}
 	}
 	for _, wl := range workloads.All() {
@@ -91,47 +102,85 @@ func RunSolverBench(reps int) (SolverBench, error) {
 	for _, n := range SolverBenchHuge {
 		add(fmt.Sprintf("huge%d", n), progen.GenerateHuge(0, progen.Huge(n)))
 	}
+
+	ns := make([][]int64, len(cells))
+	for rep := 0; rep < reps; rep++ {
+		for k := range cells {
+			ci := (rep + k) % len(cells)
+			ns[ci] = append(ns[ci], cells[ci].time())
+		}
+	}
+	for ci, c := range cells {
+		slices.Sort(ns[ci])
+		c.row.NsP25, c.row.NsPerOp, c.row.NsP75 = quantile(ns[ci], 1, 4), quantile(ns[ci], 1, 2), quantile(ns[ci], 3, 4)
+		c.row.Unresolved = 5*(c.row.NsP75-c.row.NsP25) > c.row.NsPerOp
+		bench.Rows = append(bench.Rows, c.row)
+	}
 	return bench, nil
 }
 
-// measureSolver times one (benchmark, strategy) cell.
-func measureSolver(benchmark string, alg constraints.Algorithm, sys *constraints.System, reps int) SolverBenchRow {
-	// Warm-up solve; its (deterministic) counters fill the row.
+// solverCell is one (benchmark, strategy) row while it is measured.
+type solverCell struct {
+	row   SolverBenchRow
+	sys   *constraints.System
+	alg   constraints.Algorithm
+	iters int
+}
+
+// newSolverCell fills a row's deterministic counters from a warm-up
+// solve, sizes its timed loop to about 10ms a rep (a huge solve runs
+// once) and counts its allocations.
+func newSolverCell(benchmark string, alg constraints.Algorithm, sys *constraints.System) solverCell {
+	op := func() { sys.Solve(alg) }
 	warm := sys.Solve(alg)
-	m := measureOp(reps, 1, func() { sys.Solve(alg) })
-	return SolverBenchRow{
-		Benchmark:      benchmark,
-		Strategy:       alg.String(),
-		NsPerOp:        m.ns,
-		Evaluations:    warm.Evaluations,
-		Passes:         warm.IterL1 + warm.IterL2,
-		AllocsPerOp:    m.allocs,
-		BytesPerOp:     m.bytes,
-		FootprintBytes: warm.FootprintBytes,
+	iters := innerIters(1, 10*time.Millisecond, op)
+	a := countAllocs(iters, 1, op)
+	return solverCell{
+		row: SolverBenchRow{
+			Benchmark:      benchmark,
+			Strategy:       alg.String(),
+			Evaluations:    warm.Evaluations,
+			Passes:         warm.IterL1 + warm.IterL2,
+			AllocsPerOp:    a.allocs,
+			BytesPerOp:     a.bytes,
+			FootprintBytes: warm.FootprintBytes,
+		},
+		sys:   sys,
+		alg:   alg,
+		iters: iters,
 	}
+}
+
+// time runs one rep of the cell, after a collection so that no other
+// row's garbage is swept on its clock, and returns ns per solve.
+func (c *solverCell) time() int64 {
+	runtime.GC()
+	t0 := time.Now()
+	for i := 0; i < c.iters; i++ {
+		c.sys.Solve(c.alg)
+	}
+	return time.Since(t0).Nanoseconds() / int64(c.iters)
+}
+
+// quantile returns the num/den quantile of a sorted sample (nearest
+// rank).
+func quantile(sorted []int64, num, den int) int64 {
+	return sorted[((len(sorted)-1)*num+den/2)/den]
 }
 
 // perOp is one operation's cost: best-of-reps wall time, and heap
 // bytes and allocations.
 type perOp struct{ ns, bytes, allocs int64 }
 
-// measureOp is the one timing loop of the committed figures. One call
-// of op performs ops operations (one solve, or a sweep of ops edits).
-// It times op reps times over an inner loop sized so each rep runs at
-// least 5 operations and ≥ ~2ms (single solves on the small benchmarks
-// are microseconds, below timer noise; a huge solve timed once per rep
-// lets one scheduler hiccup decide the row), keeping the fastest rep,
-// then counts its allocations over a loop of its own so the timing
-// reps stay unperturbed by ReadMemStats. The result is per operation.
+// measureOp is the timing loop of the clocked and incremental
+// figures, and of the solver figure's generate columns. One call of op
+// performs ops operations (one solve, or a sweep of ops edits). It
+// times op reps times over an inner loop of about 2ms, keeping
+// the fastest rep, then counts its allocations over a loop of its own
+// so the timing reps stay unperturbed by ReadMemStats. The result is
+// per operation.
 func measureOp(reps, ops int, op func()) perOp {
-	t0 := time.Now()
-	op()
-	iters := 1
-	if d := time.Since(t0); d > 0 {
-		iters = int(2 * time.Millisecond / d)
-	}
-	iters = min(max(iters, (5+ops-1)/ops), 512)
-
+	iters := innerIters(ops, 2*time.Millisecond, op)
 	best := time.Duration(0)
 	for rep := 0; rep < reps; rep++ {
 		t0 := time.Now()
@@ -142,7 +191,28 @@ func measureOp(reps, ops int, op func()) perOp {
 			best = d
 		}
 	}
+	m := countAllocs(iters, ops, op)
+	m.ns = best.Nanoseconds() / int64(iters*ops)
+	return m
+}
 
+// innerIters sizes a timed loop of op, which performs ops operations,
+// so that each rep runs at least 5 operations and about target or
+// longer (single solves on the small benchmarks are microseconds,
+// below timer noise). Its first call of op is the warm-up.
+func innerIters(ops int, target time.Duration, op func()) int {
+	t0 := time.Now()
+	op()
+	iters := 1
+	if d := time.Since(t0); d > 0 {
+		iters = int(target / d)
+	}
+	return min(max(iters, (5+ops-1)/ops), 512)
+}
+
+// countAllocs returns the heap bytes and allocations per operation of
+// iters calls of op.
+func countAllocs(iters, ops int, op func()) perOp {
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
@@ -152,7 +222,6 @@ func measureOp(reps, ops int, op func()) perOp {
 	runtime.ReadMemStats(&ms1)
 	n := int64(iters * ops)
 	return perOp{
-		ns:     best.Nanoseconds() / n,
 		bytes:  int64(ms1.TotalAlloc-ms0.TotalAlloc) / n,
 		allocs: int64(ms1.Mallocs-ms0.Mallocs) / n,
 	}
@@ -162,10 +231,17 @@ func measureOp(reps, ops int, op func()) perOp {
 // per (benchmark, strategy).
 func FormatSolverBench(bench SolverBench) string {
 	var b strings.Builder
-	tw := newTable(&b, "benchmark", "strategy", "ns/op", "evals", "passes", "allocs/op", "B/op", "footprint B", "gen ns/op", "gen B/op", "gen allocs/op")
+	tw := newTable(&b, "benchmark", "strategy", "ns/op", "p25", "p75", "spread", "evals", "passes", "allocs/op", "B/op", "footprint B", "gen ns/op", "gen B/op", "gen allocs/op")
 	for _, r := range bench.Rows {
+		spread := fmt.Sprintf("%.0f%%", 100*float64(r.NsP75-r.NsP25)/float64(max(r.NsPerOp, 1)))
+		if r.Unresolved {
+			spread += " *"
+		}
 		tw.row(r.Benchmark, r.Strategy,
 			fmt.Sprint(r.NsPerOp),
+			fmt.Sprint(r.NsP25),
+			fmt.Sprint(r.NsP75),
+			spread,
 			fmt.Sprint(r.Evaluations),
 			fmt.Sprint(r.Passes),
 			fmt.Sprint(r.AllocsPerOp),
@@ -176,6 +252,6 @@ func FormatSolverBench(bench SolverBench) string {
 			fmt.Sprint(r.GenerateAllocsPerOp))
 	}
 	tw.flush()
-	fmt.Fprintf(&b, "(%s, best of %d reps; evals for topo, passes for phased; gen = labels + Generate on a fresh info)\n", bench.Host.Describe(), bench.Reps)
+	fmt.Fprintf(&b, "(%s; ns/op is the median of %d rep-major reps, p25/p75 its quartiles, spread (p75−p25)/median, * = spread above 20%%: unresolved; evals for topo, passes for phased; gen = labels + Generate on a fresh info, best of the reps)\n", bench.Host.Describe(), bench.Reps)
 	return b.String()
 }

@@ -15,9 +15,11 @@ import (
 // guarantees: every (benchmark, strategy) cell is present, and the
 // topo solver never evaluates more constraints than the benchmark's
 // system has (each constraint is evaluated at most once after SCC
-// condensation).
+// condensation). Each row's time is a median between its quartiles,
+// and a row is unresolved exactly when their spread exceeds a fifth
+// of the median.
 func TestRunSolverBench(t *testing.T) {
-	bench, err := RunSolverBench(1)
+	bench, err := RunSolverBench(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +29,11 @@ func TestRunSolverBench(t *testing.T) {
 	evals := map[[2]string]int64{}
 	gen := map[string][2]int64{}
 	for _, r := range bench.Rows {
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s/%s: non-positive ns/op %d", r.Benchmark, r.Strategy, r.NsPerOp)
+		if r.NsP25 <= 0 || r.NsP25 > r.NsPerOp || r.NsPerOp > r.NsP75 {
+			t.Errorf("%s/%s: ns/op quartiles %d ≤ %d ≤ %d out of order or non-positive", r.Benchmark, r.Strategy, r.NsP25, r.NsPerOp, r.NsP75)
+		}
+		if want := 5*(r.NsP75-r.NsP25) > r.NsPerOp; r.Unresolved != want {
+			t.Errorf("%s/%s: unresolved = %v with quartiles %d, %d, %d", r.Benchmark, r.Strategy, r.Unresolved, r.NsP25, r.NsPerOp, r.NsP75)
 		}
 		if r.GenerateNsPerOp <= 0 || r.GenerateAllocsPerOp <= 0 {
 			t.Errorf("%s/%s: generate columns %d ns, %d allocs", r.Benchmark, r.Strategy, r.GenerateNsPerOp, r.GenerateAllocsPerOp)
