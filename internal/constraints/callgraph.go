@@ -52,6 +52,19 @@ func (g *CallGraph) Callees(mi MethodID) []MethodID { return g.callees[mi] }
 // mutate).
 func (g *CallGraph) Callers(mi MethodID) []MethodID { return g.callers[mi] }
 
+// flowCSR returns the call graph with edges callee → caller, the
+// direction method summaries flow.
+func (g *CallGraph) flowCSR() graphCSR {
+	out := graphCSR{off: make([]int32, 1, len(g.callers)+1)}
+	for _, cs := range g.callers {
+		for _, c := range cs {
+			out.edges = append(out.edges, int32(c))
+		}
+		out.off = append(out.off, int32(len(out.edges)))
+	}
+	return out
+}
+
 // CallerClosure marks dirty and every transitive caller of a dirty
 // method. This is the context-sensitive invalidation set: a method's
 // values depend only on its call-graph subtree, so a method whose

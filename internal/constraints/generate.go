@@ -95,7 +95,6 @@ func Generate(in *labels.Info, mode Mode) *System {
 		g.l2(s.MethodM[i], nil, g.m(body))
 	}
 	s.methodSetVars = varsByOwner[SetVar](s.SetVarOwner, nm)
-	s.methodPairVars = varsByOwner[PairVar](s.PairVarOwner, nm)
 	s.Calls = NewCallGraph(p)
 
 	// Section 8 clocks: programs that use the clock get the static

@@ -18,12 +18,12 @@ import (
 // linear merges. Final results are converted to dense intset.PairSet.
 //
 // A bag, like a set, is immutable once it is stored in a Solution:
-// topo gives every variable of a component, and of a copy-elided chain
-// aliasing it, the component's one set or bag, and SolveDelta shares
-// bags across Solutions (it copies seeded sets into sets of its own).
-// Every operation below that changes a bag therefore points it at a
-// new (or another stored) run and never writes into, or appends onto,
-// the old one.
+// topo gives every method of a call-graph SCC the SCC's one bag, a
+// caller whose value adds nothing to a callee's takes the callee's
+// bag, and SolveDelta shares bags across Solutions (it copies seeded
+// sets into sets of its own). Every operation below that changes a
+// bag therefore points it at a new (or another stored) run and never
+// writes into, or appends onto, the old one.
 type pairBag []uint64
 
 func pairKey(i, j int) uint64 {
@@ -34,33 +34,37 @@ func pairKey(i, j int) uint64 {
 // all of b, b takes o's run itself.
 func (b *pairBag) unionWith(o pairBag) bool {
 	x := *b
-	n := unionLen(x, o)
-	switch n {
+	switch n := unionLen(x, o); n {
 	case len(x):
 		return false
 	case len(o):
 		*b = o
-		return true
+	default:
+		*b = appendUnion(make(pairBag, 0, n), x, o)
 	}
-	out := make(pairBag, 0, n)
+	return true
+}
+
+// appendUnion appends a ∪ b, two sorted runs, to dst as one sorted
+// run.
+func appendUnion(dst, a, b pairBag) pairBag {
 	i, j := 0, 0
-	for i < len(x) && j < len(o) {
+	for i < len(a) && j < len(b) {
 		switch {
-		case x[i] < o[j]:
-			out = append(out, x[i])
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
 			i++
-		case x[i] > o[j]:
-			out = append(out, o[j])
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
 			j++
 		default:
-			out = append(out, x[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, x[i:]...)
-	*b = append(out, o[j:]...)
-	return true
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // unionLen returns |a ∪ b| for two sorted runs.
@@ -81,36 +85,40 @@ func unionLen(a, b pairBag) int {
 	return n + len(a) - i + len(b) - j
 }
 
-// cross adds the cross term ct, whose variable operand's value in
-// setVals is final, and reports change, skipping pairs the phase
-// analysis proves ordered: when phase[i] and phase[j] are both known
-// and different, the single clock serializes them and they can never
-// run in parallel. phase is nil for clock-free programs (no
-// filtering). This is the ONE place pairs enter the level-2 system —
-// level 2 is otherwise pure union — so filtering here makes every
-// solving strategy (and the delta solver) compute exactly the
-// phase-refined least solution, preserving cross-strategy
-// bit-identity. An Lcross term carries its label instead of a
-// singleton set, so it costs no dense set.
-func (b *pairBag) cross(ct *CrossTerm, setVals []*intset.Set, phase []int32) bool {
+// emitCross appends the product of cross term ct, whose variable
+// operand's value in setVals is final, to buf as one sorted run. phased
+// folds each run into its bag with unionWith, and topo into a method's
+// value with runMerger. It skips pairs the phase analysis proves ordered: when phase[i]
+// and phase[j] are both known and different, the single clock
+// serializes them and they can never run in parallel. phase is nil for
+// clock-free programs (no filtering). This is the ONE place pairs
+// enter the level-2 system — level 2 is otherwise pure union — so
+// filtering here makes every solving strategy (and the delta solver)
+// compute exactly the phase-refined least solution, preserving
+// cross-strategy bit-identity. An Lcross term carries its label
+// instead of a singleton set, so it costs no dense set. A nil buf
+// gets a run of exactly the product's unfiltered capacity.
+func emitCross(buf pairBag, ct *CrossTerm, setVals []*intset.Set, phase []int32) pairBag {
 	if ct.Kind == KLcross {
-		return b.crossLabel(int(ct.Label), setVals[ct.Var], phase)
+		return crossLabel(buf, int(ct.Label), setVals[ct.Var], phase)
 	}
-	return b.crossSym(ct.Const, setVals[ct.Var], phase)
+	return crossSym(buf, ct.Const, setVals[ct.Var], phase)
 }
 
-// crossSym adds (A × B) ∪ (B × A) under cross's phase filter. The
-// product is emitted in key order, row i of it being B when
-// i ∈ A \ B, A when i ∈ B \ A and A ∪ B when i ∈ A ∩ B, then merged.
-func (b *pairBag) crossSym(a, bb *intset.Set, phase []int32) bool {
+// crossSym appends (A × B) ∪ (B × A) under emitCross's phase filter.
+// The product is emitted in key order, row i of it being B when
+// i ∈ A \ B, A when i ∈ B \ A and A ∪ B when i ∈ A ∩ B.
+func crossSym(buf pairBag, a, bb *intset.Set, phase []int32) pairBag {
 	if a.Empty() || bb.Empty() {
-		return false // both products are empty (O(1) on cached counts)
+		return buf // both products are empty (O(1) on cached counts)
 	}
 	u := a.Clone()
 	u.UnionWith(bb)
 	as, bs, us := a.Elems(), bb.Elems(), u.Elems()
 	both := len(as) + len(bs) - len(us)
-	prod := make(pairBag, 0, (len(us)-len(bs))*len(bs)+(len(us)-len(as))*len(as)+both*len(us))
+	if buf == nil { // a run phased stores keeps no spare capacity
+		buf = make(pairBag, 0, (len(us)-len(bs))*len(bs)+(len(us)-len(as))*len(as)+both*len(us))
+	}
 	for _, i := range us {
 		row := us
 		switch inA, inB := a.Has(i), bb.Has(i); {
@@ -122,39 +130,101 @@ func (b *pairBag) crossSym(a, bb *intset.Set, phase []int32) bool {
 		pi := phaseAt(phase, syntax.Label(i))
 		for _, j := range row {
 			if phaseOK(phase, pi, j) { // else provably ordered by the clock
-				prod = append(prod, pairKey(i, j))
+				buf = append(buf, pairKey(i, j))
 			}
 		}
 	}
-	return b.unionWith(prod)
+	return buf
 }
 
-// crossLabel adds Lcross(l, B) = ({l} × B) ∪ (B × {l}) and reports
-// change, under cross's phase filter. In key order that is (j, l)
-// for j ∈ B below l, then row l (which is B whether or not l ∈ B),
-// then (j, l) for j ∈ B above l: at most 2·|B| keys.
-func (b *pairBag) crossLabel(l int, bb *intset.Set, phase []int32) bool {
+// crossLabel appends Lcross(l, B) = ({l} × B) ∪ (B × {l}) under
+// emitCross's phase filter. In key order that is (j, l) for j ∈ B
+// below l, then row l (which is B whether or not l ∈ B), then (j, l)
+// for j ∈ B above l: at most 2·|B| keys.
+func crossLabel(buf pairBag, l int, bb *intset.Set, phase []int32) pairBag {
 	if bb.Empty() {
-		return false // O(1) on the cached count; no word to scan
+		return buf // O(1) on the cached count; no word to scan
 	}
 	pl := phaseAt(phase, syntax.Label(l))
-	prod := make(pairBag, 0, 2*bb.Len())
+	if buf == nil {
+		buf = make(pairBag, 0, 2*bb.Len())
+	}
 	bb.Each(func(j int) {
 		if j < l && phaseOK(phase, pl, j) {
-			prod = append(prod, pairKey(j, l))
+			buf = append(buf, pairKey(j, l))
 		}
 	})
 	bb.Each(func(j int) {
 		if phaseOK(phase, pl, j) {
-			prod = append(prod, pairKey(l, j))
+			buf = append(buf, pairKey(l, j))
 		}
 	})
 	bb.Each(func(j int) {
 		if j > l && phaseOK(phase, pl, j) {
-			prod = append(prod, pairKey(j, l))
+			buf = append(buf, pairKey(j, l))
 		}
 	})
-	return b.unionWith(prod)
+	return buf
+}
+
+// runMerger builds one level-2 value from sorted runs of two kinds:
+// cross-term products, emitted back to back into its scratch buffer,
+// and bags already stored in the solution. One merger serves a whole
+// pass, so its two buffers grow to the largest value and are reused.
+type runMerger struct {
+	runs, stored []pairBag
+	buf, alt     pairBag
+}
+
+// cross emits cross term ct's product as one run.
+func (m *runMerger) cross(ct *CrossTerm, setVals []*intset.Set, phase []int32) {
+	n := len(m.buf)
+	if m.buf = emitCross(m.buf, ct, setVals, phase); len(m.buf) > n {
+		m.runs = append(m.runs, m.buf[n:len(m.buf):len(m.buf)])
+	}
+}
+
+// bag adds a stored run.
+func (m *runMerger) bag(b pairBag) {
+	if len(b) > 0 {
+		m.runs, m.stored = append(m.runs, b), append(m.stored, b)
+	}
+}
+
+// union merges every run in one balanced pass and empties the merger.
+// Each round merges the runs pairwise into the other buffer, so a key
+// is copied once per round, ⌈log₂ runs⌉ times (folding stored runs in
+// one at a time would copy the growing value once per run). It returns
+// a stored run that holds the whole union (fresh false), or else a new
+// run with cap == len: no stored value keeps scratch capacity.
+func (m *runMerger) union() (out pairBag, fresh bool) {
+	runs, src, dst := m.runs, m.buf, m.alt
+	for len(runs) > 1 {
+		dst = dst[:0]
+		n := 0
+		for i := 0; i < len(runs); i += 2 {
+			lo := len(dst)
+			if i+1 < len(runs) {
+				dst = appendUnion(dst, runs[i], runs[i+1])
+			} else {
+				dst = append(dst, runs[i]...) // the next round overwrites src
+			}
+			runs[n] = dst[lo:len(dst):len(dst)]
+			n++
+		}
+		runs, src, dst = runs[:n], dst, src
+	}
+	stored := m.stored
+	m.runs, m.stored, m.buf, m.alt = runs[:0], stored[:0], src[:0], dst
+	if len(runs) == 0 {
+		return nil, false
+	}
+	for _, b := range stored {
+		if len(b) == len(runs[0]) {
+			return b, false
+		}
+	}
+	return append(make(pairBag, 0, len(runs[0])), runs[0]...), true
 }
 
 // phaseOK reports whether label j may pair with a label of phase code

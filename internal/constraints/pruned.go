@@ -6,7 +6,7 @@ import "fx10/internal/intset"
 // barrier remove from the main method's MHP relation?
 //
 // The solvers drop a pair the moment it would enter a pair variable
-// (pairBag.cross), so the pruned pairs are never materialized during
+// (emitCross), so the pruned pairs are never materialized during
 // solving and no strategy-dependent counter exists. They are instead
 // reconstructed exactly from the least solution: level-1 values are
 // unaffected by the pruning (no set constraint reads a pair variable),
@@ -30,45 +30,21 @@ func (sol *Solution) ClockPrunedMainPairs() *intset.PairSet {
 		return out
 	}
 
-	// L2 constraints indexed by left-hand side, for the reachability
-	// walk. Every pair variable has at most one defining constraint
-	// today, but nothing below depends on that.
-	byLHS := make([][]int32, s.NumPairVars())
-	for ci := range s.L2s {
-		lhs := s.L2s[ci].LHS
-		byLHS[lhs] = append(byLHS[lhs], int32(ci))
-	}
-
-	root := s.MethodM[s.P.MainIndex]
-	seen := make([]bool, s.NumPairVars())
-	seen[root] = true
-	stack := []PairVar{root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ci := range byLHS[v] {
-			c := &s.L2s[ci]
-			for _, ct := range c.Crosses {
-				val := sol.setVals[ct.Var]
-				ct.eachConst(func(i int) {
-					pi := code[i]
-					if pi < 0 {
-						return
-					}
-					val.Each(func(j int) {
-						if pj := code[j]; pj >= 0 && pj != pi {
-							out.AddSym(i, j)
-						}
-					})
-				})
-			}
-			for _, pv := range c.Pairs {
-				if !seen[pv] {
-					seen[pv] = true
-					stack = append(stack, pv)
+	s.walkL2(s.MethodM[s.P.MainIndex], func(c *L2) {
+		for _, ct := range c.Crosses {
+			val := sol.setVals[ct.Var]
+			ct.eachConst(func(i int) {
+				pi := code[i]
+				if pi < 0 {
+					return
 				}
-			}
+				val.Each(func(j int) {
+					if pj := code[j]; pj >= 0 && pj != pi {
+						out.AddSym(i, j)
+					}
+				})
+			})
 		}
-	}
+	}, func(PairVar) bool { return true })
 	return out
 }

@@ -23,13 +23,13 @@ const (
 	// It fills IterL1/IterL2 and is the reference Topo is tested
 	// against.
 	Phased Algorithm = iota
-	// Topo eliminates iteration instead of just pruning it: each
-	// level's constraint graph is condensed into strongly connected
-	// components (Tarjan), every variable in a cycle provably shares
-	// the SCC's least value, and components are solved exactly once in
-	// topological order (see topo.go). Evaluations counts the
-	// near-minimal constraint evaluations. SolveDelta re-solves its
-	// dirty closure with the same pass.
+	// Topo eliminates iteration instead of just pruning it: the
+	// level-1 constraint graph, and at level 2 the call graph, are
+	// condensed into strongly connected components (Tarjan), every
+	// member of a cycle provably shares the SCC's least value, and
+	// components are solved exactly once in topological order (see
+	// topo.go). Evaluations counts the near-minimal evaluations.
+	// SolveDelta re-solves its dirty closure with the same passes.
 	Topo
 )
 
@@ -49,7 +49,10 @@ type Solution struct {
 	sys *System
 
 	setVals  []*intset.Set
-	pairVals []pairBag
+	pairVals []pairBag // nil for a statement's m under topo (see bag)
+	// nsets and bagSlots count the distinct sets, and the slots of the
+	// distinct bags, the valuation retains (FootprintBytes).
+	nsets, bagSlots int
 
 	// IterSlabels, IterL1 and IterL2 are the fixpoint pass counts of
 	// the three phases (each includes the final, no-change pass).
@@ -59,9 +62,10 @@ type Solution struct {
 	IterSlabels int
 	IterL1      int
 	IterL2      int
-	// Evaluations counts individual constraint evaluations of the
-	// topo solver and of SolveDelta. Each constraint is evaluated at
-	// most once (copy-elided constraints not at all).
+	// Evaluations counts the evaluations of the topo solver and of
+	// SolveDelta: each level-1 constraint evaluated (at most once;
+	// copy-elided constraints not at all), plus one per call-graph SCC
+	// whose level-2 value is computed.
 	Evaluations int64
 
 	// cancel is the cooperative-cancellation state (see cancel.go);
@@ -116,19 +120,22 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 		IterSlabels: s.Info.Iterations,
 	}
 	sol.cancel.arm(ctx)
-	// The topo solver allocates its own valuation (one set and one bag
-	// per component, shared by its variables); the phased solver
-	// starts from an explicit bottom valuation (a nil bag is empty).
+	// The topo solver allocates its own valuation (one set per
+	// component and one bag per call-graph SCC, shared by their
+	// variables); the phased solver starts from an explicit bottom
+	// valuation (a nil bag is empty).
 	if alg == Phased {
 		for i := range sol.setVals {
 			sol.setVals[i] = intset.New(n)
 		}
+		sol.nsets = len(sol.setVals)
 	}
 
 	switch alg {
 	case Phased:
 		sol.solveL1()
 		sol.solveL2()
+		sol.bagSlots = distinctSlots(sol.pairVals)
 	case Topo:
 		sol.solveTopoL1(nil)
 		sol.solveTopoL2(nil)
@@ -145,23 +152,26 @@ func (s *System) solve(ctx context.Context, alg Algorithm) *Solution {
 // footprint sets FootprintBytes to the memory the valuation retains:
 // each set's words and slice header, and 8 bytes per slot of each pair
 // bag's capacity, counted once per distinct set or bag however many
-// variables (or Solutions) share it.
+// variables (or Solutions) share it. The solvers count both as they
+// allocate them: phased one set per variable, topo one per evaluated
+// component (plus SolveDelta's seeds), and topo one bag per SCC value
+// it allocates or seeds.
 func (sol *Solution) footprint() {
-	sets := make(map[*intset.Set]struct{})
-	for _, v := range sol.setVals {
-		sets[v] = struct{}{}
-	}
-	sol.FootprintBytes = len(sets) * ((sol.sys.P.NumLabels()+63)/64*8 + 24)
+	sol.FootprintBytes = sol.nsets*((sol.sys.P.NumLabels()+63)/64*8+24) + 8*sol.bagSlots
+}
+
+// distinctSlots returns the capacity of the distinct bags among bags:
+// phased's unionWith lets one variable take another's run.
+func distinctSlots(bags []pairBag) int {
 	seen := make(map[*uint64]bool)
-	for _, b := range sol.pairVals {
-		if cap(b) == 0 {
-			continue
-		}
-		if p := &b[:1][0]; !seen[p] {
-			seen[p] = true
-			sol.FootprintBytes += cap(b) * 8
+	slots := 0
+	for _, b := range bags {
+		if cap(b) > 0 && !seen[&b[:1][0]] {
+			seen[&b[:1][0]] = true
+			slots += cap(b)
 		}
 	}
+	return slots
 }
 
 // l1Pass applies every level-1 constraint once (Gauss–Seidel with
@@ -226,7 +236,7 @@ func (sol *Solution) solveL2() {
 		sol.checkCancel()
 		lhs := &sol.pairVals[c.LHS]
 		for _, ct := range c.Crosses {
-			lhs.cross(&ct, sol.setVals, sol.sys.PhaseCode)
+			lhs.unionWith(emitCross(nil, &ct, sol.setVals, sol.sys.PhaseCode))
 		}
 	}
 	for {
@@ -242,14 +252,41 @@ func (sol *Solution) solveL2() {
 func (sol *Solution) SetValue(v SetVar) *intset.Set { return sol.setVals[v] }
 
 // PairValue returns the solved value of a pair variable as a dense
-// pair set (fresh copy).
+// pair set (fresh copy). A statement variable topo left unsolved is
+// derived first (bag).
 func (sol *Solution) PairValue(v PairVar) *intset.PairSet {
-	return sol.pairVals[v].toPairSet(sol.sys.P.NumLabels())
+	return sol.bag(v).toPairSet(sol.sys.P.NumLabels())
 }
 
 // PairLen returns the number of ordered pairs in a pair variable
 // without densifying it.
-func (sol *Solution) PairLen(v PairVar) int { return len(sol.pairVals[v]) }
+func (sol *Solution) PairLen(v PairVar) int { return len(sol.bag(v)) }
+
+// bag returns pair variable v's value (shared; do not mutate). Topo
+// and SolveDelta store only the methods' m, so a statement's is
+// derived from the final sets and the method bags: one merge of the
+// products of the statements whose m flows into v (its suffix and
+// nested bodies) and of the m of the methods they call. (Under phased
+// every variable holds its value, and an empty one derives to empty.)
+func (sol *Solution) bag(v PairVar) pairBag {
+	s := sol.sys
+	if b := sol.pairVals[v]; b != nil || s.isMethodM(v) {
+		return b
+	}
+	var m runMerger
+	s.walkL2(v, func(c *L2) {
+		for k := range c.Crosses {
+			m.cross(&c.Crosses[k], sol.setVals, s.PhaseCode)
+		}
+	}, func(w PairVar) bool {
+		if s.isMethodM(w) {
+			m.bag(sol.pairVals[w])
+		}
+		return !s.isMethodM(w)
+	})
+	b, _ := m.union()
+	return b
+}
 
 // StmtR returns the solved r_s for a statement node (shared; do not
 // mutate).
@@ -263,7 +300,8 @@ func (sol *Solution) StmtO(st *syntax.Stmt) *intset.Set {
 	return sol.setVals[sol.sys.StmtO[st.Instr.Label()]]
 }
 
-// StmtM returns the solved m_s for a statement node (fresh dense set).
+// StmtM returns the solved m_s for a statement node (fresh dense set),
+// derived on demand under topo and SolveDelta (bag).
 func (sol *Solution) StmtM(st *syntax.Stmt) *intset.PairSet {
 	return sol.PairValue(sol.sys.StmtM[st.Instr.Label()])
 }

@@ -30,20 +30,15 @@ import (
 // transitive callers) or their weak components over the union of the
 // old and new call graphs (context-insensitive — the old graph
 // matters because a removed call edge can strand stale caller-context
-// labels). Every variable outside the closure is seeded from the
-// previous valuation through the label remap and is provably already
-// at its least fixpoint. The closure is re-solved by topo's SCC pass
-// with the other methods kept (topo.go): their components take their
-// seeded values, so their constraints are never re-evaluated.
-//
-// No variable SCC straddles the closure boundary, so each component is
-// either kept whole or re-solved whole. Context-sensitively,
-// cross-method edges follow call edges (callee → caller), so a cycle
-// through two methods makes each a transitive caller of the other, and
-// the closure holds every transitive caller of its members.
-// Context-insensitively, cross-method edges run both ways along call
-// edges, and the closure holds whole weak components of the call
-// graph.
+// labels). Every set variable and m summary outside the closure is
+// seeded from the previous valuation through the label remap and is
+// provably already at its least fixpoint. The closure is re-solved by
+// topo's passes with the other methods kept (topo.go): their level-1
+// components and call-graph SCCs take their seeded values and are
+// never re-evaluated. No SCC of either kind straddles the closure
+// boundary: context-sensitively a cycle through two methods makes each
+// a transitive caller of the other, and context-insensitively the
+// closure holds whole weak components of the call graph.
 //
 // Any structural surprise — a method with no same-named predecessor,
 // a correspondence mismatch, a previous value mentioning a label the
@@ -132,8 +127,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 			ident := true
 			pj := matchNewToPrev[mi]
 			if pj < 0 || !correspond(p.Methods[mi].Body, prevP.Methods[pj].Body, remap, &ident) ||
-				len(s.SetVarsOf(mi)) != len(prevSys.SetVarsOf(pj)) ||
-				len(s.PairVarsOf(mi)) != len(prevSys.PairVarsOf(pj)) {
+				len(s.SetVarsOf(mi)) != len(prevSys.SetVarsOf(pj)) {
 				isDirty[mi] = true
 				grew = true
 				continue
@@ -215,17 +209,18 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 	}
 	sol.cancel.arm(ctx)
 
-	// Seed every kept variable with its previous value; the closure's
-	// variables are left to the topo pass, which allocates them.
-	// Identity methods (identVals) reuse the value verbatim:
-	// word-copied sets and aliased pair bags, safe because topo never
-	// mutates a kept value and no bag is mutated once stored
-	// (pairbag.go). The rest translate through the label
-	// remap. A previous value containing a label the remap does not
-	// cover means influence from outside the reused region, so
-	// everything is re-solved (it cannot legitimately happen for the
-	// closures computed above; this is the defensive backstop).
+	// Seed every kept method's set variables and m summary (topo
+	// solves level 2 per method, so no statement-level m is seeded);
+	// the closure is left to the topo passes, which allocate it.
+	// Identity methods (identVals) reuse the values verbatim:
+	// word-copied sets and the aliased bag, safe because no bag is
+	// mutated once stored (pairbag.go). The rest translate through the
+	// label remap. A previous value containing a label the remap does
+	// not cover means influence from outside the reused region, so
+	// everything is re-solved (the defensive backstop; it cannot
+	// legitimately happen for the closures computed above).
 	seeded := intset.NewBatch(n, nkept)
+	sol.nsets = nkept
 	for mi := range p.Methods {
 		if !keep[mi] {
 			continue
@@ -236,7 +231,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 			seeded = seeded[1:]
 		}
 		prevSet := prevSys.SetVarsOf(pj)
-		prevPair := prevSys.PairVarsOf(pj)
+		prevM := prev.pairVals[prevSys.MethodM[pj]]
 		if identVals[mi] {
 			ok := true
 			for k, v := range s.SetVarsOf(mi) {
@@ -246,9 +241,7 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 				}
 			}
 			if ok {
-				for k, v := range s.PairVarsOf(mi) {
-					sol.pairVals[v] = prev.pairVals[prevPair[k]]
-				}
+				sol.pairVals[s.MethodM[mi]] = prevM
 				continue
 			}
 			// An element outside the new universe: fall through to the
@@ -261,13 +254,11 @@ func (s *System) solveDelta(ctx context.Context, prev *Solution, dirty []MethodI
 				return s.fullFallback(ctx)
 			}
 		}
-		for k, v := range s.PairVarsOf(mi) {
-			bag, ok := remapBag(prev.pairVals[prevPair[k]], remap)
-			if !ok {
-				return s.fullFallback(ctx)
-			}
-			sol.pairVals[v] = bag
+		bag, ok := remapBag(prevM, remap)
+		if !ok {
+			return s.fullFallback(ctx)
 		}
+		sol.pairVals[s.MethodM[mi]] = bag
 	}
 
 	sol.solveTopoL1(keep)

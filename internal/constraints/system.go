@@ -92,11 +92,6 @@ type CrossTerm struct {
 	Var    SetVar
 }
 
-// constEmpty reports whether the term's constant operand is empty.
-func (ct *CrossTerm) constEmpty() bool {
-	return ct.Kind != KLcross && (ct.Const == nil || ct.Const.Empty())
-}
-
 // eachConst calls f on every label of the term's constant operand, in
 // increasing order.
 func (ct *CrossTerm) eachConst(f func(int)) {
@@ -162,13 +157,14 @@ type System struct {
 	// The method partition: every variable is owned by exactly one
 	// method (a statement variable by its enclosing method, a
 	// summary variable by the method it summarizes), and Calls is
-	// the cross-method dependency layer. Together they let the
-	// delta solver (SolveDelta) restrict re-solving to the dirty
-	// methods' closure. SetVarsOf/PairVarsOf give each method's
-	// variables in ascending index order, which is deterministic in
-	// the method's body structure — the correspondence delta seeding
-	// relies on. Generate records each owner as it allocates the
-	// variable, so the owner tables also count the variables.
+	// the cross-method dependency layer. Together they let topo solve
+	// level 2 per method and the delta solver (SolveDelta) restrict
+	// re-solving to the dirty methods' closure. SetVarsOf gives each
+	// method's set variables in ascending index order, which is
+	// deterministic in the method's body structure — the
+	// correspondence delta seeding relies on. Generate records each
+	// owner as it allocates the variable, so the owner tables also
+	// count the variables.
 	SetVarOwner  []MethodID // owner of each SetVar
 	PairVarOwner []MethodID // owner of each PairVar
 	Calls        *CallGraph
@@ -177,14 +173,13 @@ type System struct {
 	// Generate iff the program uses clocks (Section 8); nil otherwise.
 	// PhaseCode is its flattened form (clocks.PhaseInfo.Codes): one
 	// int32 per label, the concrete phase for Known labels and -1 for
-	// ⊥/⊤. The solvers consult it in pairBag.cross — two labels with
+	// ⊥/⊤. The solvers consult it in emitCross — two labels with
 	// non-negative different codes are barrier-ordered, so their pair
 	// never enters the level-2 system.
 	Phases    *clocks.PhaseInfo
 	PhaseCode []int32
 
-	methodSetVars  [][]SetVar
-	methodPairVars [][]PairVar
+	methodSetVars [][]SetVar
 
 	// The variable names, built on first use (see buildNames).
 	namesOnce sync.Once
@@ -210,10 +205,6 @@ func (s *System) NumPairVars() int { return len(s.PairVarOwner) }
 // order (shared slice; do not mutate).
 func (s *System) SetVarsOf(mi MethodID) []SetVar { return s.methodSetVars[mi] }
 
-// PairVarsOf returns method mi's pair variables in ascending variable
-// order (shared slice; do not mutate).
-func (s *System) PairVarsOf(mi MethodID) []PairVar { return s.methodPairVars[mi] }
-
 // varsByOwner groups variables 0..len(owner)-1 by owning method, each
 // group ascending, all cut from one backing array sized by a counting
 // pass.
@@ -233,6 +224,32 @@ func varsByOwner[V ~int](owner []MethodID, methods int) [][]V {
 		out[mi] = append(out[mi], V(v))
 	}
 	return out
+}
+
+// isMethodM reports whether pair variable v is a method's mᵢ.
+func (s *System) isMethodM(v PairVar) bool { return s.MethodM[s.PairVarOwner[v]] == v }
+
+// walkL2 calls visit on the level-2 constraint defining v and on that
+// of every pair variable reachable from v through Pairs edges into
+// which enter lets the walk go; enter sees each variable once.
+func (s *System) walkL2(v PairVar, visit func(*L2), enter func(PairVar) bool) {
+	lhs := make([]int32, s.NumPairVars())
+	for ci := range s.L2s {
+		lhs[s.L2s[ci].LHS] = int32(ci)
+	}
+	seen := make([]bool, s.NumPairVars())
+	seen[v] = true
+	for stack := []PairVar{v}; len(stack) > 0; {
+		c := &s.L2s[lhs[stack[len(stack)-1]]]
+		stack = stack[:len(stack)-1]
+		visit(c)
+		for _, w := range c.Pairs {
+			if !seen[w] && enter(w) {
+				stack = append(stack, w)
+			}
+			seen[w] = true
+		}
+	}
 }
 
 // SetVarName returns set variable v's display name, as Figure 5

@@ -16,18 +16,19 @@ package constraints
 // O(passes × constraints) re-evaluations to one evaluation per
 // constraint plus a linear Tarjan pass.
 //
-// Both levels store one value per evaluated component, a set at level
-// 1 and a pair bag at level 2, and every variable of the component,
-// and of a copy-elided chain aliasing it, holds that value. The least
+// Level 1 stores one set per evaluated component, held by every
+// variable of the component and of a copy-elided chain aliasing it.
+// Level 2 condenses the call graph instead and stores one pair bag per
+// SCC, held by its methods' m variables (solveTopoL2). The least
 // solution is unique (Theorems 5–6), so no variable needs a private
 // copy; a stored value is never mutated (see pairbag.go).
 //
 // Both levels take a per-method keep mask, nil for a solve from
 // scratch. SolveDelta passes the methods outside its dirty closure:
-// their variables arrive seeded with their least values, so a
-// component whose members all belong to kept methods takes its seeded
-// value and is not evaluated. Every other component is solved as
-// usual, reading kept values as final inputs.
+// their set variables and m summaries arrive seeded with their least
+// values, so a component or SCC of kept methods takes its seeded value
+// and is not evaluated. The rest is solved as usual, reading kept
+// values as final inputs.
 
 import (
 	"fx10/internal/intset"
@@ -196,24 +197,6 @@ func (s *System) l1Graph() (lhsL1 []int32, subSrc, g graphCSR) {
 	return lhsL1, subSrc, g
 }
 
-// keptComps marks the components whose members all belong to methods
-// keep marks. It returns nil when keep is nil (a solve from scratch).
-func keptComps(keep []bool, owner []MethodID, comp []int32, ncomp int32) []bool {
-	if keep == nil {
-		return nil
-	}
-	kept := make([]bool, ncomp)
-	for c := range kept {
-		kept[c] = true
-	}
-	for v, c := range comp {
-		if !keep[owner[v]] {
-			kept[c] = false
-		}
-	}
-	return kept
-}
-
 // solveTopoL1 computes the level-1 least solution by SCC condensation.
 // keep is the per-method keep mask described at the top of the file.
 func (sol *Solution) solveTopoL1(keep []bool) {
@@ -226,12 +209,11 @@ func (sol *Solution) solveTopoL1(keep []bool) {
 	lhsL1, subSrc, g := s.l1Graph()
 	comp, ncomp := tarjanSCC(nv, g)
 	members := memberCSR(comp, ncomp)
-	kept := keptComps(keep, s.SetVarOwner, comp, ncomp)
 
 	vals := make([]*intset.Set, ncomp)
 	for cid := ncomp - 1; cid >= 0; cid-- {
 		ms := members.edges[members.off[cid]:members.off[cid+1]]
-		if kept != nil && kept[cid] {
+		if keep != nil && keep[s.SetVarOwner[ms[0]]] { // closures are SCC-closed (solvedelta.go)
 			vals[cid] = sol.setVals[ms[0]]
 			continue
 		}
@@ -245,10 +227,11 @@ func (sol *Solution) solveTopoL1(keep []bool) {
 			}
 		}
 		vals[cid] = sol.evalL1Comp(cid, ms, comp, lhsL1, subSrc, vals)
+		sol.nsets++
 	}
 
 	for v := 0; v < nv; v++ {
-		if kept == nil || !kept[comp[v]] {
+		if keep == nil || !keep[s.SetVarOwner[v]] {
 			sol.setVals[v] = vals[comp[v]]
 		}
 	}
@@ -322,134 +305,67 @@ func (s *System) l1SingleInflow(m int32, cid int32, comp []int32, lhsL1 []int32,
 	return src, src != -1
 }
 
-// solveTopoL2 computes the level-2 least solution by SCC condensation.
-// Level-1 is final, so every cross term is a constant; the graph is
-// over pair variables only. Pair values are sparse bags, shared like
-// level 1's sets. keep is the per-method keep mask described at the
-// top of the file.
+// solveTopoL2 computes level 2 one call-graph SCC at a time. A
+// statement's m only passes its cross terms and its successors' m up
+// to the enclosing statement (equations (57)–(82)), so a method's m is
+// the union of the cross terms of the level-2 constraints it owns and
+// of its callees' m: all Theorem 3 and the report need. Callees
+// first, an SCC's members get one shared value, the merge of their
+// products and their callee SCCs' values (runMerger.union). Statement
+// variables stay unsolved (Solution.bag derives one). keep is the
+// per-method keep mask described at the top of the file.
 func (sol *Solution) solveTopoL2(keep []bool) {
 	s := sol.sys
-	np := s.NumPairVars()
-	if np == 0 {
-		return
+	nm := len(s.P.Methods)
+	owner := make([]int32, len(s.L2s))
+	for ci := range s.L2s {
+		owner[ci] = int32(s.PairVarOwner[s.L2s[ci].LHS])
 	}
-
-	lhsL2, g := s.l2Graph()
-	comp, ncomp := tarjanSCC(np, g)
+	owned := memberCSR(owner, int32(nm))
+	comp, ncomp := tarjanSCC(nm, s.Calls.flowCSR())
 	members := memberCSR(comp, ncomp)
-	kept := keptComps(keep, s.PairVarOwner, comp, ncomp)
 
 	bags := make([]pairBag, ncomp)
+	took := make([]int32, ncomp) // took[c] == cid+1: SCC cid already merges c's value
+	var seeds map[*uint64]bool   // kept values counted so far; seeds may alias each other
+	if keep != nil {
+		seeds = make(map[*uint64]bool)
+	}
+	var m runMerger
 	for cid := ncomp - 1; cid >= 0; cid-- {
 		ms := members.edges[members.off[cid]:members.off[cid+1]]
-		if kept != nil && kept[cid] {
-			bags[cid] = sol.pairVals[ms[0]]
-			continue
-		}
-		if len(ms) == 1 {
-			if src, ok := s.l2SingleInflow(ms[0], cid, comp, lhsL2, sol.setVals); ok {
-				bags[cid] = bags[src]
-				continue
+		if keep != nil && keep[ms[0]] { // closures are SCC-closed (solvedelta.go)
+			b := sol.pairVals[s.MethodM[ms[0]]]
+			bags[cid] = b
+			if cap(b) > 0 && !seeds[&b[:1][0]] {
+				seeds[&b[:1][0]] = true
+				sol.bagSlots += cap(b)
 			}
-		}
-		bags[cid] = sol.evalL2Comp(cid, ms, comp, lhsL2, bags)
-	}
-
-	for v := 0; v < np; v++ {
-		if kept == nil || !kept[comp[v]] {
-			sol.pairVals[v] = bags[comp[v]]
-		}
-	}
-}
-
-// l2Graph builds the level-2 dependency machinery: lhsL2[v] is the
-// index of the L2 constraint defining v (-1 if none) and g has
-// dependency edges source → LHS over pair variables only (level-1 is
-// final by the time level-2 runs, so cross terms contribute no
-// edges).
-func (s *System) l2Graph() (lhsL2 []int32, g graphCSR) {
-	np := s.NumPairVars()
-	lhsL2 = make([]int32, np)
-	for i := range lhsL2 {
-		lhsL2[i] = -1
-	}
-	for ci, c := range s.L2s {
-		lhsL2[c.LHS] = int32(ci)
-	}
-
-	g = graphCSR{off: make([]int32, np+1)}
-	for _, c := range s.L2s {
-		for _, v := range c.Pairs {
-			g.off[v+1]++
-		}
-	}
-	for v := 1; v <= np; v++ {
-		g.off[v] += g.off[v-1]
-	}
-	g.edges = make([]int32, g.off[np])
-	pos := make([]int32, np)
-	copy(pos, g.off[:np])
-	for _, c := range s.L2s {
-		for _, v := range c.Pairs {
-			g.edges[pos[v]] = int32(c.LHS)
-			pos[v]++
-		}
-	}
-	return lhsL2, g
-}
-
-// evalL2Comp builds one component's pair bag from its cross terms and
-// the (final) bags of its predecessor components.
-func (sol *Solution) evalL2Comp(cid int32, ms []int32, comp, lhsL2 []int32, bags []pairBag) pairBag {
-	s := sol.sys
-	var bag pairBag
-	for _, m := range ms {
-		ci := lhsL2[m]
-		if ci < 0 {
 			continue
 		}
 		sol.Evaluations++
-		sol.checkCancel()
-		c := &s.L2s[ci]
-		for _, ct := range c.Crosses {
-			bag.cross(&ct, sol.setVals, s.PhaseCode)
-		}
-		for _, v := range c.Pairs {
-			if comp[v] != cid {
-				bag.unionWith(bags[comp[v]])
+		for _, f := range ms {
+			for _, ci := range owned.edges[owned.off[f]:owned.off[f+1]] {
+				sol.checkCancel()
+				c := &s.L2s[ci]
+				for k := range c.Crosses {
+					m.cross(&c.Crosses[k], sol.setVals, s.PhaseCode)
+				}
+			}
+			for _, g := range s.Calls.Callees(int(f)) {
+				if c := comp[g]; c != cid && took[c] != cid+1 {
+					took[c] = cid + 1
+					m.bag(bags[c])
+				}
 			}
 		}
-	}
-	return bag
-}
-
-// l2SingleInflow reports whether pair variable m (a singleton
-// component cid) is a pure copy of exactly one earlier component: no
-// effective cross term (level-1 is final, so a cross with an empty
-// operand is permanently empty), no self-loop, and all pair inflows
-// from one component.
-func (s *System) l2SingleInflow(m int32, cid int32, comp []int32, lhsL2 []int32, setVals []*intset.Set) (int32, bool) {
-	ci := lhsL2[m]
-	if ci < 0 {
-		return 0, false
-	}
-	c := &s.L2s[ci]
-	for _, ct := range c.Crosses {
-		if !ct.constEmpty() && !setVals[ct.Var].Empty() {
-			return 0, false
+		b, fresh := m.union()
+		bags[cid] = b
+		if fresh {
+			sol.bagSlots += cap(b)
 		}
 	}
-	src := int32(-1)
-	for _, v := range c.Pairs {
-		vc := comp[v]
-		if vc == cid {
-			return 0, false
-		}
-		if src == -1 {
-			src = vc
-		} else if src != vc {
-			return 0, false
-		}
+	for f, c := range comp {
+		sol.pairVals[s.MethodM[f]] = bags[c]
 	}
-	return src, src != -1
 }

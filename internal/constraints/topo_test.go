@@ -1,6 +1,7 @@
 package constraints
 
 import (
+	"sync"
 	"testing"
 
 	"fx10/internal/fixtures"
@@ -9,6 +10,7 @@ import (
 	"fx10/internal/parser"
 	"fx10/internal/progen"
 	"fx10/internal/syntax"
+	"fx10/internal/workloads"
 )
 
 // recursiveSource has mutually recursive methods, so the level-1 (and
@@ -138,6 +140,129 @@ func TestTopoSharesComponentSets(t *testing.T) {
 			}
 		}
 	}
+}
+
+// callReach returns reach[f][g]: method g is f or one f calls,
+// directly or transitively. It is built from the syntax, apart from
+// the system's call graph.
+func callReach(p *syntax.Program) [][]bool {
+	reach := make([][]bool, len(p.Methods))
+	for f := range p.Methods {
+		reach[f] = make([]bool, len(p.Methods))
+		stack := []int{f}
+		reach[f][f] = true
+		for len(stack) > 0 {
+			g := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			p.Methods[g].Body.EachDeep(func(i syntax.Instr) {
+				if c, ok := i.(*syntax.Call); ok && !reach[f][c.Method] {
+					reach[f][c.Method] = true
+					stack = append(stack, c.Method)
+				}
+			})
+		}
+	}
+	return reach
+}
+
+// sameBag reports whether a and b are one stored run (or both empty).
+func sameBag(a, b pairBag) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// TestTopoMethodBags pins how topo stores level 2, on Example 2.1,
+// the recursive fixture, the 13 paper programs and a 3,000-label
+// program in both modes: no statement-level pair variable is solved,
+// there are no more distinct non-empty bags than call-graph SCCs,
+// mutually recursive methods share one bag, and FootprintBytes is
+// exactly the distinct sets and bags. Then, on all but the largest
+// program, goroutines read one solution at once: statement values
+// derived from its shared bags, and delta solves seeded from it, which
+// share its bags. Under -race (CI repeats this test) a write to a
+// shared bag is caught.
+func TestTopoMethodBags(t *testing.T) {
+	programs := []*syntax.Program{fixtures.Example21(), parser.MustParse(recursiveSource)}
+	for _, wl := range workloads.All() {
+		programs = append(programs, wl.Program())
+	}
+	programs = append(programs, progen.GenerateHuge(0, progen.Huge(3000)))
+	for pi, p := range programs {
+		reach := callReach(p)
+		for _, mode := range []Mode{ContextSensitive, ContextInsensitive} {
+			sys := Generate(labels.Compute(p), mode)
+			sol := sys.Solve(Topo)
+			for _, v := range sys.StmtM {
+				if sol.pairVals[v] != nil {
+					t.Fatalf("program %d (%v): statement variable %s holds a bag", pi, mode, sys.PairVarName(v))
+				}
+			}
+			sccs := 0
+			for f := range p.Methods {
+				leader := true
+				for g := 0; g < f && leader; g++ {
+					if reach[f][g] && reach[g][f] {
+						leader = false
+						if !sameBag(sol.pairVals[sys.MethodM[f]], sol.pairVals[sys.MethodM[g]]) {
+							t.Fatalf("program %d (%v): mutually recursive %s and %s hold different bags",
+								pi, mode, p.Methods[f].Name, p.Methods[g].Name)
+						}
+					}
+				}
+				if leader {
+					sccs++
+				}
+			}
+			bags, slots := map[*uint64]bool{}, 0
+			for _, b := range sol.pairVals {
+				if len(b) > 0 && !bags[&b[0]] {
+					bags[&b[0]] = true
+					slots += cap(b)
+				}
+			}
+			if len(bags) > sccs {
+				t.Errorf("program %d (%v): %d distinct bags for %d call-graph SCCs", pi, mode, len(bags), sccs)
+			}
+			sets := map[*intset.Set]bool{}
+			for _, v := range sol.setVals {
+				sets[v] = true
+			}
+			if want := len(sets)*((p.NumLabels()+63)/64*8+24) + 8*slots; sol.FootprintBytes != want {
+				t.Errorf("program %d (%v): FootprintBytes = %d, want %d (%d sets, %d bags of %d slots)",
+					pi, mode, sol.FootprintBytes, want, len(sets), len(bags), slots)
+			}
+			if pi < len(programs)-1 {
+				readConcurrently(t, sys, sol)
+			}
+		}
+	}
+}
+
+// readConcurrently reads sol from four goroutines: each derives a
+// share of the statement-level m values and solves a delta seeded
+// from sol, which must reproduce sol.
+func readConcurrently(t *testing.T, sys *System, sol *Solution) {
+	t.Helper()
+	want := make([]int, len(sys.StmtM))
+	for l, v := range sys.StmtM {
+		want[l] = sol.PairValue(v).Len()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l := g; l < len(want); l += 4 {
+				if got := sol.PairLen(sys.StmtM[l]); got != want[l] {
+					t.Errorf("reader %d: m_%s has %d pairs, first read %d", g, sys.P.LabelName(syntax.Label(l)), got, want[l])
+				}
+			}
+			next, _ := sys.SolveDelta(sol, []MethodID{g % len(sys.P.Methods)})
+			if !next.ValuationEqual(sol) {
+				t.Errorf("reader %d: delta solve seeded from the shared solution differs from it", g)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestTopoElidesCopies pins that copy elision actually fires: on the
