@@ -86,18 +86,19 @@ func unionLen(a, b pairBag) int {
 }
 
 // emitCross appends the product of cross term ct, whose variable
-// operand's value in setVals is final, to buf as one sorted run. phased
-// folds each run into its bag with unionWith, and topo into a method's
-// value with runMerger. It skips pairs the phase analysis proves ordered: when phase[i]
-// and phase[j] are both known and different, the single clock
-// serializes them and they can never run in parallel. phase is nil for
-// clock-free programs (no filtering). This is the ONE place pairs
-// enter the level-2 system — level 2 is otherwise pure union — so
-// filtering here makes every solving strategy (and the delta solver)
-// compute exactly the phase-refined least solution, preserving
-// cross-strategy bit-identity. An Lcross term carries its label
-// instead of a singleton set, so it costs no dense set. A nil buf
-// gets a run of exactly the product's unfiltered capacity.
+// operand's value in setVals is final, to buf as one sorted run:
+// phased folds each run into its bag with unionWith, and topo merges
+// them into a method's value with runMerger. It skips pairs the phase
+// analysis proves ordered: when phase[i] and phase[j] are both known
+// and different, the single clock serializes them and they can never
+// run in parallel. phase is nil for clock-free programs (no
+// filtering). This is the ONE place pairs enter the level-2 system —
+// level 2 is otherwise pure union — so filtering here makes every
+// solving strategy (and the delta solver) compute exactly the
+// phase-refined least solution, preserving cross-strategy
+// bit-identity. An Lcross term carries its label instead of a
+// singleton set, so it costs no dense set. A nil buf gets a run of
+// exactly the product's unfiltered capacity.
 func emitCross(buf pairBag, ct *CrossTerm, setVals []*intset.Set, phase []int32) pairBag {
 	if ct.Kind == KLcross {
 		return crossLabel(buf, int(ct.Label), setVals[ct.Var], phase)
@@ -198,8 +199,14 @@ func (m *runMerger) bag(b pairBag) {
 // a stored run that holds the whole union (fresh false), or else a new
 // run with cap == len: no stored value keeps scratch capacity.
 func (m *runMerger) union() (out pairBag, fresh bool) {
-	runs, src, dst := m.runs, m.buf, m.alt
+	runs, src, dst, total := m.runs, m.buf, m.alt, 0
+	for _, r := range runs {
+		total += len(r)
+	}
 	for len(runs) > 1 {
+		if cap(dst) < total { // one allocation, not a doubling series
+			dst = make(pairBag, 0, total)
+		}
 		dst = dst[:0]
 		n := 0
 		for i := 0; i < len(runs); i += 2 {

@@ -46,9 +46,8 @@ func randomSet(rng *rand.Rand, n int) *intset.Set {
 
 // checkCross checks one product emitter against its oracle prod: it
 // appends exactly prod, as one sorted run, after whatever its buffer
-// holds; from a nil buffer its run has exactly the capacity a stored
-// bag may keep; and phased's fold of it into y gives y ∪ prod and
-// reports change.
+// holds or into a nil buffer, and phased's fold of that run into y
+// gives y ∪ prod and reports change.
 func checkCross(t *testing.T, what string, x, y pairBag, yo, prod *intset.PairSet, emit func(pairBag) pairBag) {
 	t.Helper()
 	prefix := slices.Clone(x)

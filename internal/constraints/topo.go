@@ -327,10 +327,7 @@ func (sol *Solution) solveTopoL2(keep []bool) {
 
 	bags := make([]pairBag, ncomp)
 	took := make([]int32, ncomp) // took[c] == cid+1: SCC cid already merges c's value
-	var seeds map[*uint64]bool   // kept values counted so far; seeds may alias each other
-	if keep != nil {
-		seeds = make(map[*uint64]bool)
-	}
+	seeds := map[*uint64]bool{}  // kept values counted so far; seeds may alias each other
 	var m runMerger
 	for cid := ncomp - 1; cid >= 0; cid-- {
 		ms := members.edges[members.off[cid]:members.off[cid+1]]
