@@ -66,10 +66,10 @@ const (
 	defaultCacheSize = 1024
 	// cacheBytes bounds what the program cache's results retain,
 	// encoded reports included. The 13 paper programs are charged
-	// 42 KB (mapreduce) to 4.4 MB (plasma) each and a 3000-label
-	// program 9.5–10.2 MB, so the default holds 1024 small programs,
-	// about 165 of the paper mix, or about twelve 3000-label programs.
-	// The daemon's indented reports add 349 KiB (mg), 189 KiB (plasma)
+	// 42 KB (mapreduce) to 3.2 MB (plasma) each and a 3000-label
+	// program 5.8–6.0 MB, so the default holds 1024 small programs,
+	// about 220 of the paper mix, or about twenty 3000-label programs.
+	// The daemon's indented reports add 349 KiB (mg), 188 KiB (plasma)
 	// and about 565 KiB (3000 labels).
 	cacheBytes = 128 << 20
 	// labelBytes is what a solved program retains per label beyond its
