@@ -128,8 +128,8 @@ type solverCell struct {
 }
 
 // newSolverCell fills a row's deterministic counters from a warm-up
-// solve, sizes its timed loop to about 10ms a rep (a huge solve runs
-// once) and counts its allocations.
+// solve, sizes its timed loop to at least five solves and about 10ms
+// a rep, and counts its allocations.
 func newSolverCell(benchmark string, alg constraints.Algorithm, sys *constraints.System) solverCell {
 	op := func() { sys.Solve(alg) }
 	warm := sys.Solve(alg)
