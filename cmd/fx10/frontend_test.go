@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fx10/internal/condensed"
@@ -51,47 +52,66 @@ func TestCmdMHPGoFile(t *testing.T) {
 	}
 }
 
-// TestParseSourceRouting pins which parser each (lang, path) lands on.
+// TestParseSourceRouting pins where each (lang, path) the CLI passes
+// to frontend.Program lands, and the exit code of each failure.
 func TestParseSourceRouting(t *testing.T) {
 	core := "array 2;\nvoid main() { L: a[0] = 1; }\n"
 	x10src := "void main() { async { skip; } }\n"
 
-	if _, err := parseSource("", "prog.fx10", core); err != nil {
-		t.Errorf(".fx10 default: %v", err)
-	}
-	if _, err := parseSource("fx10", "-", core); err != nil {
-		t.Errorf("-lang fx10 stdin: %v", err)
-	}
-	if _, err := parseSource("", "prog.x10", x10src); err != nil {
-		t.Errorf(".x10 default: %v", err)
-	}
-	if _, err := parseSource("go", "-", goFanOut); err != nil {
-		t.Errorf("-lang go stdin: %v", err)
+	for _, tc := range []struct{ lang, path, src, want string }{
+		{"", "prog.fx10", core, "fx10"},
+		{"fx10", "-", core, "fx10"},
+		{"", "prog.x10", x10src, "x10"},
+		{"go", "-", goFanOut, "go"},
+	} {
+		if _, lang, err := frontend.Program(tc.lang, tc.path, tc.src); err != nil || lang != tc.want {
+			t.Errorf("Program(%q, %q) = %q, %v; want %q", tc.lang, tc.path, lang, err, tc.want)
+		}
 	}
 
 	// Stdin with no -lang: no extension to detect on, must classify as
 	// an input error (exit 2), not crash or mis-parse.
-	_, err := parseSource("", "-", goFanOut)
+	_, _, err := frontend.Program("", "-", goFanOut)
 	var ae *frontend.AmbiguousInputError
-	if !errors.As(err, &ae) {
-		t.Errorf("ambiguous stdin: got %v, want *AmbiguousInputError", err)
-	}
-	if exitCode(err) != 2 {
-		t.Errorf("ambiguous stdin: exit %d, want 2", exitCode(err))
+	if !errors.As(err, &ae) || exitCode(err) != 2 {
+		t.Errorf("ambiguous stdin: got %v (exit %d), want *AmbiguousInputError/2", err, exitCode(err))
 	}
 
 	// Forcing the wrong language is a parse error, exit 2.
-	_, err = parseSource("go", "prog.fx10", core)
+	_, _, err = frontend.Program("go", "prog.fx10", core)
 	var pe *frontend.ParseError
 	if !errors.As(err, &pe) || exitCode(err) != 2 {
 		t.Errorf("core source as -lang go: got %v (exit %d), want *ParseError/2", err, exitCode(err))
 	}
 
 	// Unknown language, exit 2.
-	_, err = parseSource("rust", "x.rs", "fn main() {}")
+	_, _, err = frontend.Program("rust", "x.rs", "fn main() {}")
 	var ue *frontend.UnknownLanguageError
 	if !errors.As(err, &ue) || exitCode(err) != 2 {
 		t.Errorf("unknown -lang: got %v (exit %d), want *UnknownLanguageError/2", err, exitCode(err))
+	}
+}
+
+// TestFrontendParseErrorText pins the line fx10 prints (main's
+// "fx10:" prefix, then the error) for a file a front end cannot
+// parse: the front end's own message, which names its language once.
+func TestFrontendParseErrorText(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, src, want string }{
+		{"bad.go", "package main\nfunc main( {\n", "fx10: go: input.go:2:12: expected ')', found '{'"},
+		{"bad.x10", "void main() {\n  async {", "fx10: x10: line 2: unterminated block"},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"check", path})
+		if err == nil {
+			t.Fatalf("%s: check accepted a malformed file", tc.name)
+		}
+		if got := strings.TrimSuffix(fmt.Sprintln("fx10:", err), "\n"); got != tc.want || exitCode(err) != 2 {
+			t.Errorf("%s: printed %q (exit %d), want %q (exit 2)", tc.name, got, exitCode(err), tc.want)
+		}
 	}
 }
 

@@ -24,11 +24,11 @@
 // (internal/difffuzz); print pretty-prints; check parses and
 // validates.
 //
-// FILE may be core FX10 (.fx10, parsed directly) or any language with
-// a registered front end (internal/frontend): X10-subset .x10 files
-// and restricted Go .go files, chosen by extension or forced with
-// -lang. `fx10 mhp main.go` analyzes a real Go file's goroutine
-// structure. FILE "-" reads stdin, which needs an explicit -lang.
+// FILE may be core FX10 (.fx10, parsed directly) or a language with a
+// front end (internal/frontend): X10-subset .x10 files and restricted
+// Go .go files, chosen by extension or forced with -lang.
+// `fx10 mhp main.go` analyzes a real Go file's goroutine structure.
+// FILE "-" reads stdin, which needs an explicit -lang.
 package main
 
 import (
@@ -47,6 +47,7 @@ import (
 	"fx10/internal/engine"
 	"fx10/internal/explore"
 	"fx10/internal/frontend"
+	"fx10/internal/intset"
 	"fx10/internal/labels"
 	"fx10/internal/machine"
 	"fx10/internal/mhp"
@@ -125,8 +126,11 @@ func langFlag(fs *flag.FlagSet) {
 }
 
 // loadProgram reads the positional FILE argument of a flag set ("-"
-// for stdin) and parses it via parseSource, honoring the -lang flag
-// when the subcommand registered one.
+// for stdin) and builds its program with frontend.Program, honoring
+// the -lang flag when the subcommand registered one. Core FX10 (-lang
+// fx10, or a .fx10 extension with no -lang) keeps source label names;
+// a barrier inside an unclocked async is rejected (exit code 2) like
+// any other invalid input.
 func loadProgram(fs *flag.FlagSet) (*syntax.Program, error) {
 	if fs.NArg() != 1 {
 		return nil, fmt.Errorf("expected exactly one input file")
@@ -146,38 +150,24 @@ func loadProgram(fs *flag.FlagSet) (*syntax.Program, error) {
 	if f := fs.Lookup("lang"); f != nil {
 		lang = f.Value.String()
 	}
-	return parseSource(lang, path, string(data))
+	p, _, err := frontend.Program(lang, path, string(data))
+	return p, err
 }
 
-// parseSource routes source text to a parser. Core FX10 (-lang fx10,
-// or a .fx10 extension with no -lang) goes straight to the core
-// parser, which preserves source label names; everything else goes
-// through the front-end registry (-lang, or extension detection) and
-// the condensed→core lowering. Either way a barrier inside an
-// unclocked async is rejected here (exit code 2) like any other
-// invalid input.
-func parseSource(lang, path, src string) (*syntax.Program, error) {
-	var p *syntax.Program
-	if lang == "fx10" || (lang == "" && strings.HasSuffix(path, ".fx10")) {
-		var err error
-		p, err = parser.Parse(src)
-		if err != nil {
-			return nil, err
+// printPairs prints set's unordered pairs under a "<what> MHP pairs:
+// N" heading, one sorted "(a, b)" line each.
+func printPairs(what string, p *syntax.Program, set *intset.PairSet) {
+	var pairs []string
+	set.Each(func(i, j int) {
+		if i <= j {
+			pairs = append(pairs, fmt.Sprintf("(%s, %s)", p.LabelName(syntax.Label(i)), p.LabelName(syntax.Label(j))))
 		}
-	} else {
-		u, _, err := frontend.Lower(lang, path, src)
-		if err != nil {
-			return nil, err
-		}
-		p, err = condensed.Lower(u)
-		if err != nil {
-			return nil, err
-		}
+	})
+	sort.Strings(pairs)
+	fmt.Printf("%s MHP pairs: %d\n", what, len(pairs))
+	for _, pr := range pairs {
+		fmt.Println(" ", pr)
 	}
-	if err := syntax.CheckClockUse(p); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // parseArray parses "1,2,3" into an initial array prefix.
@@ -333,30 +323,14 @@ func cmdMHP(args []string) error {
 	}
 
 	if *showPairs {
-		var pairs []string
-		set.Each(func(i, j int) {
-			if i <= j {
-				pairs = append(pairs, fmt.Sprintf("(%s, %s)", p.LabelName(syntax.Label(i)), p.LabelName(syntax.Label(j))))
-			}
-		})
-		sort.Strings(pairs)
-		fmt.Printf("%s MHP pairs: %d\n", m, len(pairs))
-		for _, pr := range pairs {
-			fmt.Println(" ", pr)
-		}
+		printPairs(m.String(), p, set)
 	}
 
 	counts := mhp.CountPairs(r.AsyncBodyPairs())
 	fmt.Printf("async-body pairs: total=%d self=%d same=%d diff=%d\n",
 		counts.Total, counts.Self, counts.Same, counts.Diff)
 	if r.Sys.PhaseCode != nil {
-		pruned := 0
-		r.Sol.ClockPrunedMainPairs().Each(func(i, j int) {
-			if i <= j {
-				pruned++
-			}
-		})
-		fmt.Printf("clock phases: pruned %d pairs\n", pruned)
+		fmt.Printf("clock phases: pruned %d pairs\n", r.Sol.ClockPrunedMainPairs().UnorderedLen())
 	}
 	fmt.Printf("iterations: Slabels=%d level1=%d level2=%d\n",
 		r.Sol.IterSlabels, r.Sol.IterL1, r.Sol.IterL2)
@@ -415,17 +389,7 @@ func cmdExplore(args []string) error {
 	}
 	res := explore.MHP(p, arr, *maxStates)
 	fmt.Printf("states=%d complete=%v terminated=%v\n", res.States, res.Complete, res.Terminated)
-	var pairs []string
-	res.MHP.Each(func(i, j int) {
-		if i <= j {
-			pairs = append(pairs, fmt.Sprintf("(%s, %s)", p.LabelName(syntax.Label(i)), p.LabelName(syntax.Label(j))))
-		}
-	})
-	sort.Strings(pairs)
-	fmt.Printf("exact MHP pairs: %d\n", len(pairs))
-	for _, pr := range pairs {
-		fmt.Println(" ", pr)
-	}
+	printPairs("exact", p, res.MHP)
 	return nil
 }
 

@@ -412,7 +412,7 @@ func checkProgram(cfg Config, p *syntax.Program, seed int64) (stat ProgramStat, 
 				firstDiff(statics[i], static))
 		}
 	}
-	stat.Static = unordered(static)
+	stat.Static = static.UnorderedLen()
 
 	// Incremental oracle: a seeded single-method mutation must
 	// re-analyze to the same valuation incrementally as from scratch.
@@ -456,7 +456,7 @@ func checkProgram(cfg Config, p *syntax.Program, seed int64) (stat ProgramStat, 
 			fail(KindProgress, "%d stuck states among %d visited", res.ProgressViolations, res.States)
 		}
 	}
-	stat.Exact = unordered(exactM)
+	stat.Exact = exactM.UnorderedLen()
 	// Even a truncated exploration only visits reachable states, so
 	// every exact pair must be in the static relation regardless of
 	// Complete (Theorem 2's containment direction).
@@ -500,7 +500,7 @@ func checkProgram(cfg Config, p *syntax.Program, seed int64) (stat ProgramStat, 
 		}
 		observed.UnionWith(res.Observed)
 	}
-	stat.Observed = unordered(observed)
+	stat.Observed = observed.UnorderedLen()
 
 	if !observed.SubsetOf(static) {
 		i, j, _ := firstMissing(observed, static)
@@ -572,17 +572,6 @@ func normalize(p *syntax.Program) *syntax.Program {
 		return p
 	}
 	return q
-}
-
-// unordered counts the unordered pairs of a symmetric set.
-func unordered(ps *intset.PairSet) int {
-	n := 0
-	ps.Each(func(i, j int) {
-		if i <= j {
-			n++
-		}
-	})
-	return n
 }
 
 // firstMissing returns the first ordered pair of sub not in super.

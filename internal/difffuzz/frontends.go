@@ -29,8 +29,8 @@ const KindFrontendDivergence Kind = "frontend-divergence"
 
 // CheckFrontends is the cross-front-end oracle: convert a generated
 // program to condensed form, render it both as X10-subset source
-// (x10.Render) and as restricted-Go source (gofront.Render), lower
-// both through the front-end registry, and assert that every solver
+// (x10.Render) and as restricted-Go source (gofront.Render), build
+// both programs with frontend.Program, and assert that every solver
 // strategy produces bit-identical report JSON for the two. The
 // goroutine runtime observer then executes the Go-lowered program and
 // its observed pairs must be contained in the static relation
@@ -67,12 +67,12 @@ func CheckFrontends(p *syntax.Program, seed int64, strategies []string) (vs []*V
 		return vs
 	}
 
-	xprog, err := frontendProgram("x10", xsrc)
+	xprog, _, err := frontend.Program("x10", "", xsrc)
 	if err != nil {
 		fail(KindError, "x10 front end rejected its own rendering: %v", err)
 		return vs
 	}
-	gprog, err := frontendProgram("go", gsrc)
+	gprog, _, err := frontend.Program("go", "", gsrc)
 	if err != nil {
 		fail(KindError, "go front end rejected its own rendering: %v", err)
 		return vs
@@ -121,16 +121,6 @@ func CheckFrontends(p *syntax.Program, seed int64, strategies []string) (vs []*V
 			gprog.LabelName(syntax.Label(i)), gprog.LabelName(syntax.Label(j)))
 	}
 	return vs
-}
-
-// frontendProgram lowers source through the named front end to a core
-// FX10 program, exactly as the CLIs and the daemon do.
-func frontendProgram(lang, src string) (*syntax.Program, error) {
-	u, _, err := frontend.Lower(lang, "", src)
-	if err != nil {
-		return nil, err
-	}
-	return condensed.Lower(u)
 }
 
 // Front-end oracle engines: one cache-free engine per strategy,

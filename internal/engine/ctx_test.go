@@ -7,7 +7,6 @@ import (
 
 	"fx10/internal/constraints"
 	"fx10/internal/fixtures"
-	"fx10/internal/parser"
 	"fx10/internal/syntax"
 	"fx10/internal/workloads"
 )
@@ -96,9 +95,8 @@ func TestAnalyzeDeltaCtxCancel(t *testing.T) {
 
 // TestAnalysisPanicsAreErrors: a panic in the pipeline (here a call
 // to a method past the method table) comes back from Analyze and from
-// AnalyzeDelta as an *AnalysisError, and a parse error passes through
-// as a *parser.Error. The cache is off: the broken program prints,
-// and so hashes, like the one it was made from.
+// AnalyzeDelta as an *AnalysisError. The cache is off: the broken
+// program prints, and so hashes, like the one it was made from.
 func TestAnalysisPanicsAreErrors(t *testing.T) {
 	eng := MustNew(Config{CacheSize: -1})
 	base, err := eng.Analyze(Job{Program: fixtures.Example22()})
@@ -117,10 +115,5 @@ func TestAnalysisPanicsAreErrors(t *testing.T) {
 	}
 	if _, err := eng.AnalyzeDelta(base, broken); !errors.As(err, &ae) {
 		t.Errorf("AnalyzeDelta: err = %v, want an *AnalysisError", err)
-	}
-	_, err = eng.Analyze(Job{Name: "bad", Source: "void main( {"})
-	var pe *parser.Error
-	if !errors.As(err, &pe) || errors.As(err, &ae) {
-		t.Errorf("parse failure: err = %v, want a *parser.Error and no *AnalysisError", err)
 	}
 }

@@ -40,7 +40,7 @@ func (e *Engine) AnalyzeDeltaCtx(ctx context.Context, base *Result, edited *synt
 	if edited == nil {
 		return nil, fmt.Errorf("engine: AnalyzeDelta needs an edited program")
 	}
-	res, err = e.pipeline(ctx, time.Now(), 0, edited, base.Sys.Mode, func(ctx context.Context, sys *constraints.System) (*constraints.Solution, *DeltaStats, error) {
+	res, err = e.pipeline(ctx, time.Now(), edited, base.Sys.Mode, func(ctx context.Context, sys *constraints.System) (*constraints.Solution, *DeltaStats, error) {
 		dirty, dirtyNames := dirtyMethods(base.Program, edited)
 		sol, info, err := sys.SolveDeltaCtx(ctx, base.Sol, dirty)
 		if err != nil {

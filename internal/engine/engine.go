@@ -1,7 +1,6 @@
-// Package engine is the unified front door of the MHP analysis: a
-// staged pipeline
+// Package engine runs the MHP analysis on programs: a staged pipeline
 //
-//	parse → labels → constraint generation → solve → report
+//	labels → constraint generation → solve → report
 //
 // behind a single reusable Engine that adds what the bare
 // labels/constraints packages do not have —
@@ -23,6 +22,8 @@
 //     reporting what it reused in DeltaStats;
 //   - per-stage metrics (Stats) for every result.
 //
+// The engine takes programs only: source text becomes a program
+// through internal/frontend (or the core parser) before it gets here.
 // internal/mhp.Analyze, internal/server, internal/experiments and
 // cmd/mhpbench all run through this package.
 package engine
@@ -38,7 +39,6 @@ import (
 	"fx10/internal/constraints"
 	"fx10/internal/intset"
 	"fx10/internal/labels"
-	"fx10/internal/parser"
 	"fx10/internal/syntax"
 	"fx10/internal/types"
 )
@@ -137,10 +137,8 @@ func (e *Engine) CacheStats() CacheStats {
 type Job struct {
 	// Name tags the job in errors and reports (optional).
 	Name string
-	// Program is the program to analyze. If nil, Source is parsed.
+	// Program is the program to analyze.
 	Program *syntax.Program
-	// Source is concrete FX10 syntax, used only when Program is nil.
-	Source string
 	// Mode selects context-sensitive (zero value) or
 	// context-insensitive analysis.
 	Mode constraints.Mode
@@ -194,21 +192,10 @@ func (e *Engine) Analyze(job Job) (*Result, error) {
 // constraints.CancelStride evaluations inside the solver loops. On
 // cancellation it returns ctx's error, caches nothing, and leaves the
 // cache exactly as it was — an abandoned request can never poison a
-// future one. A parse error unwraps to *parser.Error, and a panic in
-// the pipeline comes back as an *AnalysisError.
+// future one. A panic in the pipeline comes back as an *AnalysisError.
 func (e *Engine) AnalyzeCtx(ctx context.Context, job Job) (res *Result, err error) {
 	defer contain(jobName(job), &res, &err)
-	start := time.Now()
-	p := job.Program
-	var parse time.Duration
-	if p == nil {
-		parsed, err := parser.Parse(job.Source)
-		if err != nil {
-			return nil, fmt.Errorf("engine: parse %s: %w", jobName(job), err)
-		}
-		p, parse = parsed, time.Since(start)
-	}
-	return e.pipeline(ctx, start, parse, p, job.Mode, func(ctx context.Context, sys *constraints.System) (*constraints.Solution, *DeltaStats, error) {
+	return e.pipeline(ctx, time.Now(), job.Program, job.Mode, func(ctx context.Context, sys *constraints.System) (*constraints.Solution, *DeltaStats, error) {
 		sol, err := e.strategy.Solve(ctx, sys)
 		return sol, nil, err
 	})
@@ -221,24 +208,23 @@ type solveStep func(ctx context.Context, sys *constraints.System) (*constraints.
 
 // pipeline is the one path every analysis takes: a program-cache
 // lookup, then, on a miss, labels → generate → solve → seal → cache
-// put. start and parse are the request's start time and parse time.
-// The scratch and the delta solve reach the same least solution
-// (Theorems 5–6), so either may populate the cache for the other.
+// put. start is the request's start time. The scratch and the delta
+// solve reach the same least solution (Theorems 5–6), so either may
+// populate the cache for the other.
 // The result is complete, Stats included, before it is cached: other
 // goroutines read cached entries, so nothing but Encoded's once-filled
 // slot is written afterwards.
-func (e *Engine) pipeline(ctx context.Context, start time.Time, parse time.Duration, p *syntax.Program, mode constraints.Mode, solve solveStep) (*Result, error) {
+func (e *Engine) pipeline(ctx context.Context, start time.Time, p *syntax.Program, mode constraints.Mode, solve solveStep) (*Result, error) {
 	var key cacheKey
 	if e.cache != nil {
 		key = cacheKey{p.Hash(), mode}
 	}
 	if c, ok := e.cacheGet(key); ok {
 		res := c.hit()
-		res.Stats.Parse = parse
 		res.Stats.Total = time.Since(start)
 		return res, nil
 	}
-	stats := Stats{Strategy: e.strategy.Name(), Parse: parse}
+	stats := Stats{Strategy: e.strategy.Name()}
 
 	t0 := time.Now()
 	info := labels.Compute(p)
@@ -424,9 +410,8 @@ func (e *Engine) AnalyzeCorpus(jobs []Job) []CorpusResult {
 
 // AnalysisError reports a failure of the analysis itself — a panic
 // tripped deep in the pipeline by a malformed program, as opposed to
-// a parse error (which unwraps to *parser.Error) or a cancellation
-// (which unwraps to the context error). Callers use it to map
-// failures onto distinct exit codes and HTTP statuses.
+// a cancellation (which unwraps to the context error). Callers use it
+// to map failures onto distinct exit codes and HTTP statuses.
 type AnalysisError struct {
 	// Name is the job name the failure is attributed to.
 	Name string

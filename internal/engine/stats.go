@@ -10,8 +10,8 @@ import (
 // went, how hard the solver worked, and whether the cache served the
 // result. On a cache hit the solver-stage numbers (Labels, Generate,
 // Solve, iteration counts, AllocBytes) are those of the original run
-// that populated the cache; Parse, Report and Total are always those
-// of the current request.
+// that populated the cache; Report and Total are always those of the
+// current request.
 type Stats struct {
 	// Strategy is the solver strategy that produced the solution.
 	Strategy string
@@ -19,8 +19,10 @@ type Stats struct {
 	// were served from the engine's result cache.
 	CacheHit bool
 
-	// Stage durations.
-	Parse    time.Duration // source → AST (zero when a Program was supplied)
+	// Stage durations. Parse is always zero: the engine takes
+	// programs, not source; the field stays for readers that subtract
+	// it.
+	Parse    time.Duration
 	Labels   time.Duration // Slabels fixpoint
 	Generate time.Duration // constraint generation
 	Solve    time.Duration // least-solution computation

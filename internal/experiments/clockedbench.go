@@ -144,8 +144,8 @@ func measureClocked(name string, p *syntax.Program, reps int) (ClockedBenchRow, 
 	row := ClockedBenchRow{
 		Name:       name,
 		Labels:     p.NumLabels(),
-		AwarePairs: countUnordered(awareSol),
-		BlindPairs: countUnordered(blindSol),
+		AwarePairs: awareSol.MainM().UnorderedLen(),
+		BlindPairs: blindSol.MainM().UnorderedLen(),
 	}
 	row.Pruned = row.BlindPairs - row.AwarePairs
 	if row.Pruned < 0 {
@@ -155,16 +155,6 @@ func measureClocked(name string, p *syntax.Program, reps int) (ClockedBenchRow, 
 	row.AwareNs = measureOp(reps, 1, func() { aware.Solve(constraints.Phased) }).ns
 	row.BlindNs = measureOp(reps, 1, func() { blind.Solve(constraints.Phased) }).ns
 	return row, nil
-}
-
-func countUnordered(sol *constraints.Solution) int {
-	n := 0
-	sol.MainM().Each(func(i, j int) {
-		if i <= j {
-			n++
-		}
-	})
-	return n
 }
 
 // FormatClockedBench renders the sweep as an aligned table.

@@ -128,8 +128,8 @@ func measureGofront(path string, seeds int) (GofrontRow, error) {
 	if err != nil {
 		return row, err
 	}
-	row.CSPairs = unorderedPairs(cs.M)
-	row.CIPairs = unorderedPairs(ci.M)
+	row.CSPairs = cs.M.UnorderedLen()
+	row.CIPairs = ci.M.UnorderedLen()
 
 	observed := intset.NewPairs(p.NumLabels())
 	for seed := 0; seed < seeds; seed++ {
@@ -146,7 +146,7 @@ func measureGofront(path string, seeds int) (GofrontRow, error) {
 	if !observed.SubsetOf(cs.M) {
 		return row, fmt.Errorf("gofront bench: %s: observed pairs escape static M (front end unsound)", path)
 	}
-	row.ObservedPairs = unorderedPairs(observed)
+	row.ObservedPairs = observed.UnorderedLen()
 	return row, nil
 }
 

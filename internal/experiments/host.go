@@ -21,14 +21,16 @@ type Host struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Commit is the checked-out commit, "unknown" outside a git work
-	// tree; Dirty reports uncommitted changes to tracked files.
+	// tree; Dirty reports uncommitted changes to tracked code (Go
+	// files and go.mod), so a figure's own rewritten BENCH_*.json
+	// does not mark the next run dirty.
 	Commit string `json:"commit"`
 	Dirty  bool   `json:"dirty"`
 }
 
 // CurrentHost describes the running process.
 func CurrentHost() Host {
-	commit, dirty := gitCommit()
+	commit, dirty := gitCommit("")
 	return Host{
 		Go:         runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -40,14 +42,21 @@ func CurrentHost() Host {
 	}
 }
 
-// gitCommit reads the checked-out commit and whether tracked files
-// differ from it; outside a git work tree it reports "unknown".
-func gitCommit() (string, bool) {
-	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+// gitCommit reads the commit checked out in dir ("" for the working
+// directory) and whether tracked Go files or go.mod, anywhere in the
+// work tree, differ from it; outside a git work tree it reports
+// "unknown".
+func gitCommit(dir string) (string, bool) {
+	git := func(args ...string) ([]byte, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		return cmd.Output()
+	}
+	head, err := git("rev-parse", "HEAD")
 	if err != nil {
 		return "unknown", false
 	}
-	status, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output()
+	status, err := git("status", "--porcelain", "--untracked-files=no", "--", ":(top)*.go", ":(top)go.mod")
 	return strings.TrimSpace(string(head)), err != nil || len(bytes.TrimSpace(status)) > 0
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"fx10/internal/engine"
 	"fx10/internal/explore"
-	"fx10/internal/intset"
 	"fx10/internal/syntax"
 	"fx10/internal/workloads"
 )
@@ -79,23 +78,12 @@ func TheoremPrecision(maxStates int) ([]PrecisionRow, error) {
 			Name:     b.Name,
 			States:   zero.States + armed.States,
 			Complete: zero.Complete && armed.Complete,
-			Exact:    unorderedPairs(union),
-			Static:   unorderedPairs(res.M),
-			Gap:      unorderedPairs(res.M) - unorderedPairs(union),
+			Exact:    union.UnorderedLen(),
+			Static:   res.M.UnorderedLen(),
+			Gap:      res.M.UnorderedLen() - union.UnorderedLen(),
 		})
 	}
 	return rows, nil
-}
-
-// unorderedPairs counts the unordered pairs of a symmetric set.
-func unorderedPairs(ps *intset.PairSet) int {
-	n := 0
-	ps.Each(func(i, j int) {
-		if i <= j {
-			n++
-		}
-	})
-	return n
 }
 
 // FormatPrecision renders the study as a table.

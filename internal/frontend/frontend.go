@@ -1,10 +1,13 @@
 // Package frontend is the language boundary of the analysis
-// pipeline: every source language that can be lowered to the paper's
-// condensed form (Figure 7) registers a Frontend here, and every
-// consumer — the CLIs, the daemon, the fuzzer, the benchmarks — goes
-// through Lookup/Detect instead of importing a parser directly.
+// pipeline. Program is its front door: it turns source text into the
+// core FX10 program every analysis runs on, and the daemon, the fx10
+// CLI and the cross-front-end fuzzer build their programs only
+// through it. Core FX10 goes to the core parser; the two other
+// languages, X10 and Go, are a fixed table of front ends that lower
+// to the paper's condensed form (Figure 7), which condensed.Lower
+// then turns into core FX10.
 //
-// A Frontend owns exactly one job: turn source text into a
+// A front end owns exactly one job: turn source text into a
 // *condensed.Unit plus lowering statistics. What the front end cannot
 // express in the calculus it must drop *conservatively* — lowering an
 // unknown construct to skip (never inventing an ordering edge such as
@@ -16,78 +19,81 @@ package frontend
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"fx10/internal/condensed"
+	"fx10/internal/gofront"
+	"fx10/internal/parser"
+	"fx10/internal/syntax"
+	"fx10/internal/x10"
 )
 
-// Diagnostic records one source construct the front end could not
-// express in the condensed form and therefore lowered conservatively
-// (to skip, or dropped entirely when it is pure bookkeeping).
-type Diagnostic struct {
-	Line      int    `json:"line,omitempty"` // 1-based source line, 0 if unknown
-	Construct string `json:"construct"`      // e.g. "channel send", "library call"
-	Detail    string `json:"detail,omitempty"`
-}
-
-func (d Diagnostic) String() string {
-	s := d.Construct
-	if d.Detail != "" {
-		s += " " + d.Detail
-	}
-	if d.Line > 0 {
-		s = fmt.Sprintf("line %d: %s", d.Line, s)
-	}
-	return s
-}
-
-// Stats describes one lowering: how much source went in, how many
-// statements the front end saw, and which constructs it dropped.
-// Coverage (1 - len(Dropped)/Stmts) is the front end's honesty
-// metric: a unit lowered with coverage 1.0 is modeled exactly; every
-// dropped construct widens the static answer but never narrows it.
-type Stats struct {
-	LOC     int          // non-blank source lines
-	Stmts   int          // statements the front end visited
-	Dropped []Diagnostic // conservatively-lowered constructs
-}
-
-// Coverage is the fraction of visited statements lowered faithfully.
-func (s Stats) Coverage() float64 {
-	if s.Stmts == 0 {
-		return 1
-	}
-	return 1 - float64(len(s.Dropped))/float64(s.Stmts)
-}
+// Diagnostic and Stats are the lowering statistics of the condensed
+// form, which both front ends emit.
+type (
+	Diagnostic = condensed.Diagnostic
+	Stats      = condensed.Stats
+)
 
 // Frontend lowers one source language to the condensed form.
-type Frontend interface {
-	// Name is the language key used by -lang flags and the
-	// server's "language" field (e.g. "x10", "go").
-	Name() string
-	// Detect reports whether this front end claims the input,
-	// judging by path (extension) and, if needed, source text.
-	Detect(path, src string) bool
-	// Lower parses src and produces a condensed unit. Parse
-	// failures are returned wrapped in *ParseError by Lookup'd
-	// callers via the registry adapters.
-	Lower(src string) (*condensed.Unit, Stats, error)
+type Frontend struct {
+	name, ext string
+	lower     func(src string) (*condensed.Unit, Stats, error)
 }
 
-// ParseError wraps a front end's parse failure so CLI exit-code
-// policy (parse → 2) can classify it without knowing the language.
+// frontends is every front end, sorted by name.
+var frontends = [...]*Frontend{
+	{name: "go", ext: ".go", lower: gofront.Lower},
+	{name: "x10", ext: ".x10", lower: lowerX10},
+}
+
+// Name is the language key used by -lang flags and the server's
+// "language" field ("x10" or "go").
+func (f *Frontend) Name() string { return f.name }
+
+// Lower parses src and produces a condensed unit. A parse failure is
+// a *ParseError.
+func (f *Frontend) Lower(src string) (*condensed.Unit, Stats, error) {
+	u, st, err := f.lower(src)
+	if err != nil {
+		return nil, Stats{}, &ParseError{Lang: f.name, Err: err}
+	}
+	return u, st, nil
+}
+
+// lowerX10 runs internal/x10, the X10-subset parser. Library calls —
+// calls to methods not defined in the unit — are resolved to skip,
+// the paper implementation's behavior, and reported as dropped
+// constructs.
+func lowerX10(src string) (*condensed.Unit, Stats, error) {
+	u, st, err := x10.Parse(src)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	// Statements are the materialized nodes: everything but the
+	// implicit End terminators and the Method nodes themselves.
+	c := u.NodeCounts()
+	st.Stmts = c.Total - c.Of(condensed.End) - c.Of(condensed.Method)
+	for _, name := range x10.ResolveCallsNamed(u) {
+		st.Dropped = append(st.Dropped, Diagnostic{Construct: "library call", Detail: name})
+	}
+	return u, st, nil
+}
+
+// ParseError wraps a parse failure, of core FX10 or of a front end,
+// so CLI exit-code policy (parse → 2) and the daemon (422) can
+// classify it without knowing the language. Its message is the
+// parser's own, which names the front end's language.
 type ParseError struct {
 	Lang string
 	Err  error
 }
 
-func (e *ParseError) Error() string { return fmt.Sprintf("%s: %v", e.Lang, e.Err) }
+func (e *ParseError) Error() string { return e.Err.Error() }
 func (e *ParseError) Unwrap() error { return e.Err }
 
-// UnknownLanguageError is returned by Lookup for an unregistered
-// language name. CLIs map it to exit 2 (input error).
+// UnknownLanguageError is returned by Lookup for a language with no
+// front end. CLIs map it to exit 2 (input error), the daemon to 400.
 type UnknownLanguageError struct {
 	Lang  string
 	Known []string
@@ -97,121 +103,107 @@ func (e *UnknownLanguageError) Error() string {
 	return fmt.Sprintf("unknown language %q (known: %s)", e.Lang, strings.Join(e.Known, ", "))
 }
 
-// AmbiguousInputError is returned by Detect when zero or more than
-// one front end claims the input — typically stdin with no extension.
-// CLIs map it to exit 2 and tell the user to pass -lang.
+// AmbiguousInputError is returned by Detect when no front end claims
+// the path — typically stdin, which has no extension. CLIs map it to
+// exit 2 and tell the user to pass -lang.
 type AmbiguousInputError struct {
-	Path   string
-	Claims []string // names of claiming front ends; empty if none
+	Path string
 }
 
 func (e *AmbiguousInputError) Error() string {
-	if len(e.Claims) == 0 {
-		return fmt.Sprintf("cannot detect a front end for %q; pass -lang (%s)", e.Path, strings.Join(Names(), ", "))
-	}
-	return fmt.Sprintf("input %q matches several front ends (%s); pass -lang to disambiguate",
-		e.Path, strings.Join(e.Claims, ", "))
+	return fmt.Sprintf("cannot detect a front end for %q; pass -lang (%s)", e.Path, strings.Join(Names(), ", "))
 }
 
-var (
-	mu       sync.RWMutex
-	registry = map[string]Frontend{}
-	aliases  = map[string]string{}
-)
-
-// Register adds a front end under its Name. Extra aliases (e.g.
-// "fx10" for the x10 front end) may be registered with RegisterAlias.
-// Register panics on duplicates: front ends are wired at init time
-// and a collision is a programming error.
-func Register(f Frontend) {
-	mu.Lock()
-	defer mu.Unlock()
-	name := f.Name()
-	if _, dup := registry[name]; dup {
-		panic("frontend: duplicate registration of " + name)
-	}
-	registry[name] = f
-}
-
-// RegisterAlias makes alias resolve to the front end named canonical.
-func RegisterAlias(alias, canonical string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := registry[canonical]; !ok {
-		panic("frontend: alias " + alias + " for unregistered " + canonical)
-	}
-	aliases[alias] = canonical
-}
-
-// Lookup resolves a language name (or alias) to its front end.
-func Lookup(lang string) (Frontend, error) {
-	mu.RLock()
-	defer mu.RUnlock()
+// Lookup resolves a language name, case- and space-insensitively, to
+// its front end; "golang" is another name for "go".
+func Lookup(lang string) (*Frontend, error) {
 	name := strings.ToLower(strings.TrimSpace(lang))
-	if canon, ok := aliases[name]; ok {
-		name = canon
+	if name == "golang" {
+		name = "go"
 	}
-	if f, ok := registry[name]; ok {
-		return f, nil
+	for _, f := range frontends {
+		if f.name == name {
+			return f, nil
+		}
 	}
-	return nil, &UnknownLanguageError{Lang: lang, Known: namesLocked()}
+	return nil, &UnknownLanguageError{Lang: lang, Known: Names()}
 }
 
-// Names returns the registered canonical front-end names, sorted.
+// Names returns the front-end names, sorted.
 func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(frontends))
+	for i, f := range frontends {
+		names[i] = f.name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// Detect picks the unique front end claiming (path, src). If none or
-// several claim it, the error is an *AmbiguousInputError (exit 2 in
-// the CLIs, with a hint to pass -lang).
-func Detect(path, src string) (Frontend, error) {
-	mu.RLock()
-	defer mu.RUnlock()
-	var claims []Frontend
-	for _, name := range namesLocked() {
-		if f := registry[name]; f.Detect(path, src) {
-			claims = append(claims, f)
+// Detect picks the front end by path's extension. If none claims it,
+// the error is an *AmbiguousInputError.
+func Detect(path string) (*Frontend, error) {
+	for _, f := range frontends {
+		if strings.HasSuffix(path, f.ext) {
+			return f, nil
 		}
 	}
-	if len(claims) == 1 {
-		return claims[0], nil
-	}
-	names := make([]string, len(claims))
-	for i, f := range claims {
-		names[i] = f.Name()
-	}
-	return nil, &AmbiguousInputError{Path: path, Claims: names}
+	return nil, &AmbiguousInputError{Path: path}
 }
 
-// Lower is the one-call convenience: resolve lang (or detect from
-// path when lang is empty) and lower src. Parse failures come back
-// as *ParseError so callers can classify them uniformly.
-func Lower(lang, path, src string) (*condensed.Unit, Stats, error) {
-	var f Frontend
-	var err error
+// pick resolves lang, or detects the front end from path when lang is
+// empty.
+func pick(lang, path string) (*Frontend, error) {
 	if lang != "" {
-		f, err = Lookup(lang)
-	} else {
-		f, err = Detect(path, src)
+		return Lookup(lang)
 	}
+	return Detect(path)
+}
+
+// Lower resolves lang (or detects from path when lang is empty) and
+// lowers src. Parse failures come back as *ParseError so callers can
+// classify them uniformly.
+func Lower(lang, path, src string) (*condensed.Unit, Stats, error) {
+	f, err := pick(lang, path)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	u, stats, err := f.Lower(src)
-	if err != nil {
-		return nil, Stats{}, &ParseError{Lang: f.Name(), Err: err}
+	return f.Lower(src)
+}
+
+// Program turns source text into the core FX10 program the analysis
+// runs on, and returns the canonical language name ("fx10", "x10" or
+// "go"), which keys delta sessions. lang is matched case- and
+// space-insensitively. Core FX10 — lang "fx10", or no lang and an
+// empty or .fx10 path — goes to the core parser, which keeps source
+// label names; anything else goes through its front end (by lang, or
+// detected from path) and condensed.Lower. Either way a next/advance
+// inside an unclocked async is rejected. Every failure is one of
+// *UnknownLanguageError, *AmbiguousInputError, *ParseError,
+// *condensed.LoweringError or *syntax.ClockUseError.
+func Program(lang, path, src string) (*syntax.Program, string, error) {
+	lang = strings.ToLower(strings.TrimSpace(lang))
+	var p *syntax.Program
+	if lang == "fx10" || lang == "" && (path == "" || strings.HasSuffix(path, ".fx10")) {
+		lang = "fx10"
+		var err error
+		if p, err = parser.Parse(src); err != nil {
+			return nil, lang, &ParseError{Lang: lang, Err: err}
+		}
+	} else {
+		f, err := pick(lang, path)
+		if err != nil {
+			return nil, lang, err
+		}
+		lang = f.name
+		u, _, err := f.Lower(src)
+		if err != nil {
+			return nil, lang, err
+		}
+		if p, err = condensed.Lower(u); err != nil {
+			return nil, lang, err
+		}
 	}
-	return u, stats, nil
+	if err := syntax.CheckClockUse(p); err != nil {
+		return nil, lang, err
+	}
+	return p, lang, nil
 }

@@ -52,7 +52,7 @@ func TestDetect(t *testing.T) {
 		{"dir/main.go", "go"},
 	}
 	for _, tc := range cases {
-		f, err := Detect(tc.path, "")
+		f, err := Detect(tc.path)
 		if err != nil {
 			t.Errorf("Detect(%q): %v", tc.path, err)
 			continue
@@ -62,7 +62,7 @@ func TestDetect(t *testing.T) {
 		}
 	}
 	for _, path := range []string{"-", "", "prog.txt", "prog.fx10"} {
-		_, err := Detect(path, "whatever")
+		_, err := Detect(path)
 		var ae *AmbiguousInputError
 		if !errors.As(err, &ae) {
 			t.Errorf("Detect(%q) = %v, want *AmbiguousInputError", path, err)

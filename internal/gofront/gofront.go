@@ -20,10 +20,10 @@
 //     switch, return → return;
 //   - everything else — channel operations, locks, calls through
 //     values, library calls — lowers to skip and is recorded in
-//     Stats.Dropped, the conservative-summary fallback of Might &
-//     Van Horn: constructs outside the modeled subset carry no
-//     labels of this unit, so widening them to skip never removes a
-//     may-happen-in-parallel pair, it only forgoes precision.
+//     condensed.Stats.Dropped, the conservative-summary fallback of
+//     Might & Van Horn: constructs outside the modeled subset carry
+//     no labels of this unit, so widening them to skip never removes
+//     a may-happen-in-parallel pair, it only forgoes precision.
 //
 // The one trap is the other direction: claiming a finish that Go
 // does not guarantee would *prune* pairs unsoundly. That is why a
@@ -37,43 +37,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"strings"
 
 	"fx10/internal/condensed"
 )
-
-// Diagnostic records one construct lowered conservatively.
-type Diagnostic struct {
-	Line      int    // 1-based source line
-	Construct string // e.g. "channel send", "library call"
-	Detail    string // e.g. the callee name
-}
-
-func (d Diagnostic) String() string {
-	s := d.Construct
-	if d.Detail != "" {
-		s += " " + d.Detail
-	}
-	if d.Line > 0 {
-		s = fmt.Sprintf("line %d: %s", d.Line, s)
-	}
-	return s
-}
-
-// Stats summarizes one lowering.
-type Stats struct {
-	LOC     int // non-blank source lines
-	Stmts   int // statements visited
-	Dropped []Diagnostic
-}
-
-// Coverage is the fraction of visited statements lowered faithfully.
-func (s Stats) Coverage() float64 {
-	if s.Stmts == 0 {
-		return 1
-	}
-	return 1 - float64(len(s.Dropped))/float64(s.Stmts)
-}
 
 const (
 	kindWaitGroup = "WaitGroup"
@@ -81,11 +47,11 @@ const (
 )
 
 // Lower parses Go source and lowers it to a condensed unit.
-func Lower(src string) (*condensed.Unit, Stats, error) {
+func Lower(src string) (*condensed.Unit, condensed.Stats, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "input.go", src, parser.SkipObjectResolution)
 	if err != nil {
-		return nil, Stats{}, fmt.Errorf("go: %w", err)
+		return nil, condensed.Stats{}, fmt.Errorf("go: %w", err)
 	}
 	l := &lowerer{fset: fset, declared: map[string]bool{}, bodies: map[string]*ast.FuncDecl{}}
 	for _, d := range f.Decls {
@@ -113,23 +79,13 @@ func Lower(src string) (*condensed.Unit, Stats, error) {
 		}
 	}
 	if len(unit.Methods) == 0 {
-		return nil, Stats{}, fmt.Errorf("go: no lowerable top-level functions")
+		return nil, condensed.Stats{}, fmt.Errorf("go: no lowerable top-level functions")
 	}
 	if !l.declared["main"] {
-		return nil, Stats{}, fmt.Errorf("go: no main function (the analysis entry point)")
+		return nil, condensed.Stats{}, fmt.Errorf("go: no main function (the analysis entry point)")
 	}
-	l.stats.LOC = countLOC(src)
+	l.stats.LOC = condensed.CountLOC(src)
 	return unit, l.stats, nil
-}
-
-func countLOC(src string) int {
-	n := 0
-	for _, line := range strings.Split(src, "\n") {
-		if strings.TrimSpace(line) != "" {
-			n++
-		}
-	}
-	return n
 }
 
 // group is one active WaitGroup/errgroup finish scope.
@@ -143,7 +99,7 @@ type lowerer struct {
 	declared map[string]bool          // top-level funcs lowerable as methods
 	bodies   map[string]*ast.FuncDecl // their declarations, for spawn-freedom checks
 	groups   []group                  // active finish scopes, innermost last
-	stats    Stats
+	stats    condensed.Stats
 }
 
 func (l *lowerer) drop(n ast.Node, construct, detail string) {
@@ -151,7 +107,7 @@ func (l *lowerer) drop(n ast.Node, construct, detail string) {
 	if n != nil {
 		line = l.fset.Position(n.Pos()).Line
 	}
-	l.stats.Dropped = append(l.stats.Dropped, Diagnostic{Line: line, Construct: construct, Detail: detail})
+	l.stats.Dropped = append(l.stats.Dropped, condensed.Diagnostic{Line: line, Construct: construct, Detail: detail})
 }
 
 // active returns the innermost active group with the given variable

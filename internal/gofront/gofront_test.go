@@ -7,7 +7,7 @@ import (
 	"fx10/internal/condensed"
 )
 
-func lower(t *testing.T, src string) (*condensed.Unit, Stats) {
+func lower(t *testing.T, src string) (*condensed.Unit, condensed.Stats) {
 	t.Helper()
 	u, st, err := Lower(src)
 	if err != nil {
@@ -35,7 +35,7 @@ func kinds(nodes []*condensed.Node) []condensed.Kind {
 	return ks
 }
 
-func hasDiag(st Stats, construct string) bool {
+func hasDiag(st condensed.Stats, construct string) bool {
 	for _, d := range st.Dropped {
 		if strings.Contains(d.Construct, construct) {
 			return true

@@ -152,6 +152,18 @@ func (p *PairSet) Clone() *PairSet {
 // population count is maintained incrementally).
 func (p *PairSet) Len() int { return p.count }
 
+// UnorderedLen counts the pairs (i, j) with i ≤ j: the unordered
+// pairs of a symmetric set.
+func (p *PairSet) UnorderedLen() int {
+	n := 0
+	p.Each(func(i, j int) {
+		if i <= j {
+			n++
+		}
+	})
+	return n
+}
+
 // Empty reports whether the set has no pairs.
 func (p *PairSet) Empty() bool { return p.count == 0 }
 

@@ -92,6 +92,20 @@ func TestAnalyzeLanguageErrors(t *testing.T) {
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("go without main: status %d, want 422: %s", status, data)
 	}
+
+	// A front end's parse error is its own message, naming its
+	// language once; the 422 body is pinned byte for byte.
+	for _, tc := range []struct{ lang, src, msg string }{
+		{"go", "package main\nfunc main( {\n", `go: input.go:2:12: expected ')', found '{'`},
+		{"x10", "void main() {\n  async {", "x10: line 2: unterminated block"},
+	} {
+		status, data, _ = postJSON(t, ts.Client(), ts.URL+"/v1/analyze",
+			AnalyzeRequest{Source: tc.src, Language: tc.lang})
+		want := "{\n  \"error\": {\n    \"kind\": \"parse\",\n    \"message\": \"" + tc.msg + "\"\n  }\n}\n"
+		if status != http.StatusUnprocessableEntity || string(data) != want {
+			t.Errorf("malformed %s: status %d, body %q; want 422, %q", tc.lang, status, data, want)
+		}
+	}
 }
 
 // TestBatchMixedLanguages: one batch can carry programs of different

@@ -39,16 +39,13 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
-	"fx10/internal/condensed"
 	"fx10/internal/constraints"
 	"fx10/internal/engine"
 	"fx10/internal/frontend"
 	"fx10/internal/mhp"
-	"fx10/internal/parser"
 	"fx10/internal/syntax"
 )
 
@@ -548,45 +545,19 @@ func readBody(r *http.Request, limit int64) ([]byte, error) {
 	}
 }
 
-// parseSourceLang routes request source to a parser by language: ""
-// or "fx10" is core FX10 (parsed directly, preserving label names);
-// anything else resolves through the front-end registry and lowers
-// via the condensed form. The returned lang is canonical ("fx10",
-// "x10", "go", …) and keys delta sessions. An unknown language is a
-// 400 — the request itself is malformed — while source that fails to
-// parse or lower under a known language is a 422 of kind "parse",
-// exactly like bad core FX10.
+// parseSourceLang builds the request's program with frontend.Program
+// and maps its failures onto responses. The returned lang is
+// canonical ("fx10", "x10" or "go") and keys delta sessions. An
+// unknown language is a 400 — the request itself is malformed — while
+// source that fails to parse, to lower or the clock-use check under a
+// known language is a 422 of kind "parse", exactly like bad core FX10.
 func parseSourceLang(source, language string) (*syntax.Program, string, *handlerError) {
-	lang := strings.ToLower(strings.TrimSpace(language))
-	var p *syntax.Program
-	if lang == "" || lang == "fx10" {
-		lang = "fx10"
-		var err error
-		p, err = parser.Parse(source)
-		if err != nil {
-			return nil, lang, &handlerError{status: http.StatusUnprocessableEntity, kind: "parse", msg: err.Error()}
-		}
-	} else {
-		f, err := frontend.Lookup(lang)
-		if err != nil {
+	p, lang, err := frontend.Program(language, "", source)
+	if err != nil {
+		var ue *frontend.UnknownLanguageError
+		if errors.As(err, &ue) {
 			return nil, lang, &handlerError{status: http.StatusBadRequest, kind: "bad_request", msg: err.Error()}
 		}
-		lang = f.Name()
-		u, _, err := f.Lower(source)
-		if err != nil {
-			return nil, lang, &handlerError{status: http.StatusUnprocessableEntity, kind: "parse", msg: fmt.Sprintf("%s: %v", lang, err)}
-		}
-		p, err = condensed.Lower(u)
-		if err != nil {
-			// The source parsed but describes a malformed unit
-			// (duplicate methods, no entry point): still the client's
-			// input, still 422.
-			return nil, lang, &handlerError{status: http.StatusUnprocessableEntity, kind: "parse", msg: err.Error()}
-		}
-	}
-	if err := syntax.CheckClockUse(p); err != nil {
-		// Clock misuse (next/advance in an unclocked async) is a
-		// static input error, same class as a parse failure.
 		return nil, lang, &handlerError{status: http.StatusUnprocessableEntity, kind: "parse", msg: err.Error()}
 	}
 	return p, lang, nil

@@ -19,7 +19,7 @@ type Benchmark struct {
 	once    sync.Once
 	source  string
 	unit    *condensed.Unit
-	stats   x10.Stats
+	stats   condensed.Stats
 	program *syntax.Program
 }
 

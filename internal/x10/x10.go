@@ -25,19 +25,14 @@ package x10
 
 import (
 	"fmt"
-	"strings"
 
 	"fx10/internal/condensed"
 )
 
-// Stats summarizes a parsed compilation unit.
-type Stats struct {
-	// LOC is the number of non-blank source lines.
-	LOC int
-}
-
-// Parse translates X10-subset source to condensed form.
-func Parse(src string) (*condensed.Unit, Stats, error) {
+// Parse translates X10-subset source to condensed form. Its stats
+// carry the source's line count only; the front-end boundary
+// (internal/frontend) adds statements and dropped library calls.
+func Parse(src string) (*condensed.Unit, condensed.Stats, error) {
 	p := &parser{src: src, line: 1}
 	unit := &condensed.Unit{}
 	for {
@@ -47,39 +42,29 @@ func Parse(src string) (*condensed.Unit, Stats, error) {
 		}
 		if p.atClassDecl() {
 			if err := p.parseClass(unit); err != nil {
-				return nil, Stats{}, err
+				return nil, condensed.Stats{}, err
 			}
 			continue
 		}
 		m, err := p.parseMethod()
 		if err != nil {
-			return nil, Stats{}, err
+			return nil, condensed.Stats{}, err
 		}
 		unit.Methods = append(unit.Methods, m)
 	}
 	if len(unit.Methods) == 0 {
-		return nil, Stats{}, fmt.Errorf("x10: no methods found")
+		return nil, condensed.Stats{}, fmt.Errorf("x10: no methods found")
 	}
-	return unit, Stats{LOC: countLOC(src)}, nil
+	return unit, condensed.Stats{LOC: condensed.CountLOC(src)}, nil
 }
 
 // MustParse is Parse that panics on error, for embedded workloads.
-func MustParse(src string) (*condensed.Unit, Stats) {
+func MustParse(src string) (*condensed.Unit, condensed.Stats) {
 	u, s, err := Parse(src)
 	if err != nil {
 		panic(err)
 	}
 	return u, s
-}
-
-func countLOC(src string) int {
-	n := 0
-	for _, line := range strings.Split(src, "\n") {
-		if strings.TrimSpace(line) != "" {
-			n++
-		}
-	}
-	return n
 }
 
 type parser struct {

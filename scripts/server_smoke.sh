@@ -2,8 +2,10 @@
 # Server smoke test: build and start a real fx10d, then drive every
 # endpoint over TCP with curl and check each answer: /healthz, one
 # /v1/analyze, a /v1/query on the returned programHash, one /v1/batch,
-# a /v1/delta session (open, then one edit), /metrics, and finally a
-# SIGTERM drain that must exit 0. Used by CI and `make serversmoke`.
+# a /v1/delta session (open, then one edit), an X10 and a Go program
+# sent with "language", an unknown language (400) and malformed Go
+# (422), /metrics, and finally a SIGTERM drain that must exit 0. Used
+# by CI and `make serversmoke`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +25,12 @@ fail() { echo "server smoke: $*" >&2; exit 1; }
 # post PATH BODY prints the response body; curl -f fails on non-2xx.
 post() { curl -sSf -X POST -H 'Content-Type: application/json' --data "$2" "${BASE}$1"; }
 
+# post_status PATH BODY prints the HTTP status and leaves the response
+# body in ${TMP}/body, whatever the status.
+post_status() {
+  curl -sS -o "${TMP}/body" -w '%{http_code}' -X POST -H 'Content-Type: application/json' --data "$2" "${BASE}$1"
+}
+
 # expect WHAT BODY FRAGMENT... fails unless BODY holds every FRAGMENT.
 expect() {
   local what="$1" body="$2"
@@ -30,6 +38,11 @@ expect() {
   for frag in "$@"; do
     grep -qF -- "$frag" <<<"$body" || fail "${what}: missing ${frag} in: ${body}"
   done
+}
+
+# expect_pair WHAT BODY A B fails unless BODY reports the MHP pair (A, B).
+expect_pair() {
+  expect "$1" "$(tr -d ' \n' <<<"$2")" "{\"a\":\"$3\",\"b\":\"$4\"}"
 }
 
 # Wait for /healthz (the daemon binds fast, but don't race it).
@@ -61,8 +74,25 @@ expect batch "$(post /v1/batch "{\"programs\": [{\"name\": \"good\", \"source\":
 expect delta "$(post /v1/delta "{\"session\": \"smoke\", \"source\": \"${PROG}\"}")" "\"programHash\": \"${HASH}\""
 expect delta "$(post /v1/delta "{\"session\": \"smoke\", \"source\": \"${EDIT}\"}")" '"delta": {' '"methodsTotal": 1'
 
+# Other languages go through the same front door: the X10 async's
+# call (L2) runs in parallel with main's (L4), the goroutine's call
+# (L1) with main's (L3).
+X10_PROG='void main() { finish { async { work(); } work(); } } void work() { return; }'
+GO_PROG='package main; import \"sync\"; func work() {}; func main() { var wg sync.WaitGroup; wg.Add(1); go func() { defer wg.Done(); work() }(); work(); wg.Wait() }'
+expect_pair x10 "$(post /v1/analyze "{\"source\": \"${X10_PROG}\", \"language\": \"x10\"}")" L2 L4
+expect_pair go "$(post /v1/analyze "{\"source\": \"${GO_PROG}\", \"language\": \"go\"}")" L1 L3
+
+# An unknown language is a malformed request (400); malformed Go is a
+# parse error whose message names the language once.
+STATUS="$(post_status /v1/analyze '{"source": "fn main() {}", "language": "rust"}')"
+[ "$STATUS" = 400 ] || fail "rust: status ${STATUS}, want 400: $(cat "${TMP}/body")"
+expect rust "$(cat "${TMP}/body")" '"kind": "bad_request"' 'unknown language \"rust\"'
+STATUS="$(post_status /v1/analyze '{"source": "package main; func main( {", "language": "go"}')"
+[ "$STATUS" = 422 ] || fail "malformed go: status ${STATUS}, want 422: $(cat "${TMP}/body")"
+expect "malformed go" "$(cat "${TMP}/body")" '"kind": "parse"' '"message": "go: input.go:1:26: expected'
+
 expect metrics "$(curl -sSf "${BASE}/metrics")" \
-  '"analyze": 1' '"query": 2' '"batch": 1' '"delta": 2' '"solves"' '"requestLatencyMs"'
+  '"analyze": 5' '"query": 2' '"batch": 1' '"delta": 2' '"400": 1' '"422": 1' '"solves"' '"requestLatencyMs"'
 
 # Graceful drain: SIGTERM must let fx10d finish and exit 0.
 kill -TERM "$DAEMON"
