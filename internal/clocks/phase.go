@@ -1,6 +1,8 @@
 package clocks
 
 import (
+	"strconv"
+
 	"fx10/internal/intset"
 	"fx10/internal/syntax"
 )
@@ -68,32 +70,10 @@ func (p Phase) String() string {
 	case 0:
 		return "⊥"
 	case 1:
-		return itoa(p.n)
+		return strconv.Itoa(p.n)
 	default:
 		return "?"
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }
 
 // delta is how many barriers a statement (or method body) passes in

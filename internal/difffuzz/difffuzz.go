@@ -55,33 +55,43 @@ import (
 // implementations (UnsoundStatic) to prove the harness catches them.
 type StaticFunc func(p *syntax.Program, strategy string) (*intset.PairSet, error)
 
-// EngineStatic returns the production StaticFunc: one cache-free
-// engine per strategy, created lazily and shared across calls.
+// EngineStatic returns the production StaticFunc: M from the shared
+// engine for the strategy (see analyze).
 func EngineStatic() StaticFunc {
-	var mu sync.Mutex
-	engines := map[string]*engine.Engine{}
 	return func(p *syntax.Program, strategy string) (*intset.PairSet, error) {
-		mu.Lock()
-		e := engines[strategy]
-		if e == nil {
-			var err error
-			// Caching is off: the fuzzer analyzes each program once
-			// per strategy, and the minimizer must re-analyze every
-			// shrunk candidate for real.
-			e, err = engine.New(engine.Config{Strategy: strategy, CacheSize: -1})
-			if err != nil {
-				mu.Unlock()
-				return nil, err
-			}
-			engines[strategy] = e
-		}
-		mu.Unlock()
-		res, err := e.Analyze(engine.Job{Name: "difffuzz", Program: p, Mode: constraints.ContextSensitive})
+		res, err := analyze(p, strategy)
 		if err != nil {
 			return nil, err
 		}
 		return res.M, nil
 	}
+}
+
+// engines holds one cache-free engine per strategy, created lazily and
+// shared by every oracle. Caching is off: the fuzzer analyzes each
+// program once per strategy, and the minimizer must re-analyze every
+// shrunk candidate for real.
+var (
+	enginesMu sync.Mutex
+	engines   = map[string]*engine.Engine{}
+)
+
+// analyze runs p context-sensitively on the shared engine for
+// strategy.
+func analyze(p *syntax.Program, strategy string) (*engine.Result, error) {
+	enginesMu.Lock()
+	e := engines[strategy]
+	if e == nil {
+		var err error
+		e, err = engine.New(engine.Config{Strategy: strategy, CacheSize: -1})
+		if err != nil {
+			enginesMu.Unlock()
+			return nil, err
+		}
+		engines[strategy] = e
+	}
+	enginesMu.Unlock()
+	return e.Analyze(engine.Job{Name: "difffuzz", Program: p, Mode: constraints.ContextSensitive})
 }
 
 // UnsoundStatic wraps base with a deliberate soundness bug: every

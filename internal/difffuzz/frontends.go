@@ -2,13 +2,10 @@ package difffuzz
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"fx10/internal/condensed"
-	"fx10/internal/constraints"
 	"fx10/internal/engine"
 	"fx10/internal/frontend"
 	"fx10/internal/gofront"
@@ -123,36 +120,14 @@ func CheckFrontends(p *syntax.Program, seed int64, strategies []string) (vs []*V
 	return vs
 }
 
-// Front-end oracle engines: one cache-free engine per strategy,
-// shared across programs (mirrors EngineStatic, but keeps the full
-// result so report bytes can be compared).
-var (
-	feMu      sync.Mutex
-	feEngines = map[string]*engine.Engine{}
-)
-
+// frontendReport returns the report bytes the daemon and
+// `fx10 mhp -json` serve for p under strategy, and M.
 func frontendReport(p *syntax.Program, strategy string) ([]byte, *intset.PairSet, error) {
-	feMu.Lock()
-	e := feEngines[strategy]
-	if e == nil {
-		var err error
-		e, err = engine.New(engine.Config{Strategy: strategy, CacheSize: -1})
-		if err != nil {
-			feMu.Unlock()
-			return nil, nil, err
-		}
-		feEngines[strategy] = e
-	}
-	feMu.Unlock()
-	res, err := e.Analyze(engine.Job{Name: "difffuzz-frontend", Program: p, Mode: constraints.ContextSensitive})
+	res, err := analyze(p, strategy)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := json.Marshal(mhp.FromEngine(res).Report())
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, res.M, nil
+	return mhp.FromEngine(res).ReportJSON(""), res.M, nil
 }
 
 func firstByteDiff(a, b []byte) int {

@@ -2,302 +2,133 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"fx10/internal/server"
 )
 
-// fleetBackend is one real fx10d server behind an httptest listener,
-// with a request counter so tests can see who served what.
-type fleetBackend struct {
-	ts     *httptest.Server
-	served atomic.Int64
-}
-
-func startBackends(t *testing.T, n int) []*fleetBackend {
+// startDaemon serves a real fx10d handler behind httptest and counts
+// the requests that reach it.
+func startDaemon(t *testing.T) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
-	out := make([]*fleetBackend, n)
-	for i := range out {
-		s, err := server.New(server.Config{})
-		if err != nil {
-			t.Fatalf("server.New: %v", err)
-		}
-		b := &fleetBackend{}
-		h := s.Handler()
-		b.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != "/healthz" {
-				b.served.Add(1)
-			}
-			h.ServeHTTP(w, r)
-		}))
-		t.Cleanup(func() { b.ts.Close(); s.Close() })
-		out[i] = b
+	s, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
 	}
-	return out
+	var served atomic.Int64
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		served.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	return ts, &served
 }
 
-func backendURLs(backends []*fleetBackend) []string {
-	urls := make([]string, len(backends))
-	for i, b := range backends {
-		urls[i] = b.ts.URL
-	}
-	return urls
-}
-
-func startRouter(t *testing.T, backends []*fleetBackend) (*Router, *httptest.Server) {
+// startHop serves a hop to backend behind httptest.
+func startHop(t *testing.T, backend string) *httptest.Server {
 	t.Helper()
-	rt, err := NewRouter(RouterConfig{
-		Backends:    backendURLs(backends),
-		HealthEvery: 50 * time.Millisecond,
-	})
+	rt, err := NewRouter(RouterConfig{Backends: []string{backend}})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
 	ts := httptest.NewServer(rt.Handler())
 	t.Cleanup(func() { ts.Close(); rt.Close() })
-	return rt, ts
+	return ts
 }
 
-func postBody(t *testing.T, url string, body []byte) (int, []byte) {
+type answer struct {
+	status      int
+	contentType string
+	body        []byte
+}
+
+func post(t *testing.T, url, body string) answer {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("read %s: %v", url, err)
 	}
-	return resp.StatusCode, data
+	return answer{resp.StatusCode, resp.Header.Get("Content-Type"), data}
 }
 
-func analyzeBody(t *testing.T, source string) []byte {
-	t.Helper()
-	buf, err := json.Marshal(map[string]string{"source": source})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf
-}
-
-const routerTestSource = `
-array 4;
-void m1() { A: a[0] = 1; B: async { C: a[1] = 2; } }
-void main() { F: finish { G: async { H: m1(); } } I: a[2] = 3; }
-`
-
-// reportBytes extracts the report object from an analyze response.
-// Replicas agree on the report bit-for-bit; envelope fields like
-// solveMs and cached are legitimately per-request.
-func reportBytes(t *testing.T, data []byte) []byte {
-	t.Helper()
-	var resp struct {
-		Report json.RawMessage `json:"report"`
-	}
-	if err := json.Unmarshal(data, &resp); err != nil {
-		t.Fatalf("analyze response is not JSON: %v\n%s", err, data)
-	}
-	if len(resp.Report) == 0 {
-		t.Fatalf("analyze response has no report:\n%s", data)
-	}
-	return resp.Report
-}
-
-// TestRouterHashAffinity: repeated requests for the same program all
-// land on the ring owner — one backend serves everything, the others
-// see no /v1 traffic.
-func TestRouterHashAffinity(t *testing.T) {
-	backends := startBackends(t, 3)
-	_, ts := startRouter(t, backends)
-
-	body := analyzeBody(t, routerTestSource)
-	var first []byte
-	for i := 0; i < 6; i++ {
-		status, data := postBody(t, ts.URL+"/v1/analyze", body)
-		if status != http.StatusOK {
-			t.Fatalf("analyze via router: status %d: %s", status, data)
-		}
-		if rep := reportBytes(t, data); first == nil {
-			first = rep
-		} else if !bytes.Equal(first, rep) {
-			t.Fatalf("router returned different report bytes for the same request")
-		}
-	}
-	hot := 0
-	for _, b := range backends {
-		if n := b.served.Load(); n > 0 {
-			hot++
-			if n != 6 {
-				t.Errorf("owning backend served %d of 6 requests", n)
-			}
-		}
-	}
-	if hot != 1 {
-		t.Errorf("%d backends served traffic, want exactly 1 (hash affinity)", hot)
-	}
-}
-
-// TestRouterResponsesBitIdentical: the same analyze request posted
-// directly to every replica yields byte-identical responses — the
-// property that makes the router's failover invisible.
+// TestRouterResponsesBitIdentical: each answer relayed through the hop
+// equals the daemon's direct answer byte for byte in status,
+// Content-Type and body.
 func TestRouterResponsesBitIdentical(t *testing.T) {
-	backends := startBackends(t, 3)
-	body := analyzeBody(t, routerTestSource)
-	var first []byte
-	for i, b := range backends {
-		status, data := postBody(t, b.ts.URL+"/v1/analyze", body)
-		if status != http.StatusOK {
-			t.Fatalf("backend %d: status %d: %s", i, status, data)
+	daemon, _ := startDaemon(t)
+	hop := startHop(t, daemon.URL)
+	const analyze = `{"source": "array 4;\nvoid main() { F: finish { A: async { W: a[1] = 1; } B: async { V: a[2] = 1; } } }"}`
+	// The first analyze solves and reports solveMs; every later one is
+	// a cache hit with the same bytes.
+	post(t, daemon.URL+"/v1/analyze", analyze)
+	for _, c := range []struct {
+		name, path, body string
+		status           int
+		has              string // in the direct answer's body
+	}{
+		{"analyze", "/v1/analyze", analyze, http.StatusOK, `"mhpPairs"`},
+		{"unknown hash", "/v1/query", `{"programHash": "` + strings.Repeat("0", 64) + `", "a": "W", "b": "V"}`, http.StatusNotFound, `"not_found"`},
+		{"malformed body", "/v1/analyze", `{not json`, http.StatusBadRequest, `"bad_request"`},
+	} {
+		direct := post(t, daemon.URL+c.path, c.body)
+		relayed := post(t, hop.URL+c.path, c.body)
+		if direct.status != c.status || !bytes.Contains(direct.body, []byte(c.has)) {
+			t.Fatalf("%s: direct answer %d, want %d with %s:\n%s", c.name, direct.status, c.status, c.has, direct.body)
 		}
-		if rep := reportBytes(t, data); first == nil {
-			first = rep
-		} else if !bytes.Equal(first, rep) {
-			t.Fatalf("backend %d report differs from backend 0:\n%s\n---\n%s", i, first, rep)
-		}
-	}
-}
-
-// TestRouterFailover: kill the backend that owns a key; the router
-// routes around it (same response bytes, reroutes counted) and its
-// /healthz stays ok while any replica survives.
-func TestRouterFailover(t *testing.T) {
-	backends := startBackends(t, 3)
-	rt, ts := startRouter(t, backends)
-
-	body := analyzeBody(t, routerTestSource)
-	status, preKill := postBody(t, ts.URL+"/v1/analyze", body)
-	if status != http.StatusOK {
-		t.Fatalf("pre-kill analyze: status %d: %s", status, preKill)
-	}
-	want := reportBytes(t, preKill)
-
-	owner := rt.Ring().Lookup(RouteKey("/v1/analyze", body))
-	for _, b := range backends {
-		if b.ts.URL == owner {
-			b.ts.Close()
+		if relayed.status != direct.status || relayed.contentType != direct.contentType || !bytes.Equal(relayed.body, direct.body) {
+			t.Errorf("%s: relayed answer differs from direct:\n%d %q\n%s\n---\n%d %q\n%s", c.name,
+				relayed.status, relayed.contentType, relayed.body, direct.status, direct.contentType, direct.body)
 		}
 	}
+}
 
-	status, postKill := postBody(t, ts.URL+"/v1/analyze", body)
-	if status != http.StatusOK {
-		t.Fatalf("post-kill analyze: status %d: %s", status, postKill)
+// TestRouterRejectsOversizedBody: a body over the hop's bound gets 413
+// and never reaches the backend.
+func TestRouterRejectsOversizedBody(t *testing.T) {
+	daemon, served := startDaemon(t)
+	hop := startHop(t, daemon.URL)
+	got := post(t, hop.URL+"/v1/analyze", strings.Repeat(" ", maxBody+1))
+	if got.status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413:\n%s", got.status, got.body)
 	}
-	if got := reportBytes(t, postKill); !bytes.Equal(want, got) {
-		t.Fatalf("failover changed report bytes:\n%s\n---\n%s", want, got)
-	}
-	if rt.isHealthy(owner) {
-		t.Errorf("dead owner %s still marked healthy after transport failure", owner)
-	}
-
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("router /healthz = %d with 2 of 3 replicas alive", resp.StatusCode)
+	if n := served.Load(); n != 0 {
+		t.Errorf("oversized body: backend saw %d requests, want 0", n)
 	}
 }
 
-// TestRouterMetricsSection: the router's /metrics carries the "fleet"
-// section with backends, health partition and per-backend routing
-// counts.
-func TestRouterMetricsSection(t *testing.T) {
-	backends := startBackends(t, 2)
-	_, ts := startRouter(t, backends)
-
-	postBody(t, ts.URL+"/v1/analyze", analyzeBody(t, routerTestSource))
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	var m struct {
-		Fleet *struct {
-			Backends []string         `json:"backends"`
-			Healthy  []string         `json:"healthy"`
-			Routed   map[string]int64 `json:"routedRequests"`
-			Keyed    map[string]int64 `json:"keyedRequests"`
-		} `json:"fleet"`
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatalf("router /metrics is not JSON: %v\n%s", err, data)
-	}
-	if m.Fleet == nil {
-		t.Fatalf("router /metrics missing fleet section\n%s", data)
-	}
-	if len(m.Fleet.Backends) != 2 || len(m.Fleet.Healthy) != 2 {
-		t.Errorf("fleet section backends/healthy = %v / %v, want 2 each", m.Fleet.Backends, m.Fleet.Healthy)
-	}
-	var routed int64
-	for _, n := range m.Fleet.Routed {
-		routed += n
-	}
-	if routed != 1 || m.Fleet.Keyed["/v1/analyze"] != 1 {
-		t.Errorf("fleet counters routed=%d keyed=%v, want 1 routed and 1 keyed analyze", routed, m.Fleet.Keyed)
+// TestRouterUnreachableBackend: a backend that cannot be reached gives
+// 502.
+func TestRouterUnreachableBackend(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	hop := startHop(t, gone.URL)
+	if got := post(t, hop.URL+"/v1/analyze", `{}`); got.status != http.StatusBadGateway {
+		t.Errorf("closed backend: status %d, want 502:\n%s", got.status, got.body)
 	}
 }
 
-// TestRouteKeyContentIdentity pins the key derivation: reformatted
-// FX10 sources share a key (parsed Program.Hash is over the canonical
-// print, not the raw bytes), the analyze key aligns with the query
-// key for the program's hash, modes separate keys, and malformed
-// bodies still key deterministically.
-func TestRouteKeyContentIdentity(t *testing.T) {
-	reformatted := `array 4;
-void m1() {
-  A: a[0] = 1;
-  B: async {
-    C: a[1] = 2;
-  }
-}
-void main() {
-  F: finish {
-    G: async { H: m1(); }
-  }
-  I: a[2] = 3;
-}`
-	kA := RouteKey("/v1/analyze", analyzeBody(t, routerTestSource))
-	kB := RouteKey("/v1/analyze", analyzeBody(t, reformatted))
-	if kA != kB {
-		t.Errorf("reformatted source routes differently:\n%s\n%s", kA, kB)
-	}
-
-	// The analyze key embeds the program hash /v1/query carries.
-	backends := startBackends(t, 1)
-	status, data := postBody(t, backends[0].ts.URL+"/v1/analyze", analyzeBody(t, routerTestSource))
-	if status != http.StatusOK {
-		t.Fatalf("analyze: status %d: %s", status, data)
-	}
-	var resp struct {
-		ProgramHash string `json:"programHash"`
-	}
-	if err := json.Unmarshal(data, &resp); err != nil || resp.ProgramHash == "" {
-		t.Fatalf("analyze response has no programHash: %v\n%s", err, data)
-	}
-	qBody := []byte(fmt.Sprintf(`{"programHash":%q,"a":"A","b":"B"}`, resp.ProgramHash))
-	if kQ := RouteKey("/v1/query", qBody); kQ != kA {
-		t.Errorf("query key %q does not align with analyze key %q", kQ, kA)
-	}
-
-	ciBody := []byte(fmt.Sprintf(`{"source":%q,"mode":"ci"}`, routerTestSource))
-	if RouteKey("/v1/analyze", ciBody) == kA {
-		t.Errorf("ci and cs modes share a route key")
-	}
-
-	raw := []byte(`{not json`)
-	if RouteKey("/v1/analyze", raw) != RouteKey("/v1/analyze", raw) {
-		t.Errorf("malformed body keys are not deterministic")
+// TestNewRouterRejectsBackends: the hop needs exactly one absolute
+// http(s) URL.
+func TestNewRouterRejectsBackends(t *testing.T) {
+	for _, backends := range [][]string{
+		nil,
+		{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		{""},
+		{"127.0.0.1:1"},
+	} {
+		if _, err := NewRouter(RouterConfig{Backends: backends}); err == nil {
+			t.Errorf("NewRouter(%q) accepted", backends)
+		}
 	}
 }

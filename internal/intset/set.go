@@ -16,7 +16,6 @@ package intset
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -291,11 +290,4 @@ func (s *Set) String() string {
 	})
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Sorted is a convenience for tests: the elements as a sorted slice.
-func (s *Set) Sorted() []int {
-	e := s.Elems()
-	sort.Ints(e)
-	return e
 }

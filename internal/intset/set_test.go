@@ -94,7 +94,7 @@ func TestUnionWith(t *testing.T) {
 		t.Fatalf("UnionWith reported no change")
 	}
 	want := []int{1, 5, 100, 150, 199}
-	got := a.Sorted()
+	got := a.Elems()
 	if len(got) != len(want) {
 		t.Fatalf("union = %v, want %v", got, want)
 	}

@@ -46,7 +46,7 @@ func TestComputePlaceSets(t *testing.T) {
 	}
 	for name, want := range cases {
 		l := label(t, p, name)
-		got := pi.Places(l).Sorted()
+		got := pi.Places(l).Elems()
 		if len(got) != len(want) {
 			t.Fatalf("%s places = %v, want %v", name, got, want)
 		}
@@ -68,7 +68,7 @@ void main() {
 `)
 	pi := Compute(p)
 	w := label(t, p, "W")
-	got := pi.Places(w).Sorted()
+	got := pi.Places(w).Elems()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("W places = %v, want [1 2]", got)
 	}
@@ -88,7 +88,7 @@ void main() {
 `)
 	pi := Compute(p)
 	i := label(t, p, "I")
-	if got := pi.Places(i).Sorted(); len(got) != 1 || got[0] != 2 {
+	if got := pi.Places(i).Elems(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("I places = %v, want [2]", got)
 	}
 }

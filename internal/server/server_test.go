@@ -242,6 +242,29 @@ func TestAnalyzeCacheHitIsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestDaemonsAnswerAnalyzeByteIdentical: two daemons answer one
+// /v1/analyze with the same report bytes, since both compute the
+// program's unique least solution; so no choice of daemon can change
+// a report.
+func TestDaemonsAnswerAnalyzeByteIdentical(t *testing.T) {
+	body := AnalyzeRequest{Source: syntax.Print(mustWorkload(t, "crypt").Program())}
+	var reports [2]json.RawMessage
+	for i := range reports {
+		_, ts := newTestServer(t, Config{})
+		status, data, _ := postJSON(t, ts.Client(), ts.URL+"/v1/analyze", body)
+		var resp struct {
+			Report json.RawMessage `json:"report"`
+		}
+		if err := json.Unmarshal(data, &resp); status != http.StatusOK || err != nil {
+			t.Fatalf("daemon %d: status %d, decode %v:\n%s", i, status, err, data)
+		}
+		reports[i] = resp.Report
+	}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Errorf("two daemons answered different report bytes:\n%s\n---\n%s", reports[0], reports[1])
+	}
+}
+
 func TestQueryVerdicts(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	b := mustWorkload(t, "crypt")
